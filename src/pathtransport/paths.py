@@ -599,14 +599,15 @@ def great_circle(
     q3 = v3 / speed
 
     def embed(s):
+        # Parameters, cosine and sine of the arc angle, and the embedded points.
         arr = _as_param_array(s)
         ang = speed * (np.atleast_1d(arr) - s_anchor)
-        pts = np.cos(ang)[:, None] * p3[None, :] + np.sin(ang)[:, None] * q3[None, :]
-        return arr, pts
+        cos, sin = np.cos(ang)[:, None], np.sin(ang)[:, None]
+        return arr, cos, sin, cos * p3[None, :] + sin * q3[None, :]
 
     # Unwrapped azimuth reference, so phi stays continuous across +-pi.
     ref_s = np.linspace(a, b, 4097)
-    _, ref_pts = embed(ref_s)
+    *_, ref_pts = embed(ref_s)
     ref_phi = np.unwrap(np.arctan2(ref_pts[:, 1], ref_pts[:, 0]))
     ref_phi += ph0 - float(np.interp(s_anchor, ref_s, ref_phi))
     ref_theta = np.arccos(np.clip(ref_pts[:, 2], -1.0, 1.0))
@@ -614,7 +615,7 @@ def great_circle(
         raise ChartDomainError("great-circle arc passes too close to a coordinate pole")
 
     def pos(s):
-        arr, pts = embed(s)
+        arr, _, _, pts = embed(s)
         theta = np.arccos(np.clip(pts[:, 2], -1.0, 1.0))
         raw = np.arctan2(pts[:, 1], pts[:, 0])
         guess = np.interp(np.atleast_1d(arr), ref_s, ref_phi)
@@ -623,9 +624,8 @@ def great_circle(
         return out[0] if arr.ndim == 0 else out
 
     def vel(s):
-        arr, pts = embed(s)
-        ang = speed * (np.atleast_1d(arr) - s_anchor)
-        dpts = speed * (-np.sin(ang)[:, None] * p3[None, :] + np.cos(ang)[:, None] * q3[None, :])
+        arr, cos, sin, pts = embed(s)
+        dpts = speed * (-sin * p3[None, :] + cos * q3[None, :])
         x, y, z = pts[:, 0], pts[:, 1], pts[:, 2]
         dx, dy, dz = dpts[:, 0], dpts[:, 1], dpts[:, 2]
         sin_theta = np.sqrt(np.maximum(x * x + y * y, 1e-300))

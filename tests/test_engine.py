@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -6,15 +7,17 @@ import pytest
 from scipy.linalg import expm
 
 import pathtransport as pt
+from pathtransport import engine
 from pathtransport.engine import path_coefficient_field
 from pathtransport.errors import (
     ChartDomainError,
     DegenerateProbeError,
+    IntervalError,
     NonInvertibleError,
     NotFactorizableError,
     SingularCoefficientError,
 )
-from pathtransport.laws import random_paths
+from pathtransport.laws import _bezier_path, random_paths
 
 ROTATION_GEN = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
@@ -72,6 +75,34 @@ def test_non_finite_coefficients_raise():
 
     with pytest.raises(SingularCoefficientError):
         pt.integrate_transport_matrix(field, 0.0, 1.0, 1e-2)
+
+
+# --- step policy --------------------------------------------------------------
+
+
+def test_default_step_is_a_fixed_step_count():
+    m = pt.integrate_transport_matrix(constant_field(ROTATION_GEN), 0.0, 0.7)
+    assert m.step == pytest.approx(0.7 / engine.DEFAULT_STEP_COUNT, rel=1e-15)
+    seg = pt.segment([1.0, 0.0], [1.5, 0.5])
+    m = pt.transport_matrix_over_path(pt.get_entry("sphere").geometry, seg, 0.0, 1.0)
+    assert m.step == pytest.approx(1.0 / engine.DEFAULT_STEP_COUNT, rel=1e-15)
+
+
+def test_explicit_step_rounds_the_count_up():
+    m = pt.integrate_transport_matrix(constant_field(ROTATION_GEN), 0.0, 1.0, 0.3)
+    assert m.step == 0.25
+    seg = pt.segment([1.0, 0.0], [1.5, 0.5])
+    m = pt.transport_matrix_over_path(pt.get_entry("sphere").geometry, seg, 1.0, 0.0, step=0.3)
+    assert m.step == 0.25
+
+
+@pytest.mark.parametrize("step", [0.0, -1e-3])
+def test_non_positive_step_is_rejected_by_both_integrators(step):
+    with pytest.raises(IntervalError):
+        pt.integrate_transport_matrix(constant_field(ROTATION_GEN), 0.0, 1.0, step)
+    seg = pt.segment([1.0, 0.0], [1.5, 0.5])
+    with pytest.raises(IntervalError):
+        pt.transport_matrix_over_path(pt.get_entry("sphere").geometry, seg, 0.0, 1.0, step=step)
 
 
 def test_singular_matrix_warns():
@@ -357,3 +388,138 @@ def test_coefficient_field_batches_along_path(sphere_entry):
     assert out.shape == (5, 2, 2)
     single = pt.coefficients_along_path(sphere_entry.geometry, lat, 0.5)
     assert np.allclose(out[2], single.value)  # grid point 0.5
+
+
+# --- chunked propagation ---------------------------------------------------------
+
+CHUNK = engine._CHUNK_STEPS
+
+
+def smooth_geometry(r, seed=7):
+    """Smooth random r x r coefficients on the plane, of order one."""
+    rng = np.random.default_rng(seed)
+    a, b, c = 0.5 * rng.standard_normal((3, r, r, 2))
+
+    def coeffs(x):
+        x = np.asarray(x, dtype=float)
+        pts = np.atleast_2d(x)
+        out = a + b * np.sin(pts[:, 0, None, None, None]) + c * np.cos(2 * pts[:, 1, None, None, None])
+        return out[0] if x.ndim == 1 else out
+
+    return pt.BundleGeometry(base_dim=2, fibre_dim=r, coeffs3=coeffs, label=f"smooth{r}")
+
+
+def grid_geometry():
+    axes = [np.linspace(0.0, 2.0, 9), np.linspace(-1.0, 1.0, 7)]
+    xx, yy = np.meshgrid(*axes, indexing="ij")
+    base = np.random.default_rng(3).standard_normal((2, 2, 2))
+    values = np.sin(xx)[..., None, None, None] * base + np.cos(yy)[..., None, None, None] * base.transpose(1, 0, 2)
+    return pt.geometry_from_grid(axes, values, fibre_dim=2)
+
+
+def curve(box):
+    """A cubic Bezier path on [0, 1] inside the box ((lo0, hi0), (lo1, hi1))."""
+    (lo0, hi0), (lo1, hi1) = box
+    ctrl = np.array([[0.2, 0.1], [0.9, 0.3], [0.1, 0.8], [0.7, 0.9]])
+    return _bezier_path(np.array([lo0, lo1]) + ctrl * np.array([hi0 - lo0, hi1 - lo1]), (0.0, 1.0))
+
+
+GEOMETRIES = {
+    "r1": (lambda: smooth_geometry(1), ((-1.0, 1.0), (-1.0, 1.0))),
+    "sphere": (lambda: pt.get_entry("sphere").geometry, ((0.6, 2.4), (-1.0, 1.0))),
+    "r4": (lambda: smooth_geometry(4), ((-1.0, 1.0), (-1.0, 1.0))),
+    "grid": (grid_geometry, ((0.1, 1.9), (-0.9, 0.9))),
+}
+
+
+def steps_for(n, span=1.0):
+    """An explicit step that gives exactly n RK4 steps over the span."""
+    return span / n * (1 + 1e-9)
+
+
+def single_chunk(monkeypatch, run):
+    with monkeypatch.context() as m:
+        m.setattr(engine, "_CHUNK_STEPS", 10**9)
+        return run()
+
+
+def assert_roundoff_close(chunked, whole):
+    scale = max(1.0, float(np.max(np.abs(whole))))
+    assert np.max(np.abs(chunked - whole)) <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("geometry", sorted(GEOMETRIES))
+@pytest.mark.parametrize("n", [1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 5])
+@pytest.mark.parametrize("backward", [False, True])
+def test_chunked_transport_matches_one_chunk(monkeypatch, geometry, n, backward):
+    make, box = GEOMETRIES[geometry]
+    geo, path = make(), curve(box)
+    s, t = (1.0, 0.0) if backward else (0.0, 1.0)
+
+    def run():
+        return pt.transport_matrix_over_path(geo, path, s, t, step=steps_for(n)).value
+
+    chunked = run()
+    assert chunked.shape == (geo.fibre_dim, geo.fibre_dim)
+    assert_roundoff_close(chunked, single_chunk(monkeypatch, run))
+
+
+@pytest.mark.parametrize("n", [1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 5])
+@pytest.mark.parametrize("backward", [False, True])
+def test_chunked_field_integration_matches_one_chunk(monkeypatch, n, backward):
+    def field(ts):
+        ts = np.atleast_1d(ts)
+        return np.cos(3 * ts)[:, None, None] * ROTATION_GEN + np.sin(ts)[:, None, None] * np.eye(2)
+
+    s, t = (1.0, 0.0) if backward else (0.0, 1.0)
+
+    def run():
+        m = pt.integrate_transport_matrix(field, s, t, steps_for(n))
+        assert m.step == pytest.approx(1.0 / n)
+        return m.value
+
+    assert_roundoff_close(run(), single_chunk(monkeypatch, run))
+
+
+@pytest.mark.parametrize("backward", [False, True])
+def test_breakpoint_nudges_land_on_piece_end_chunks(monkeypatch, sphere_entry, backward):
+    box = ((0.6, 2.4), (-1.0, 1.0))
+    p1 = curve(box)
+    p2 = pt.segment(p1.at(1.0), [1.0, -0.5])
+    prod = pt.product_canonical(p1, p2)
+    assert prod.breakpoints == (0.5,)
+    s, t = (1.0, 0.0) if backward else (0.0, 1.0)
+    n = 3 * CHUNK + 5  # per piece of length 1/2
+
+    def run():
+        return pt.transport_matrix_over_path(sphere_entry.geometry, prod, s, t, step=steps_for(n, 0.5)).value
+
+    calls = []
+    original = engine._rk4_transitions
+
+    def recorder(field, a, b, n_steps, *, nudge):
+        out = original(field, a, b, n_steps, nudge=nudge)
+        calls.append((a, b, n_steps, nudge, out.shape))
+        return out
+
+    monkeypatch.setattr(engine, "_rk4_transitions", recorder)
+    chunked = run()
+    assert [c[2] for c in calls] == [CHUNK, CHUNK, CHUNK, 5] * 2
+    assert all(shape == (2, 2) for *_, shape in calls)
+    nudged = [(i, k) for i, c in enumerate(calls) for k in (0, 1) if c[3][k] != 0.0]
+    # Each piece ends at the breakpoint on one side only: the last chunk of
+    # the first piece and the first chunk of the second.
+    assert nudged == [(3, 1), (4, 0)]
+    assert calls[3][1] == 0.5 and calls[4][0] == 0.5
+    assert_roundoff_close(chunked, single_chunk(monkeypatch, run))
+
+
+def test_fine_step_holonomy_memory_does_not_grow_with_step_count(ortho_entry):
+    tracemalloc.start()
+    try:
+        report = pt.holonomy(ortho_entry.transport, pt.latitude(1.0), step=1e-5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert abs(report.angle - 2 * math.pi * (1 - math.cos(1.0))) <= 1e-9
+    assert peak < 8e6
