@@ -52,6 +52,8 @@ class FibreVector:
 
     def __post_init__(self):
         bp = np.array(self.base_point, dtype=float)
+        if not all(map(math.isfinite, bp.flat)):
+            raise ChartDomainError(f"base point {bp.tolist()} is not finite")
         comps = np.array(self.components, dtype=float)
         bp.setflags(write=False)
         comps.setflags(write=False)

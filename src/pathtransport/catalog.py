@@ -84,7 +84,7 @@ def _sphere_chart(margin: float):
     def inside(x):
         x = np.asarray(x, dtype=float)
         th = x[..., 0]
-        return bool(np.all((th > margin) & (th < math.pi - margin)))
+        return bool(((th > margin) & (th < math.pi - margin)).all())
 
     return inside
 
@@ -103,8 +103,9 @@ def sphere_levi_civita() -> GeometryCatalogEntry:
         pts = np.atleast_2d(x)
         th = pts[:, 0]
         g = np.zeros((pts.shape[0], 2, 2, 2))
-        g[:, 0, 1, 1] = -np.sin(th) * np.cos(th)
-        cot = np.cos(th) / np.sin(th)
+        sin, cos = np.sin(th), np.cos(th)
+        g[:, 0, 1, 1] = -sin * cos
+        cot = cos / sin
         g[:, 1, 0, 1] = cot
         g[:, 1, 1, 0] = cot
         return g[0] if x.ndim == 1 else g
@@ -139,8 +140,9 @@ def sphere_orthonormal_frame() -> GeometryCatalogEntry:
         pts = np.atleast_2d(x)
         th = pts[:, 0]
         g = np.zeros((pts.shape[0], 2, 2, 2))
-        g[:, 0, 1, 1] = -np.cos(th)
-        g[:, 1, 0, 1] = np.cos(th)
+        cos = np.cos(th)
+        g[:, 0, 1, 1] = -cos
+        g[:, 1, 0, 1] = cos
         return g[0] if x.ndim == 1 else g
 
     geometry = BundleGeometry(

@@ -44,7 +44,7 @@ from .errors import (
     NotFactorizableError,
     SingularCoefficientError,
 )
-from .paths import Path, constant_path, line_through, position_at, velocity_at
+from .paths import Path, constant_path, line_through, position_at, smooth_part, velocity_at
 
 #: Default number of RK4 steps when no absolute step size is given.
 DEFAULT_STEP_COUNT = 1000
@@ -139,32 +139,48 @@ def _ordered_product(mats: np.ndarray) -> np.ndarray:
     return mats[..., 0]
 
 
+def _eye_minus(eye: np.ndarray, k: float, c: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """I - k c over an (r, r, m) stack, written into ``out`` when given."""
+    out = np.multiply(k, c, out=out)
+    return np.subtract(eye, out, out=out)
+
+
 def _rk4_transitions(field: Callable, a: float, b: float, n_steps: int, *, nudge=(0.0, 0.0)) -> np.ndarray:
     """RK4 transition matrix L(b, a) of dL/dt = -G(t) L, n_steps steps on [a, b].
 
-    The field is sampled at the step ends and midpoints; ``nudge`` moves the
-    first and last sample inward by the given signed offsets.  The per-step
-    transitions are formed in (r, r, m) layout and reduced to one matrix.
+    The field is sampled at the nodes a + (h/2) k, k = 0..2 n_steps: the
+    n_steps + 1 step ends first, then the n_steps midpoints, so each block is
+    contiguous.  ``nudge`` moves the first and last step end inward by the
+    given signed offsets.  The per-step transitions are formed in (r, r, m)
+    layout and reduced to one matrix.
     """
     h = (b - a) / n_steps
-    pts = a + 0.5 * h * np.arange(2 * n_steps + 1)
+    k = np.arange(2 * n_steps + 1)
+    pts = a + 0.5 * h * np.concatenate((k[::2], k[1::2]))
     pts[0] = a + nudge[0]
-    pts[-1] = b - nudge[1]
-    g = np.asarray(field(pts), dtype=float)
-    if not np.all(np.isfinite(g)):
+    pts[n_steps] = b - nudge[1]
+    # (r, r, samples) layout, each entry contiguous over the samples; a field
+    # that returns an (m, r, r) view of such an array is not copied.
+    g = np.ascontiguousarray(np.asarray(field(pts), dtype=float).transpose(1, 2, 0))
+    if not np.isfinite(g).all():
         raise SingularCoefficientError("non-finite coefficients encountered during integration")
-    # (r, r, samples) layout, each entry contiguous over the samples.  With
-    # P = -G the step is T = I + (h/6)(b1 + 2 b2 + 2 b3 + b4) for b1 = P1,
-    # b2 = P2 (I + (h/2) b1), b3 = P2 (I + (h/2) b2), b4 = P3 (I + h b3);
-    # c = -b below is the same recursion in G, with no negated copy.
-    g = g.transpose(1, 2, 0).copy()
+    # With P = -G the step is T = I + (h/6)(b1 + 2 b2 + 2 b3 + b4) for
+    # b1 = P1, b2 = P2 (I + (h/2) b1), b3 = P2 (I + (h/2) b2),
+    # b4 = P3 (I + h b3); c = -b below is the same recursion in G, with no
+    # negated copy.  The sum c1 + 2 c2 + 2 c3 + c4 accumulates in c2, left
+    # to right.
     eye = np.eye(g.shape[0])[:, :, None]
-    c1 = g[..., 0:-1:2]
-    g2 = g[..., 1::2]
-    c2 = _matmul(g2, eye - (h / 2) * c1)
-    c3 = _matmul(g2, eye - (h / 2) * c2)
-    c4 = _matmul(g[..., 2::2], eye - h * c3)
-    return _ordered_product(eye - (h / 6) * (c1 + 2 * c2 + 2 * c3 + c4))
+    ends, mids = g[..., : n_steps + 1], g[..., n_steps + 1 :]
+    c1 = ends[..., :-1]
+    c2 = _matmul(mids, _eye_minus(eye, h / 2, c1))
+    c3 = _matmul(mids, _eye_minus(eye, h / 2, c2))
+    c4 = _matmul(ends[..., 1:], _eye_minus(eye, h, c3))
+    c2 *= 2
+    c2 += c1
+    c3 *= 2
+    c2 += c3
+    c2 += c4
+    return _ordered_product(_eye_minus(eye, h / 6, c2, out=c2))
 
 
 def _propagate(field: Callable, a: float, b: float, n_steps: int, nudge=(False, False)) -> list:
@@ -233,11 +249,23 @@ def integrate_transport_matrix(coeff_field: Callable, s: float, t: float, step: 
 
 
 def path_coefficient_field(geometry: BundleGeometry, path: Path, *, piece: tuple[float, float] | None = None) -> Callable:
-    """Batched coefficient field G(s) = coeffs3(path(s)) . velocity(s) along a path."""
+    """Batched coefficient field G(s) = coeffs3(path(s)) . velocity(s) along a path.
+
+    The field maps m parameters to an (m, r, r) array, a view of an array
+    stored in (r, r, m) order.  With a ``piece``, every sample is evaluated
+    on the smooth factor that the piece runs on (``paths.smooth_part``),
+    through its ``jet`` when it has one; the values equal the path's own
+    evaluation bit for bit.
+    """
+    factor, maps = (path, ()) if piece is None else smooth_part(path, *piece)
+    scale = math.prod(slope for slope, _ in maps)
+    n, r = geometry.base_dim, geometry.fibre_dim
 
     def field(ts):
-        ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        xs = position_at(path, ts)
+        u = np.atleast_1d(np.asarray(ts, dtype=float))
+        for slope, offset in maps:
+            u = slope * u + offset if offset else slope * u
+        xs, vs = factor.jet(u) if factor.jet is not None else (position_at(factor, u), None)
         if geometry.chart_domain is not None:
             try:
                 ok = bool(geometry.chart_domain(xs))
@@ -247,14 +275,23 @@ def path_coefficient_field(geometry: BundleGeometry, path: Path, *, piece: tuple
                 raise ChartDomainError(
                     f"path {path.label or ''} leaves the chart of {geometry.label or 'geometry'}"
                 )
-        vs = velocity_at(path, ts, piece=piece)
-        g3 = coeffs3_batch(geometry, xs)
-        # Contract over the base index by hand; n is small and einsum's
-        # dispatch overhead dominates on long grids.
-        out = g3[:, :, :, 0] * vs[:, 0, None, None]
-        for mu in range(1, geometry.base_dim):
-            out += g3[:, :, :, mu] * vs[:, mu, None, None]
-        return out
+        if vs is None:
+            # Only an undescended path can lack an analytic velocity, so the
+            # piece's finite-difference stencil is in this path's parameter.
+            vs = velocity_at(factor, u, piece=piece)
+        if maps:
+            vs = scale * vs
+        # Contract over the base index by hand, in (r, r, n, m) index order and
+        # straight into an (r, r, m) array that is contiguous over the samples,
+        # as the kernel reads it; n is small and einsum's dispatch overhead
+        # dominates on long grids.  Copying the coefficients to (r, r, n, m)
+        # first costs more than the strided reads it saves.
+        g3 = coeffs3_batch(geometry, xs).transpose(1, 2, 3, 0)
+        vt = vs.T
+        out = np.multiply(g3[:, :, 0], vt[0], out=np.empty((r, r, u.size)))
+        for mu in range(1, n):
+            out += np.multiply(g3[:, :, mu], vt[mu], out=np.empty_like(out))
+        return out.transpose(2, 0, 1)
 
     return field
 

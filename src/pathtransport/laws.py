@@ -134,24 +134,34 @@ def random_paths(
 
 def _bezier_path(ctrl: np.ndarray, domain: tuple[float, float], *, label: str = "bezier") -> Path:
     p0, p1, p2, p3 = (np.asarray(c, dtype=float) for c in ctrl)
+    d0, d1, d2 = p1 - p0, p2 - p1, p3 - p2
     a, b = domain
     span = b - a
 
-    def pos(s):
-        s = np.asarray(s, dtype=float)
-        x = (s - a) / span
-        w = x[..., None]
+    def basis(s):
+        # w = normalised parameter, 1 - w and their squares, shared by both evaluators.
+        w = ((np.asarray(s, dtype=float) - a) / span)[..., None]
         omw = 1.0 - w
-        return omw**3 * p0 + 3 * w * omw**2 * p1 + 3 * w**2 * omw * p2 + w**3 * p3
+        return w, omw, w**2, omw**2
 
-    def vel(s):
-        s = np.asarray(s, dtype=float)
-        x = (s - a) / span
-        w = x[..., None]
-        omw = 1.0 - w
-        return (3 * (omw**2 * (p1 - p0) + 2 * w * omw * (p2 - p1) + w**2 * (p3 - p2))) / span
+    def pos_from(w, omw, w2, omw2):
+        return omw**3 * p0 + 3 * w * omw2 * p1 + 3 * w2 * omw * p2 + w**3 * p3
 
-    return Path(dim=p0.size, domain=(a, b), position=pos, velocity=vel, label=label)
+    def vel_from(w, omw, w2, omw2):
+        return (3 * (omw2 * d0 + 2 * w * omw * d1 + w2 * d2)) / span
+
+    def jet(ts):
+        powers = basis(ts)
+        return pos_from(*powers), vel_from(*powers)
+
+    return Path(
+        dim=p0.size,
+        domain=(a, b),
+        position=lambda s: pos_from(*basis(s)),
+        velocity=lambda s: vel_from(*basis(s)),
+        label=label,
+        jet=jet,
+    )
 
 
 def random_components(rng: np.random.Generator, count: int, fibre_dim: int) -> np.ndarray:

@@ -46,6 +46,14 @@ class Path:
     piecewise-C1.  ``breakpoints`` lists interior parameters where the velocity
     may jump; integrators split there and never evaluate a one-sided quantity
     from the wrong side.
+
+    Two optional fields describe how to evaluate the path cheaply; neither
+    changes its values.  ``jet`` maps a 1-d parameter array to the pair
+    ``(positions, velocities)`` in one call, sharing the work that both need.
+    ``parts`` lists entries ``(lo, hi, factor, slope, offset)`` with
+    ``path(t) = factor(slope * t + offset)`` on ``[lo, hi]``, so a piece that
+    lies in one part can be evaluated on its factor (see ``smooth_part``).
+    Canonical products and inverses set ``parts``; restrictions keep them.
     """
 
     dim: int
@@ -55,6 +63,8 @@ class Path:
     smoothness: str = C1
     breakpoints: tuple[float, ...] = ()
     label: str = ""
+    jet: Optional[Callable] = None
+    parts: tuple = ()
 
     def __post_init__(self):
         sigma, tau = self.domain
@@ -307,6 +317,7 @@ def invert_canonical(path: Path) -> Path:
         smoothness=path.smoothness,
         breakpoints=tuple(sorted(1.0 - b for b in path.breakpoints)),
         label=f"{path.label}~" if path.label else "",
+        parts=((0.0, 1.0, path, -1.0, 1.0),),
     )
 
 
@@ -373,7 +384,36 @@ def product_canonical(p1: Path, p2: Path, *, tol: float = JUNCTION_TOL) -> Path:
         smoothness=tag,
         breakpoints=bps,
         label=f"({p1.label})*({p2.label})" if (p1.label or p2.label) else "",
+        parts=((0.0, 0.5, p1, 2.0, 0.0), (0.5, 1.0, p2, 2.0, -1.0)),
     )
+
+
+def smooth_part(path: Path, lo: float, hi: float) -> tuple[Path, tuple[tuple[float, float], ...]]:
+    """The innermost factor that the piece [lo, hi] of ``path`` runs on.
+
+    Returns the factor and the affine maps ``u -> slope * u + offset`` that
+    carry a parameter of the piece to the factor's parameter, in the order
+    they apply; the velocity scales by the product of the slopes.  Descends
+    through ``parts`` while the piece lies inside one part and that part's
+    factor has an analytic velocity, so a finite-difference path keeps its
+    own stencil.  The maps are applied one after another, not multiplied
+    out, so the parameters and velocities equal the path's own evaluation
+    bit for bit (all slopes are powers of two up to sign).  The one
+    exception is a sample exactly on a junction: it is evaluated on the
+    factor of the piece, where a product's own evaluators take the left
+    factor.  Integrators nudge breakpoint samples inward, so this shows only
+    where a restriction starts exactly on a junction.
+    """
+    maps = []
+    while True:
+        for p_lo, p_hi, factor, slope, offset in path.parts:
+            if p_lo <= lo and hi <= p_hi and factor.velocity is not None:
+                break
+        else:
+            return path, tuple(maps)
+        lo, hi = sorted((slope * lo + offset, slope * hi + offset))
+        maps.append((slope, offset))
+        path = factor
 
 
 # ---------------------------------------------------------------------------
@@ -512,7 +552,9 @@ def segment(start: Sequence[float], end: Sequence[float], domain: tuple[float, f
             return rate.copy()
         return np.tile(rate, (arr.size, 1))
 
-    return Path(dim=a.size, domain=(sigma, tau), position=pos, velocity=vel, label="segment")
+    return Path(
+        dim=a.size, domain=(sigma, tau), position=pos, velocity=vel, label="segment", jet=lambda ts: (pos(ts), vel(ts))
+    )
 
 
 def line_through(point: Sequence[float], direction: Sequence[float], half_width: float = 0.1) -> Path:
@@ -523,6 +565,14 @@ def line_through(point: Sequence[float], direction: Sequence[float], half_width:
     if np.allclose(v, 0):
         return point_path(0.0, x0)
     return segment(x0 - w * v, x0 + w * v, domain=(-w, w))
+
+
+def _wrap_angle(x):
+    """``np.mod(x, 2 pi)`` bit for bit, without the division when every entry
+    already lies in [0, 2 pi) (-0.0 still becomes +0.0)."""
+    if x.min(initial=0.0) >= 0.0 and x.max(initial=0.0) < 2 * math.pi:
+        return x + 0.0
+    return np.mod(x, 2 * math.pi)
 
 
 def latitude(colatitude: float, turns: float = 1.0, phi0: float = 0.0, *, pole_margin: float = _POLE_MARGIN) -> Path:
@@ -543,10 +593,13 @@ def latitude(colatitude: float, turns: float = 1.0, phi0: float = 0.0, *, pole_m
 
     def pos(s):
         arr = _as_param_array(s)
-        phi = np.mod(phi0 + arr, 2 * math.pi)
+        phi = _wrap_angle(phi0 + arr)
         if arr.ndim == 0:
             return np.array([th, float(phi)])
-        return np.stack([np.full(arr.size, th), phi], axis=1)
+        out = np.empty((arr.size, 2))
+        out[:, 0] = th
+        out[:, 1] = phi
+        return out
 
     def vel(s):
         arr = _as_param_array(s)
@@ -554,12 +607,28 @@ def latitude(colatitude: float, turns: float = 1.0, phi0: float = 0.0, *, pole_m
             return np.array([0.0, 1.0])
         return np.tile(np.array([0.0, 1.0]), (arr.size, 1))
 
-    return Path(dim=2, domain=(0.0, span), position=pos, velocity=vel, label=f"latitude({th:g})")
+    return Path(
+        dim=2,
+        domain=(0.0, span),
+        position=pos,
+        velocity=vel,
+        label=f"latitude({th:g})",
+        jet=lambda ts: (pos(ts), vel(ts)),
+    )
 
 
 def _sphere_embed(theta, phi):
     st, ct = np.sin(theta), np.cos(theta)
     return np.stack([st * np.cos(phi), st * np.sin(phi), ct], axis=-1)
+
+
+def _arc_embed(s, anchor, speed, p3, q3):
+    """Parameters, cosine and sine of the arc angle, and the embedded points
+    of the great circle through p3 with unit tangent q3."""
+    arr = _as_param_array(s)
+    ang = speed * (np.atleast_1d(arr) - anchor)
+    cos, sin = np.cos(ang)[:, None], np.sin(ang)[:, None]
+    return arr, cos, sin, cos * p3[None, :] + sin * q3[None, :]
 
 
 def great_circle(
@@ -599,11 +668,7 @@ def great_circle(
     q3 = v3 / speed
 
     def embed(s):
-        # Parameters, cosine and sine of the arc angle, and the embedded points.
-        arr = _as_param_array(s)
-        ang = speed * (np.atleast_1d(arr) - s_anchor)
-        cos, sin = np.cos(ang)[:, None], np.sin(ang)[:, None]
-        return arr, cos, sin, cos * p3[None, :] + sin * q3[None, :]
+        return _arc_embed(s, s_anchor, speed, p3, q3)
 
     # Unwrapped azimuth reference, so phi stays continuous across +-pi.
     ref_s = np.linspace(a, b, 4097)
@@ -614,27 +679,37 @@ def great_circle(
     if np.any(ref_theta < pole_margin) or np.any(ref_theta > math.pi - pole_margin):
         raise ChartDomainError("great-circle arc passes too close to a coordinate pole")
 
-    def pos(s):
-        arr, _, _, pts = embed(s)
+    def chart_position(arr, pts):
         theta = np.arccos(np.clip(pts[:, 2], -1.0, 1.0))
         raw = np.arctan2(pts[:, 1], pts[:, 0])
         guess = np.interp(np.atleast_1d(arr), ref_s, ref_phi)
         phi = raw + 2 * math.pi * np.round((guess - raw) / (2 * math.pi))
-        out = np.stack([theta, phi], axis=1)
-        return out[0] if arr.ndim == 0 else out
+        return np.stack([theta, phi], axis=1)
 
-    def vel(s):
-        arr, cos, sin, pts = embed(s)
+    def chart_velocity(cos, sin, pts):
         dpts = speed * (-sin * p3[None, :] + cos * q3[None, :])
         x, y, z = pts[:, 0], pts[:, 1], pts[:, 2]
         dx, dy, dz = dpts[:, 0], dpts[:, 1], dpts[:, 2]
         sin_theta = np.sqrt(np.maximum(x * x + y * y, 1e-300))
         dtheta = -dz / sin_theta
         dphi = (x * dy - y * dx) / (x * x + y * y)
-        out = np.stack([dtheta, dphi], axis=1)
+        return np.stack([dtheta, dphi], axis=1)
+
+    def pos(s):
+        arr, _, _, pts = embed(s)
+        out = chart_position(arr, pts)
         return out[0] if arr.ndim == 0 else out
 
-    return Path(dim=2, domain=(a, b), position=pos, velocity=vel, label="great_circle")
+    def vel(s):
+        arr, cos, sin, pts = embed(s)
+        out = chart_velocity(cos, sin, pts)
+        return out[0] if arr.ndim == 0 else out
+
+    def jet(ts):
+        arr, cos, sin, pts = embed(ts)
+        return chart_position(arr, pts), chart_velocity(cos, sin, pts)
+
+    return Path(dim=2, domain=(a, b), position=pos, velocity=vel, label="great_circle", jet=jet)
 
 
 def spline_path(samples_s: Sequence[float], samples_x, *, label: str = "samples") -> Path:

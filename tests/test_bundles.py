@@ -180,3 +180,11 @@ def test_grid_transport_matches_closed_form(tmp_path):
     m = transport.matrix(seg, 0.0, 1.0, step=1e-3)
     # the grid interpolation is exact for a linear field, so only RK4 error remains
     assert m.value[0, 0] == pytest.approx(math.exp(-0.5), abs=1e-9)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_fibre_vector_rejects_non_finite_base_points(bad):
+    with pytest.raises(ChartDomainError):
+        pt.FibreVector([1.0, bad], [1.0, 0.0])
+    with pytest.raises(ChartDomainError):
+        pt.FibreVector(bad, [1.0])

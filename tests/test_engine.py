@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 import warnings
@@ -523,3 +524,183 @@ def test_fine_step_holonomy_memory_does_not_grow_with_step_count(ortho_entry):
         tracemalloc.stop()
     assert abs(report.angle - 2 * math.pi * (1 - math.cos(1.0))) <= 1e-9
     assert peak < 8e6
+
+
+# --- evaluation on smooth factors ---------------------------------------------
+
+
+def fd_arc(start, end):
+    """A canonical path without an analytic velocity (finite differences)."""
+    a, b = np.asarray(start, dtype=float), np.asarray(end, dtype=float)
+
+    def pos(s):
+        w = np.asarray(s, dtype=float)[..., None]
+        return a + w * (b - a) + 0.1 * np.sin(3 * w) * np.array([1.0, -1.0])
+
+    return pt.Path(dim=2, domain=(0.0, 1.0), position=pos, label="fd")
+
+
+def smooth_factors():
+    """Canonical factors of each kind, all inside the sphere chart."""
+    return [
+        pt.great_circle((1.2, 0.3), (0.4, 0.5), domain=(0.0, 1.0)),
+        pt.segment([1.0, -0.4], [1.6, 0.2]),
+        pt.latitude(1.3, turns=1 / (2 * math.pi), phi0=-0.5),
+        _bezier_path(np.array([[0.9, 0.1], [1.5, 0.6], [1.1, 0.9], [1.7, -0.3]]), (0.0, 1.0)),
+        fd_arc([1.4, 0.2], [0.9, -0.6]),
+    ]
+
+
+def joined(p, q):
+    """The canonical product of p and q, with a segment bridging any gap."""
+    bridge = pt.segment(p.at(1.0), q.at(0.0))
+    return pt.product_canonical(p, pt.product_canonical(bridge, q))
+
+
+def random_nest(rng, depth):
+    """A nest of canonical products and inverses over the smooth factors."""
+    factors = smooth_factors()
+    if depth == 0:
+        return factors[rng.integers(len(factors))]
+    kind = rng.integers(3)
+    if kind == 0:
+        return joined(random_nest(rng, depth - 1), random_nest(rng, depth - 1))
+    if kind == 1:
+        return pt.invert_canonical(random_nest(rng, depth - 1))
+    p = random_nest(rng, depth - 1)
+    return pt.product_canonical(p, pt.segment(p.at(1.0), [1.2, 0.0]))
+
+
+def path_level_field(geometry, path, ts, piece):
+    """The coefficient field through the path's own position and velocity."""
+    xs = pt.paths.position_at(path, ts)
+    vs = pt.paths.velocity_at(path, ts, piece=piece)
+    g3 = pt.bundles.coeffs3_batch(geometry, xs)
+    return g3[..., 0] * vs[:, 0, None, None] + g3[..., 1] * vs[:, 1, None, None]
+
+
+def random_pieces(rng, path, count=4):
+    """Random subintervals of the smooth pieces of a path."""
+    ends = (path.domain[0],) + path.breakpoints + (path.domain[1],)
+    for _ in range(count):
+        k = rng.integers(len(ends) - 1)
+        lo, hi = np.sort(rng.uniform(ends[k], ends[k + 1], size=2))
+        yield (ends[k], ends[k + 1]) if rng.random() < 0.5 else (float(lo), float(hi))
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_field_on_smooth_factor_equals_path_level_field(sphere_entry, seed):
+    rng = np.random.default_rng(seed)
+    path = random_nest(rng, int(rng.integers(1, 4)))
+    if rng.random() < 0.5:
+        lo, hi = np.sort(rng.uniform(0.0, 1.0, size=2))
+        path = pt.restrict(path, (float(lo), float(hi)))
+    geo = sphere_entry.geometry
+    for lo, hi in random_pieces(rng, path):
+        nudge = 1e-9 * (hi - lo)
+        ts = np.concatenate([[lo + nudge, hi - nudge], rng.uniform(lo, hi, size=64)])
+        got = path_coefficient_field(geo, path, piece=(lo, hi))(ts)
+        assert np.array_equal(got, path_level_field(geo, path, ts, (lo, hi)))
+
+
+def test_smooth_part_descends_to_the_innermost_analytic_factor():
+    gc, seg, lat, bez, fd = smooth_factors()
+    inner = joined(gc, bez)  # gc on [0, 1/2], bridge on [1/2, 3/4], bez on [3/4, 1]
+    prod = pt.product_canonical(inner, pt.segment(inner.at(1.0), gc.at(0.0)))
+    loop = pt.invert_canonical(prod)
+    # [0.8, 0.9] of the loop is [0.1, 0.2] of prod, [0.2, 0.4] of inner, [0.4, 0.8] of gc.
+    assert pt.paths.smooth_part(loop, 0.8, 0.9) == (gc, ((-1.0, 1.0), (2.0, 0.0), (2.0, 0.0)))
+    assert pt.paths.smooth_part(pt.restrict(loop, (0.55, 0.95)), 0.8, 0.9)[0] is gc
+    # A piece across a junction stays on the path that owns the junction.
+    assert pt.paths.smooth_part(prod, 0.4, 0.6) == (prod, ())
+    assert pt.paths.smooth_part(loop, 0.4, 0.6) == (prod, ((-1.0, 1.0),))
+
+
+def test_finite_difference_factors_are_not_descended_into(sphere_entry):
+    gc, _, _, _, fd = smooth_factors()
+    prod = joined(fd, gc)
+    assert pt.paths.smooth_part(prod, 0.1, 0.4) == (prod, ())
+    inverse = pt.invert_canonical(fd)
+    assert pt.paths.smooth_part(inverse, 0.1, 0.4) == (inverse, ())
+    factor, _ = pt.paths.smooth_part(prod, 0.8, 0.9)
+    assert factor is gc
+    # The finite-difference stencil stays the product's own: one-sided at the
+    # piece ends, with the product's step.
+    ts = np.array([0.0, 1e-7, 0.25, 0.5 - 1e-7])
+    got = path_coefficient_field(sphere_entry.geometry, prod, piece=(0.0, 0.5))(ts)
+    assert np.array_equal(got, path_level_field(sphere_entry.geometry, prod, ts, (0.0, 0.5)))
+
+
+def test_jets_equal_position_and_velocity_bit_for_bit(rng):
+    for path in smooth_factors()[:4] + [pt.latitude(0.8, turns=2.0, phi0=5.0)]:
+        lo, hi = path.domain
+        ts = np.concatenate([[lo, hi, -0.0], rng.uniform(lo - 0.1, hi + 0.1, size=200)])
+        xs, vs = path.jet(ts)
+        assert xs.tobytes() == pt.paths.position_at(path, ts).tobytes()
+        assert vs.tobytes() == pt.paths.velocity_at(path, ts).tobytes()
+
+
+def test_triangle_transport_evaluates_each_sample_once(monkeypatch, ortho_entry):
+    a = pt.great_circle((1.2, -0.3), (0.3, 0.6), domain=(0.0, 1.0))
+    b = pt.great_circle(a.at(1.0), (-0.5, 0.1), domain=(0.0, 1.0))
+    c = pt.segment(b.at(1.0), a.at(0.0))
+    inner = pt.product_canonical(a, b)
+    calls = {"position": 0, "velocity": 0, "embedded": 0, "sampled": 0}
+
+    def counted(name, fn):
+        def wrapper(s):
+            calls[name] += 1
+            return fn(s)
+
+        return wrapper
+
+    def spy(path):
+        return dataclasses.replace(
+            path, position=counted("position", path.position), velocity=counted("velocity", path.velocity)
+        )
+
+    loop = spy(pt.product_canonical(spy(inner), c))
+    calls.update(position=0, velocity=0)  # the junction check at construction
+    embed, rk4 = getattr(pt.paths, "_arc_embed", None), engine._rk4_transitions
+
+    def counting_embed(s, *args):
+        calls["embedded"] += np.size(s)
+        return embed(s, *args)
+
+    def counting_rk4(field, a_, b_, n_steps, *, nudge):
+        calls["sampled"] += 2 * n_steps + 1
+        return rk4(field, a_, b_, n_steps, nudge=nudge)
+
+    monkeypatch.setattr(pt.paths, "_arc_embed", counting_embed, raising=False)
+    monkeypatch.setattr(engine, "_rk4_transitions", counting_rk4)
+    pt.transport_matrix_over_path(ortho_entry.geometry, loop, 0.0, 1.0, step=1e-4)
+    assert calls["position"] == calls["velocity"] == 0
+    # The arcs run on [0, 1/4] and [1/4, 1/2], 2500 steps each, and the
+    # segment on [1/2, 1], 5000 steps; each chunk of k steps takes 2k + 1 samples.
+    def samples(n):
+        return sum(2 * min(CHUNK, n - k0) + 1 for k0 in range(0, n, CHUNK))
+
+    assert calls["sampled"] == 2 * samples(2500) + samples(5000)
+    assert calls["embedded"] == 2 * samples(2500)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, CHUNK])
+@pytest.mark.parametrize("span", [(0.0, 1.0), (0.3, -0.7), (1.25, 1.5)])
+def test_kernel_samples_the_rk4_nodes_ends_then_midpoints(n, span):
+    a, b = span
+    h = (b - a) / n
+    nudge = (1e-9 * h, 2e-9 * h)
+    seen = []
+
+    def field(pts):
+        seen.append(np.array(pts))
+        return np.tile(ROTATION_GEN, (len(pts), 1, 1))
+
+    out = engine._rk4_transitions(field, a, b, n, nudge=nudge)
+    assert out.shape == (2, 2)
+    (pts,) = seen
+    expected = a + 0.5 * h * np.arange(2 * n + 1)
+    expected[0], expected[-1] = a + nudge[0], b - nudge[1]
+    assert np.sort(pts).tobytes() == np.sort(expected).tobytes()
+    assert pts[: n + 1].tobytes() == expected[::2].tobytes()
+    assert pts[n + 1 :].tobytes() == expected[1::2].tobytes()
