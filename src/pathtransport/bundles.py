@@ -8,7 +8,6 @@ the evaluators are pure.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -16,6 +15,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import ChartDomainError, SpecFormatError
+from .paths import batch_eval, read_csv_rows
 
 
 @dataclass(frozen=True)
@@ -84,16 +84,8 @@ def coeffs3_at(geometry: BundleGeometry, x) -> np.ndarray:
 
 def coeffs3_batch(geometry: BundleGeometry, xs: np.ndarray) -> np.ndarray:
     """Batched coefficients: (m, n) points to an (m, r, r, n) array."""
-    xs = np.asarray(xs, dtype=float)
-    m = xs.shape[0]
     r, n = geometry.fibre_dim, geometry.base_dim
-    try:
-        out = np.asarray(geometry.coeffs3(xs), dtype=float)
-    except (TypeError, ValueError, IndexError):
-        out = None
-    if out is None or out.shape != (m, r, r, n):
-        out = np.stack([np.asarray(geometry.coeffs3(x), dtype=float) for x in xs])
-    return out
+    return batch_eval(geometry.coeffs3, np.asarray(xs, dtype=float), (r, r, n))
 
 
 def two_index_at(geometry: BundleGeometry, p: FibreVector) -> np.ndarray:
@@ -176,8 +168,7 @@ def geometry_from_grid(
             f"grid values of shape {values.shape} do not match axes/fibre dimensions"
         )
     interp = RegularGridInterpolator(tuple(axes), values, method="linear", bounds_error=True)
-    lo = np.array([a[0] for a in axes])
-    hi = np.array([a[-1] for a in axes])
+    box = tuple((float(a[0]), float(a[-1])) for a in axes)
 
     def coeffs(x):
         x = np.asarray(x, dtype=float)
@@ -185,17 +176,13 @@ def geometry_from_grid(
             return interp(x[None, :])[0]
         return interp(x)
 
-    def inside(x):
-        x = np.asarray(x, dtype=float)
-        return bool(np.all(x >= lo) and np.all(x <= hi))
-
     return BundleGeometry(
         base_dim=n,
         fibre_dim=r,
         coeffs3=coeffs,
-        chart_domain=inside,
+        chart_domain=box_chart(box),
         label=label,
-        chart_box=tuple((float(a), float(b)) for a, b in zip(lo, hi)),
+        chart_box=box,
     )
 
 
@@ -206,17 +193,7 @@ def grid_geometry_from_csv(filename: str, *, base_dim: int, fibre_dim: int, labe
     combination must be present exactly once.
     """
     n, r = base_dim, fibre_dim
-    rows = []
-    with open(filename, newline="") as fh:
-        for rec in csv.reader(fh):
-            if not rec or rec[0].lstrip().startswith("#"):
-                continue
-            if len(rec) != n + 4:
-                raise SpecFormatError(f"grid row {rec!r} should have {n + 4} columns")
-            rows.append([float(v) for v in rec])
-    if not rows:
-        raise SpecFormatError(f"no grid rows found in {filename}")
-    data = np.asarray(rows, dtype=float)
+    data = read_csv_rows(filename, "grid", n + 4)
     points = data[:, :n]
     abm = data[:, n : n + 3].astype(int)
     vals = data[:, n + 3]
@@ -225,9 +202,9 @@ def grid_geometry_from_csv(filename: str, *, base_dim: int, fibre_dim: int, labe
     axes = [np.unique(points[:, k]) for k in range(n)]
     shape = tuple(len(a) for a in axes)
     expected = math.prod(shape) * r * r * n
-    if len(rows) != expected:
+    if len(data) != expected:
         raise SpecFormatError(
-            f"grid file has {len(rows)} rows but a full {shape} grid needs {expected}"
+            f"grid file has {len(data)} rows but a full {shape} grid needs {expected}"
         )
     values = np.full(shape + (r, r, n), np.nan)
     idx = tuple(

@@ -21,7 +21,7 @@ from scipy.linalg import expm
 from .bundles import BundleGeometry, FibreVector, complex_structure, grid_geometry_from_csv
 from .engine import TransportMatrix
 from .errors import IntervalError, SingularCoefficientError, SpecFormatError
-from .paths import Path, position_at
+from .paths import Path, parse_key_values, position_at
 from .transports import (
     KIND_GENERIC,
     KIND_LINEAR_CUSTOM,
@@ -295,15 +295,7 @@ def load_geometry_spec(text: str, *, entry_id: str = "") -> GeometryCatalogEntry
     grid_file.  Builtin specs resolve into the standard catalog; grid specs
     load a multilinearly interpolated coefficient field from CSV.
     """
-    fields: dict[str, str] = {}
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise SpecFormatError(f"geometry spec line {raw!r} is not key = value")
-        key, _, val = line.partition("=")
-        fields[key.strip().lower()] = val.strip()
+    fields = parse_key_values(text, "geometry spec")
     kind = fields.get("kind", "builtin")
     if kind == "builtin":
         if "builtin_id" not in fields:
@@ -313,10 +305,14 @@ def load_geometry_spec(text: str, *, entry_id: str = "") -> GeometryCatalogEntry
         for need in ("base_dim", "fibre_dim", "grid_file"):
             if need not in fields:
                 raise SpecFormatError(f"grid geometry spec needs {need}")
+        try:
+            n, r = int(fields["base_dim"]), int(fields["fibre_dim"])
+        except ValueError as exc:
+            raise SpecFormatError(f"grid geometry spec dimensions must be integers: {exc}") from exc
         geometry = grid_geometry_from_csv(
             fields["grid_file"],
-            base_dim=int(fields["base_dim"]),
-            fibre_dim=int(fields["fibre_dim"]),
+            base_dim=n,
+            fibre_dim=r,
             label=fields.get("label", ""),
         )
         return entry_from_geometry(geometry, entry_id=entry_id or fields.get("label", "grid"))

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import os
 import sys
@@ -29,13 +30,15 @@ from .laws import (
     check_parallel_axioms,
     check_parametrization_laws,
     check_smoothness_conditions,
+    format_float,
+    format_table,
     LawReport,
     law_reports_csv,
     law_reports_table,
     make_parallel_fixtures,
     merge_reports,
 )
-from .paths import parse_path_spec, parse_scalar, parse_vector, position_at
+from .paths import parse_key_values, parse_path_spec, parse_scalar, parse_vector, position_at
 from .transports import KIND_GENERIC, parallel_from_transport, transport_from_parallel
 
 OUTDIR_ENV = "PATHTRANSPORT_OUTDIR"
@@ -54,23 +57,9 @@ _CONFIG_TYPES = {
 }
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.9g}"
-
-
 def _load_config(filename: str) -> dict:
-    fields = {}
-    for raw in FsPath(filename).read_text().splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise PathTransportError(f"config line {raw!r} is not key = value")
-        key, _, val = line.partition("=")
-        key = key.strip().replace("-", "_")
-        val = val.strip()
-        fields[key] = _CONFIG_TYPES.get(key, str)(val)
-    return fields
+    fields = parse_key_values(FsPath(filename).read_text(), "config", key=lambda k: k.replace("-", "_"))
+    return {key: _CONFIG_TYPES.get(key, str)(val) for key, val in fields.items()}
 
 
 def _build_parser(defaults: dict) -> argparse.ArgumentParser:
@@ -149,17 +138,7 @@ def _write(outdir: FsPath, name: str, text: str):
 def _cmd_list(args) -> int:
     rows = [("id", "base", "fibre", "kind", "traits", "description")]
     for entry in standard_catalog().values():
-        t = entry.traits
-        flags = ",".join(
-            name
-            for name, on in (
-                ("factorizable", t.factorizable),
-                ("linear", t.linear),
-                ("flat", t.flat),
-                ("parallel", t.parallel),
-            )
-            if on
-        )
+        flags = ",".join(name for name, on in dataclasses.asdict(entry.traits).items() if on)
         rows.append(
             (
                 entry.id,
@@ -170,9 +149,7 @@ def _cmd_list(args) -> int:
                 entry.description,
             )
         )
-    widths = [max(len(r[i]) for r in rows) for i in range(len(rows[0]))]
-    for row in rows:
-        print("  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)).rstrip())
+    print(format_table(rows), end="")
     return 0
 
 
@@ -185,31 +162,29 @@ def _cmd_transport(args) -> int:
     vec = parse_vector(args.vector)
     u = FibreVector(position_at(path, s), vec)
     result = transport.apply(path, s, t, u, step=args.step)
-    print("components:", " ".join(_fmt(v) for v in result.components))
-    print("base point:", " ".join(_fmt(v) for v in result.base_point))
+    print("components:", " ".join(format_float(v) for v in result.components))
+    print("base point:", " ".join(format_float(v) for v in result.base_point))
     if transport.is_linear:
         m = transport.matrix(path, s, t, step=args.step)
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["s", "t", "a", "b", "value"])
-        r = transport.fibre_dim
-        for a in range(r):
-            for b in range(r):
-                w.writerow([_fmt(s), _fmt(t), a, b, _fmt(m.value[a, b])])
-        _write(_outdir(args), "transport_matrix.csv", buf.getvalue())
+        _write(_outdir(args), "transport_matrix.csv", _matrices_csv([(s, t, m.value)]))
     if entry.geometry is not None:
         # coefficient dump along the path, same (s, t, a, b, value) schema with t = s
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["s", "t", "a", "b", "value"])
-        r = transport.fibre_dim
-        for si in np.linspace(s, t, 11):
-            coeff = coefficients_along_path(entry.geometry, path, float(si))
-            for a in range(r):
-                for b in range(r):
-                    w.writerow([_fmt(si), _fmt(si), a, b, _fmt(coeff.value[a, b])])
-        _write(_outdir(args), "transport_coefficients.csv", buf.getvalue())
+        coeffs = [
+            (si, si, coefficients_along_path(entry.geometry, path, float(si)).value) for si in np.linspace(s, t, 11)
+        ]
+        _write(_outdir(args), "transport_coefficients.csv", _matrices_csv(coeffs))
     return 0
+
+
+def _matrices_csv(rows) -> str:
+    """CSV with one (s, t, a, b, value) row per entry of each (s, t, matrix)."""
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(["s", "t", "a", "b", "value"])
+    for s, t, m in rows:
+        for (a, b), value in np.ndenumerate(m):
+            w.writerow([format_float(s), format_float(t), a, b, format_float(value)])
+    return buf.getvalue()
 
 
 def _suite_reports(entry: GeometryCatalogEntry, args) -> list[LawReport]:
@@ -273,9 +248,9 @@ def _cmd_factorize(args) -> int:
     for x in _interior_points(entry, rng, args.points):
         v = factorization_test(entry.transport, x, threshold=args.threshold, step=args.step, seed=args.seed)
         ok = ok and v.factorizable
-        point = "(" + " ".join(_fmt(c) for c in v.point) + ")"
+        point = "(" + " ".join(format_float(c) for c in v.point) + ")"
         lines.append(
-            f"point={point} residual={_fmt(v.residual)} threshold={_fmt(v.threshold)} "
+            f"point={point} residual={format_float(v.residual)} threshold={format_float(v.threshold)} "
             f"factorizable={'true' if v.factorizable else 'false'}"
         )
     text = "\n".join(lines) + "\n"
@@ -329,9 +304,10 @@ def _cmd_holonomy(args) -> int:
     w.writerow(["loop_param", "angle", "distance_to_identity"])
 
     def row(param: str, report):
-        angle = "" if report.angle is None else _fmt(report.angle)
-        w.writerow([param, angle, _fmt(report.distance_to_identity)])
-        print(f"loop {param}: angle={angle or 'n/a'} distance_to_identity={_fmt(report.distance_to_identity)}")
+        angle = "" if report.angle is None else format_float(report.angle)
+        distance = format_float(report.distance_to_identity)
+        w.writerow([param, angle, distance])
+        print(f"loop {param}: angle={angle or 'n/a'} distance_to_identity={distance}")
 
     if args.loop:
         loop = parse_path_spec(args.loop)
@@ -342,7 +318,7 @@ def _cmd_holonomy(args) -> int:
             raise PathTransportError("--sweep expects start:stop:count")
         start, stop, count = parse_scalar(parts[0]), parse_scalar(parts[1]), int(parts[2])
         for th, report in latitude_sweep(entry.transport, np.linspace(start, stop, count), turns=args.turns, step=args.step):
-            row(_fmt(th), report)
+            row(format_float(th), report)
     _write(_outdir(args), "holonomy.csv", buf.getvalue())
     return 0
 

@@ -44,7 +44,7 @@ from .errors import (
     NotFactorizableError,
     SingularCoefficientError,
 )
-from .paths import Path, constant_path, line_through, position_at, smooth_part, velocity_at
+from .paths import Path, batch_eval, line_through, position_at, smooth_part, velocity_at
 
 #: Default number of RK4 steps when no absolute step size is given.
 DEFAULT_STEP_COUNT = 1000
@@ -211,23 +211,16 @@ def _step_count(span: float, step: float | None) -> int:
     return max(1, math.ceil(span / step))
 
 
-def _as_batch_field(coeff_field: Callable) -> Callable:
-    """Adapt a coefficient field to batched evaluation (m,) -> (m, r, r)."""
+def _as_batch_field(coeff_field: Callable, s: float) -> tuple[Callable, int]:
+    """A coefficient field adapted to batched evaluation (m,) -> (m, r, r),
+    and the fibre dimension r read off one sample at ``s``; TransportCoefficients
+    values are unwrapped."""
 
     def unwrap(v):
-        return v.value if isinstance(v, TransportCoefficients) else np.asarray(v, dtype=float)
+        return v.value if isinstance(v, TransportCoefficients) else v
 
-    def field(ts):
-        ts = np.asarray(ts, dtype=float)
-        try:
-            out = np.asarray(coeff_field(ts), dtype=float)
-            if out.ndim == 3 and out.shape[0] == ts.size:
-                return out
-        except (TypeError, ValueError, AttributeError):
-            pass
-        return np.stack([unwrap(coeff_field(float(t))) for t in ts])
-
-    return field
+    r = batch_eval(coeff_field, np.array([s]), unwrap=unwrap).shape[-1]
+    return (lambda ts: batch_eval(coeff_field, np.asarray(ts, dtype=float), (r, r), unwrap)), r
 
 
 def integrate_transport_matrix(coeff_field: Callable, s: float, t: float, step: float | None = None) -> TransportMatrix:
@@ -239,10 +232,8 @@ def integrate_transport_matrix(coeff_field: Callable, s: float, t: float, step: 
     absolute bound on the step size.  For t < s the integration runs backward.
     """
     s, t = float(s), float(t)
-    field = _as_batch_field(coeff_field)
+    field, r = _as_batch_field(coeff_field, s)
     if s == t:
-        probe = field(np.array([s]))
-        r = probe.shape[-1]
         return TransportMatrix(np.eye(r), s=s, t=t, step=0.0)
     n_steps = _step_count(abs(t - s), step)
     return TransportMatrix(_chain(_propagate(field, s, t, n_steps)), s=s, t=t, step=abs(t - s) / n_steps)
@@ -411,10 +402,7 @@ def coefficients_from_transport(
 
 def _coefficients_at_velocity(transport, x: np.ndarray, v: np.ndarray, *, half_width: float, fd_step: float, step: float | None) -> np.ndarray:
     """Coefficient matrix of a transport at x along the straight probe with velocity v."""
-    if np.allclose(v, 0.0):
-        probe = constant_path(x, domain=(-half_width, half_width))
-    else:
-        probe = line_through(x, v, half_width)
+    probe = line_through(x, v, half_width)
     coeff = coefficients_from_transport(
         lambda a, b: transport.matrix(probe, a, b, step=step), 0.0, h=fd_step, path_id=probe.label
     )

@@ -19,7 +19,6 @@ from .paths import (
     Reparametrization,
     affine_reparametrization,
     bulge_reparametrization,
-    constant_path,
     identity_reparametrization,
     invert_canonical,
     line_through,
@@ -64,8 +63,19 @@ def merge_reports(law_id: str, reports: Sequence[LawReport]) -> LawReport:
     )
 
 
-def _fmt(x: float) -> str:
+def format_float(x: float) -> str:
+    """A float in reports: 9 significant digits."""
     return f"{x:.9g}"
+
+
+def format_table(rows: Sequence[Sequence[str]], *, rule: bool = False) -> str:
+    """Left-aligned columns two spaces apart, trailing blanks stripped; ``rule``
+    underlines the header row with dashes."""
+    widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
+    lines = ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() for row in rows]
+    if rule:
+        lines.insert(1, "  ".join("-" * w for w in widths))
+    return "\n".join(lines) + "\n"
 
 
 def law_reports_csv(reports: Iterable[LawReport]) -> str:
@@ -73,7 +83,8 @@ def law_reports_csv(reports: Iterable[LawReport]) -> str:
     for r in reports:
         seed = "" if r.seed is None else str(r.seed)
         lines.append(
-            f"{r.law_id},{r.samples},{_fmt(r.max_residual)},{_fmt(r.tolerance)},{str(r.passed).lower()},{seed}"
+            f"{r.law_id},{r.samples},{format_float(r.max_residual)},{format_float(r.tolerance)},"
+            f"{str(r.passed).lower()},{seed}"
         )
     return "\n".join(lines) + "\n"
 
@@ -85,19 +96,13 @@ def law_reports_table(reports: Iterable[LawReport]) -> str:
             (
                 r.law_id,
                 str(r.samples),
-                _fmt(r.max_residual),
-                _fmt(r.tolerance),
+                format_float(r.max_residual),
+                format_float(r.tolerance),
                 "yes" if r.passed else "NO",
                 "" if r.seed is None else str(r.seed),
             )
         )
-    widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
-    out = []
-    for k, row in enumerate(rows):
-        out.append("  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)).rstrip())
-        if k == 0:
-            out.append("  ".join("-" * w for w in widths))
-    return "\n".join(out) + "\n"
+    return format_table(rows, rule=True)
 
 
 def _maxdiff(a, b) -> float:
@@ -395,12 +400,6 @@ def lift_tangent(
     return base_tan, fibre_tan
 
 
-def _probe_path(x0: np.ndarray, v: np.ndarray, half_width: float) -> Path:
-    if float(np.max(np.abs(v))) < 1e-14:
-        return constant_path(x0, domain=(-half_width, half_width))
-    return line_through(x0, v, half_width)
-
-
 def check_smoothness_conditions(
     transport: TransportAlongPaths,
     path: Path,
@@ -437,7 +436,7 @@ def check_smoothness_conditions(
     # so the base parts of the lift tangents agree up to differencing noise on
     # the path itself; the discriminating comparison is the fibre part.
     v1 = np.asarray(velocity_at(path, s0))
-    probe1 = _probe_path(x0, v1, half_width)
+    probe1 = line_through(x0, v1, half_width)
     u0 = FibreVector(x0, u.components)
     _, fib_p = lift_tangent(transport, path, s0, u, h)
     _, fib_1 = lift_tangent(transport, probe1, 0.0, u0, h)
@@ -446,16 +445,16 @@ def check_smoothness_conditions(
     # Complementary direction for the linear-combination probes.
     v2 = np.zeros_like(v1)
     v2[int(np.argmin(np.abs(v1)))] = 1.0
-    _, fib_2 = lift_tangent(transport, _probe_path(x0, v2, half_width), 0.0, u0, h)
+    _, fib_2 = lift_tangent(transport, line_through(x0, v2, half_width), 0.0, u0, h)
     combos = [(1.0, 0.0), (0.0, 1.0), (0.7, 0.4), (1.0, 1.0), (2.0, -0.5)]
     res_c = 0.0
     for a1, a2 in combos:
-        probe = _probe_path(x0, a1 * v1 + a2 * v2, half_width)
+        probe = line_through(x0, a1 * v1 + a2 * v2, half_width)
         _, fib_c = lift_tangent(transport, probe, 0.0, u0, h)
         res_c = max(res_c, _maxdiff(fib_c, a1 * fib_1 + a2 * fib_2))
     # Degenerate combination: equal and opposite velocities give a point probe,
     # whose lift tangent must vanish outright.
-    _, fib_zero = lift_tangent(transport, _probe_path(x0, 0.0 * v1, half_width), 0.0, u0, h)
+    _, fib_zero = lift_tangent(transport, line_through(x0, 0.0 * v1, half_width), 0.0, u0, h)
     res_c = max(res_c, float(np.max(np.abs(fib_zero))))
 
     residual = max(res_a, res_b, res_c)

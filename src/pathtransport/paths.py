@@ -114,21 +114,30 @@ def _as_param_array(s):
     return arr
 
 
+def batch_eval(
+    fn: Callable, items: np.ndarray, shape: tuple | None = None, unwrap: Callable | None = None
+) -> np.ndarray:
+    """``fn`` over a batch as one ``(len(items),) + shape`` array (any trailing
+    shape when ``shape`` is None): one call on the whole batch, or, when that
+    raises or returns another shape, one call per item (a float for a 1-d
+    batch, a row otherwise) with each result unwrapped and reshaped.  A 0-d
+    ``items`` is one scalar call, reshaped to ``shape``."""
+    if items.ndim == 0:
+        return np.asarray(fn(float(items)), dtype=float).reshape(shape)
+    try:
+        out = np.asarray(fn(items), dtype=float)
+        if out.shape[:1] == (len(items),) and (shape is None or out.shape[1:] == shape):
+            return out
+    except (TypeError, ValueError, IndexError, AttributeError):
+        pass
+    each = items.tolist() if items.ndim == 1 else items
+    outs = [np.asarray(unwrap(fn(x)) if unwrap else fn(x), dtype=float) for x in each]
+    return np.stack([out if shape is None else out.reshape(shape) for out in outs])
+
+
 def position_at(path: Path, s):
     """Evaluate ``path.position``, tolerating scalar-only evaluators."""
-    arr = _as_param_array(s)
-    scalar = arr.ndim == 0
-    try:
-        out = np.asarray(path.position(arr if not scalar else float(arr)), dtype=float)
-    except (TypeError, ValueError):
-        out = None
-    expected = (path.dim,) if scalar else (arr.size, path.dim)
-    if out is None or out.shape != expected:
-        if scalar:
-            out = np.asarray(path.position(float(arr)), dtype=float).reshape(path.dim)
-        else:
-            out = np.stack([np.asarray(path.position(float(t)), dtype=float).reshape(path.dim) for t in arr])
-    return out
+    return batch_eval(path.position, _as_param_array(s), (path.dim,))
 
 
 def _piece_bounds(path: Path, s: float) -> tuple[float, float]:
@@ -192,17 +201,7 @@ def velocity_at(path: Path, s, *, h: float | None = None, piece: tuple[float, fl
     arr = _as_param_array(s)
     scalar = arr.ndim == 0
     if path.velocity is not None:
-        try:
-            out = np.asarray(path.velocity(arr if not scalar else float(arr)), dtype=float)
-        except (TypeError, ValueError):
-            out = None
-        expected = (path.dim,) if scalar else (arr.size, path.dim)
-        if out is None or out.shape != expected:
-            if scalar:
-                out = np.asarray(path.velocity(float(arr)), dtype=float).reshape(path.dim)
-            else:
-                out = np.stack([np.asarray(path.velocity(float(t)), dtype=float).reshape(path.dim) for t in arr])
-        return out
+        return batch_eval(path.velocity, arr, (path.dim,))
     if path.is_point:
         return np.zeros(path.dim) if scalar else np.zeros((arr.size, path.dim))
     if h is None:
@@ -296,28 +295,56 @@ def _require_canonical(path: Path, what: str):
         raise IntervalError(f"{what} requires a canonical domain [0,1], got {path.domain}")
 
 
+def _part_evaluators(dim: int, parts: tuple) -> tuple[Callable, Callable]:
+    """Position and velocity evaluators of a path made of ``parts``.
+
+    A parameter t goes to the first part with t <= hi (a junction to the left
+    part, the rest to the last) and is evaluated on its factor at
+    ``slope * t + offset`` (``slope * t`` for offset 0: the bits of ``2t``,
+    ``2t - 1`` and ``1 - t``); velocities are multiplied by the slope.
+    """
+    his = [part[1] for part in parts]
+
+    def evaluator(evaluate: Callable, scaled: bool) -> Callable:
+        def on(part, u):
+            _, _, factor, slope, offset = part
+            out = evaluate(factor, slope * u + offset if offset else slope * u)
+            return slope * out if scaled else out
+
+        def fn(s):
+            arr = _as_param_array(s)
+            if arr.ndim == 0:
+                t = float(arr)
+                return on(next((p for p in parts if t <= p[1]), parts[-1]), t)
+            which = np.minimum(np.searchsorted(his, arr), len(parts) - 1)
+            if arr.size and (which == which[0]).all():
+                return on(parts[which[0]], arr)
+            out = np.empty((arr.size, dim))
+            for k, part in enumerate(parts):
+                sel = which == k
+                if sel.any():
+                    out[sel] = on(part, arr[sel])
+            return out
+
+        return fn
+
+    return evaluator(position_at, False), evaluator(velocity_at, True)
+
+
 def invert_canonical(path: Path) -> Path:
     """The canonical inverse path t -> path(1 - t) on [0, 1]."""
     _require_canonical(path, "invert_canonical")
-
-    def pos(s):
-        return position_at(path, 1.0 - np.asarray(s, dtype=float))
-
-    vel = None
-    if path.velocity is not None:
-
-        def vel(s):  # noqa: F811
-            return -velocity_at(path, 1.0 - np.asarray(s, dtype=float))
-
+    parts = ((0.0, 1.0, path, -1.0, 1.0),)
+    pos, vel = _part_evaluators(path.dim, parts)
     return Path(
         dim=path.dim,
         domain=(0.0, 1.0),
         position=pos,
-        velocity=vel,
+        velocity=None if path.velocity is None else vel,
         smoothness=path.smoothness,
         breakpoints=tuple(sorted(1.0 - b for b in path.breakpoints)),
         label=f"{path.label}~" if path.label else "",
-        parts=((0.0, 1.0, path, -1.0, 1.0),),
+        parts=parts,
     )
 
 
@@ -338,32 +365,6 @@ def product_canonical(p1: Path, p2: Path, *, tol: float = JUNCTION_TOL) -> Path:
     if gap > tol:
         raise EndpointMismatchError(f"junction mismatch {gap:.3e} exceeds tolerance {tol:.3e}")
 
-    def pos(s):
-        arr = _as_param_array(s)
-        if arr.ndim == 0:
-            t = float(arr)
-            return position_at(p1, 2 * t) if t <= 0.5 else position_at(p2, 2 * t - 1)
-        out = np.empty((arr.size, p1.dim))
-        left = arr <= 0.5
-        if np.any(left):
-            out[left] = position_at(p1, 2 * arr[left])
-        if np.any(~left):
-            out[~left] = position_at(p2, 2 * arr[~left] - 1)
-        return out
-
-    def vel(s):
-        arr = _as_param_array(s)
-        if arr.ndim == 0:
-            t = float(arr)
-            return 2 * velocity_at(p1, 2 * t) if t <= 0.5 else 2 * velocity_at(p2, 2 * t - 1)
-        out = np.empty((arr.size, p1.dim))
-        left = arr <= 0.5
-        if np.any(left):
-            out[left] = 2 * velocity_at(p1, 2 * arr[left])
-        if np.any(~left):
-            out[~left] = 2 * velocity_at(p2, 2 * arr[~left] - 1)
-        return out
-
     v_left = 2 * velocity_at(p1, 1.0)
     v_right = 2 * velocity_at(p2, 0.0)
     joins_c1 = (
@@ -376,6 +377,8 @@ def product_canonical(p1: Path, p2: Path, *, tol: float = JUNCTION_TOL) -> Path:
     else:
         tag = C1 if joins_c1 else PIECEWISE_C1
     bps = tuple(0.5 * b for b in p1.breakpoints) + (0.5,) + tuple(0.5 + 0.5 * b for b in p2.breakpoints)
+    parts = ((0.0, 0.5, p1, 2.0, 0.0), (0.5, 1.0, p2, 2.0, -1.0))
+    pos, vel = _part_evaluators(p1.dim, parts)
     return Path(
         dim=p1.dim,
         domain=(0.0, 1.0),
@@ -384,7 +387,7 @@ def product_canonical(p1: Path, p2: Path, *, tol: float = JUNCTION_TOL) -> Path:
         smoothness=tag,
         breakpoints=bps,
         label=f"({p1.label})*({p2.label})" if (p1.label or p2.label) else "",
-        parts=((0.0, 0.5, p1, 2.0, 0.0), (0.5, 1.0, p2, 2.0, -1.0)),
+        parts=parts,
     )
 
 
@@ -492,41 +495,28 @@ def validate_reparametrization(chi: Reparametrization, *, samples: int = 33, tol
 # Builtin path families
 
 
+def _constant(value: np.ndarray) -> Callable:
+    """Evaluator with one value at every parameter, repeated along a leading
+    axis for an array of parameters."""
+
+    def fn(s):
+        arr = _as_param_array(s)
+        return value.copy() if arr.ndim == 0 else np.tile(value, (arr.size, 1))
+
+    return fn
+
+
 def point_path(r: float, point: Sequence[float]) -> Path:
     """The degenerate path with domain {r} sitting at a single chart point."""
-    x = np.asarray(point, dtype=float)
-
-    def pos(s):
-        arr = _as_param_array(s)
-        if arr.ndim == 0:
-            return x.copy()
-        return np.tile(x, (arr.size, 1))
-
-    def vel(s):
-        arr = _as_param_array(s)
-        if arr.ndim == 0:
-            return np.zeros(x.size)
-        return np.zeros((arr.size, x.size))
-
-    return Path(dim=x.size, domain=(float(r), float(r)), position=pos, velocity=vel, label="point")
+    return replace(constant_path(point, (float(r), float(r))), label="point")
 
 
 def constant_path(point: Sequence[float], domain: tuple[float, float] = (0.0, 1.0)) -> Path:
+    """The stationary path at a chart point over ``domain`` (zero velocity)."""
     x = np.asarray(point, dtype=float)
-
-    def pos(s):
-        arr = _as_param_array(s)
-        if arr.ndim == 0:
-            return x.copy()
-        return np.tile(x, (arr.size, 1))
-
-    def vel(s):
-        arr = _as_param_array(s)
-        if arr.ndim == 0:
-            return np.zeros(x.size)
-        return np.zeros((arr.size, x.size))
-
-    return Path(dim=x.size, domain=(float(domain[0]), float(domain[1])), position=pos, velocity=vel, label="constant")
+    domain = (float(domain[0]), float(domain[1]))
+    zero = np.zeros(x.size)
+    return Path(dim=x.size, domain=domain, position=_constant(x), velocity=_constant(zero), label="constant")
 
 
 def segment(start: Sequence[float], end: Sequence[float], domain: tuple[float, float] = (0.0, 1.0)) -> Path:
@@ -546,11 +536,7 @@ def segment(start: Sequence[float], end: Sequence[float], domain: tuple[float, f
             return a + (float(arr) - sigma) * rate
         return a[None, :] + (arr - sigma)[:, None] * rate[None, :]
 
-    def vel(s):
-        arr = _as_param_array(s)
-        if arr.ndim == 0:
-            return rate.copy()
-        return np.tile(rate, (arr.size, 1))
+    vel = _constant(rate)
 
     return Path(
         dim=a.size, domain=(sigma, tau), position=pos, velocity=vel, label="segment", jet=lambda ts: (pos(ts), vel(ts))
@@ -558,12 +544,13 @@ def segment(start: Sequence[float], end: Sequence[float], domain: tuple[float, f
 
 
 def line_through(point: Sequence[float], direction: Sequence[float], half_width: float = 0.1) -> Path:
-    """Straight probe through ``point`` with velocity ``direction`` on [-w, w]."""
+    """Straight probe through ``point`` with velocity ``direction`` on [-w, w]
+    (the stationary path at ``point`` when the direction is zero)."""
     x0 = np.asarray(point, dtype=float)
     v = np.asarray(direction, dtype=float)
     w = float(half_width)
     if np.allclose(v, 0):
-        return point_path(0.0, x0)
+        return constant_path(x0, domain=(-w, w))
     return segment(x0 - w * v, x0 + w * v, domain=(-w, w))
 
 
@@ -601,11 +588,7 @@ def latitude(colatitude: float, turns: float = 1.0, phi0: float = 0.0, *, pole_m
         out[:, 1] = phi
         return out
 
-    def vel(s):
-        arr = _as_param_array(s)
-        if arr.ndim == 0:
-            return np.array([0.0, 1.0])
-        return np.tile(np.array([0.0, 1.0]), (arr.size, 1))
+    vel = _constant(np.array([0.0, 1.0]))
 
     return Path(
         dim=2,
@@ -726,40 +709,61 @@ def spline_path(samples_s: Sequence[float], samples_x, *, label: str = "samples"
         raise SpecFormatError("sample rows do not match the parameter column")
     spline = CubicSpline(ss, xs, axis=0)
     dspline = spline.derivative()
-    dim = xs.shape[1]
-
-    def pos(s):
-        arr = _as_param_array(s)
-        out = np.asarray(spline(arr), dtype=float)
-        return out.reshape(dim) if arr.ndim == 0 else out.reshape(arr.size, dim)
-
-    def vel(s):
-        arr = _as_param_array(s)
-        out = np.asarray(dspline(arr), dtype=float)
-        return out.reshape(dim) if arr.ndim == 0 else out.reshape(arr.size, dim)
-
-    return Path(dim=dim, domain=(float(ss[0]), float(ss[-1])), position=pos, velocity=vel, label=label)
+    # The spline maps a parameter to (dim,) and m parameters to (m, dim), as Path expects.
+    return Path(dim=xs.shape[1], domain=(float(ss[0]), float(ss[-1])), position=spline, velocity=dspline, label=label)
 
 
 def spline_path_from_csv(filename: str) -> Path:
     """Load a `samples` path from CSV rows (s, x1, ..., xn)."""
-    rows = []
-    with open(filename, newline="") as fh:
-        for rec in csv.reader(fh):
-            if not rec or rec[0].lstrip().startswith("#"):
-                continue
-            try:
-                rows.append([float(v) for v in rec])
-            except ValueError as exc:
-                raise SpecFormatError(f"bad sample row {rec!r} in {filename}") from exc
-    if not rows:
-        raise SpecFormatError(f"no sample rows found in {filename}")
-    data = np.asarray(rows, dtype=float)
+    data = read_csv_rows(filename, "sample")
     return spline_path(data[:, 0], data[:, 1:], label=f"samples:{filename}")
 
 
 # ---------------------------------------------------------------------------
 # Textual path specifications
+
+
+def read_csv_rows(filename: str, what: str, width: int | None = None) -> np.ndarray:
+    """Numeric CSV rows as an (m, width) array, skipping blank and ``#`` rows.
+
+    ``width`` defaults to the first row's; a row of another width, a
+    non-numeric cell or a file without rows raises SpecFormatError, whose
+    message names the rows as ``what`` rows.
+    """
+    rows = []
+    with open(filename, newline="") as fh:
+        for rec in csv.reader(fh):
+            if not rec or rec[0].lstrip().startswith("#"):
+                continue
+            width = len(rec) if width is None else width
+            if len(rec) != width:
+                raise SpecFormatError(f"{what} row {rec!r} should have {width} columns")
+            try:
+                rows.append([float(v) for v in rec])
+            except ValueError as exc:
+                raise SpecFormatError(f"bad {what} row {rec!r} in {filename}") from exc
+    if not rows:
+        raise SpecFormatError(f"no {what} rows found in {filename}")
+    return np.asarray(rows, dtype=float)
+
+
+def parse_key_values(text: str, what: str, key: Callable = str.lower) -> dict[str, str]:
+    """``key = value`` lines as a dict, later lines winning.
+
+    Text after ``#`` and blank lines are skipped; keys pass through ``key``
+    after stripping.  Any other line raises SpecFormatError.
+    """
+    fields = {}
+    for raw in text.splitlines():
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise SpecFormatError(f"{what} line {raw!r} is not key = value")
+        name, _, val = line.partition("=")
+        fields[key(name.strip())] = val.strip()
+    return fields
+
 
 _NUMBER_RE = re.compile(r"^\s*([+-]?)\s*(\d+(?:\.\d*)?|\.\d+)?\s*\*?\s*pi\s*(?:/\s*(\d+(?:\.\d*)?|\.\d+))?\s*$")
 

@@ -54,22 +54,14 @@ class TransportAlongPaths:
             raise ValueError("a transport needs apply_fn or matrix_fn")
         self.kind = kind
         self.geometry = geometry
-        self._base_dim = base_dim if base_dim is not None else (geometry.base_dim if geometry else None)
-        self._fibre_dim = fibre_dim if fibre_dim is not None else (geometry.fibre_dim if geometry else None)
-        if self._base_dim is None or self._fibre_dim is None:
+        self.base_dim = base_dim if base_dim is not None else (geometry.base_dim if geometry else None)
+        self.fibre_dim = fibre_dim if fibre_dim is not None else (geometry.fibre_dim if geometry else None)
+        if self.base_dim is None or self.fibre_dim is None:
             raise ValueError("transport dimensions could not be inferred")
         self._apply_fn = apply_fn
         self._matrix_fn = matrix_fn
         self.default_step = default_step
         self.label = label
-
-    @property
-    def base_dim(self) -> int:
-        return self._base_dim
-
-    @property
-    def fibre_dim(self) -> int:
-        return self._fibre_dim
 
     @property
     def is_linear(self) -> bool:

@@ -187,3 +187,23 @@ def test_config_errors_exit_two(tmp_path, capsys):
     assert main(["check-laws", "--geometry", "flat", "--step", "-1"]) == 2
     capsys.readouterr()
     assert main(["check-laws", "--geometry", "flat", "--tolerance", "0"]) == 2
+
+
+@pytest.mark.parametrize(
+    "spec_dims, grid_row",
+    [
+        ("base_dim = two\nfibre_dim = 1", "1,0,0,0,0.5"),
+        ("base_dim = 1\nfibre_dim = 1", "1,0,0,0,abc"),
+    ],
+    ids=["non-integer-dimension", "non-numeric-grid-cell"],
+)
+def test_malformed_numbers_in_a_geometry_file_exit_two(tmp_path, capsys, spec_dims, grid_row):
+    grid = tmp_path / "grid.csv"
+    grid.write_text(f"-1,0,0,0,-0.5\n{grid_row}\n")
+    spec = tmp_path / "geom.txt"
+    spec.write_text(f"kind = grid\n{spec_dims}\ngrid_file = {grid}\n")
+    code = main(["check-laws", "--geometry-file", str(spec), "--samples", "2", "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ")
+    assert "Traceback" not in err

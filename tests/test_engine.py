@@ -410,6 +410,26 @@ def smooth_geometry(r, seed=7):
     return pt.BundleGeometry(base_dim=2, fibre_dim=r, coeffs3=coeffs, label=f"smooth{r}")
 
 
+def scalar_only_geometry():
+    """smooth_geometry(2) behind a coeffs3 that takes one point and raises on a batch."""
+    geo = smooth_geometry(2)
+
+    def coeffs(x):
+        x = np.asarray(x, dtype=float)
+        if x.shape != (2,):
+            raise ValueError("one point at a time")
+        return geo.coeffs3(x)
+
+    return dataclasses.replace(geo, coeffs3=coeffs, label="scalar2")
+
+
+def test_scalar_only_coefficients_batch_like_the_batched_field():
+    xs = np.random.default_rng(5).uniform(-1.0, 1.0, size=(6, 2))
+    got = pt.bundles.coeffs3_batch(scalar_only_geometry(), xs)
+    assert got.shape == (6, 2, 2, 2)
+    assert np.array_equal(got, pt.bundles.coeffs3_batch(smooth_geometry(2), xs))
+
+
 def grid_geometry():
     axes = [np.linspace(0.0, 2.0, 9), np.linspace(-1.0, 1.0, 7)]
     xx, yy = np.meshgrid(*axes, indexing="ij")
@@ -429,6 +449,7 @@ GEOMETRIES = {
     "r1": (lambda: smooth_geometry(1), ((-1.0, 1.0), (-1.0, 1.0))),
     "sphere": (lambda: pt.get_entry("sphere").geometry, ((0.6, 2.4), (-1.0, 1.0))),
     "r4": (lambda: smooth_geometry(4), ((-1.0, 1.0), (-1.0, 1.0))),
+    "scalar-only": (scalar_only_geometry, ((-1.0, 1.0), (-1.0, 1.0))),
     "grid": (grid_geometry, ((0.1, 1.9), (-0.9, 0.9))),
 }
 

@@ -207,6 +207,82 @@ def test_tangent_fd_second_order():
     assert errs[1] / errs[2] >= 3.5
 
 
+# --- stationary paths ---------------------------------------------------------
+
+
+def test_line_through_zero_direction_is_stationary_on_its_interval():
+    x = np.array([1.0, 0.5])
+    p = pt.line_through(x, 0.0 * np.array([0.3, -0.2]), 0.25)
+    assert p.domain == (-0.25, 0.25)
+    ts = np.linspace(-0.25, 0.25, 7)
+    assert np.array_equal(pt.paths.velocity_at(p, ts), np.zeros((7, 2)))
+    assert np.array_equal(pt.paths.position_at(p, ts), np.tile(x, (7, 1)))
+
+
+def test_point_path_keeps_its_degenerate_domain_and_label():
+    p = pt.point_path(0.7, [1.0, 2.0])
+    assert p.domain == (0.7, 0.7)
+    assert p.label == "point"
+    assert p.is_point
+    assert np.array_equal(p.at(0.7), [1.0, 2.0])
+    assert np.array_equal(pt.paths.velocity_at(p, 0.7), [0.0, 0.0])
+    assert np.array_equal(pt.paths.velocity_at(p, np.array([0.7, 0.7])), np.zeros((2, 2)))
+
+
+# --- scalar-only evaluators ------------------------------------------------------
+
+
+def scalar_only(fn):
+    """An evaluator that takes one float and raises on anything else."""
+
+    def wrapped(s):
+        if not isinstance(s, float):
+            raise TypeError("one float parameter at a time")
+        return fn(s)
+
+    return wrapped
+
+
+def parabola(s):
+    return np.array([1.0 + 0.2 * s, 0.3 * s * s])
+
+
+def parabola_velocity(s):
+    return np.array([0.2, 0.6 * s]) if np.ndim(s) == 0 else np.stack([np.full_like(s, 0.2), 0.6 * s], axis=1)
+
+
+def batched_parabola():
+    return pt.Path(
+        dim=2,
+        domain=(0.0, 1.0),
+        position=lambda s: np.stack([1.0 + 0.2 * s, 0.3 * s * s], axis=-1),
+        velocity=parabola_velocity,
+    )
+
+
+def scalar_parabola():
+    return pt.Path(dim=2, domain=(0.0, 1.0), position=scalar_only(parabola), velocity=scalar_only(parabola_velocity))
+
+
+def test_scalar_only_evaluators_through_the_adapters():
+    p, q = scalar_parabola(), batched_parabola()
+    ts = np.linspace(0.0, 1.0, 9)
+    for at in (pt.paths.position_at, pt.paths.velocity_at):
+        assert at(p, 0.5).shape == (2,)
+        assert np.array_equal(at(p, 0.5), at(q, 0.5))
+        assert at(p, ts).shape == (9, 2)
+        assert np.array_equal(at(p, ts), at(q, ts))
+    with pytest.raises(TypeError):
+        p.position(ts)
+
+
+def test_scalar_only_path_transports_like_its_batched_twin(sphere_entry):
+    geo = sphere_entry.geometry
+    m_scalar = pt.transport_matrix_over_path(geo, scalar_parabola(), 0.0, 1.0, step=1e-2)
+    m_batched = pt.transport_matrix_over_path(geo, batched_parabola(), 0.0, 1.0, step=1e-2)
+    assert np.array_equal(m_scalar.value, m_batched.value)
+
+
 # --- properties -------------------------------------------------------------
 
 
