@@ -23,7 +23,8 @@ class BundleGeometry:
     """Bundle dimensions plus the 3-index coefficient field.
 
     ``coeffs3`` maps a chart point of shape (n,) to an array (r, r, n); it
-    should also accept a batch (m, n) and return (m, r, r, n).  The first
+    should also accept a batch (m, n) and return (m, r, r, n), fastest as a
+    view of (r, r, n, m) storage (any layout gives the same result).  The first
     index is the fibre row, the second the fibre column, the third the base
     direction.
     """
@@ -195,7 +196,10 @@ def grid_geometry_from_csv(filename: str, *, base_dim: int, fibre_dim: int, labe
     n, r = base_dim, fibre_dim
     data = read_csv_rows(filename, "grid", n + 4)
     points = data[:, :n]
-    abm = data[:, n : n + 3].astype(int)
+    abm = data[:, n : n + 3]
+    if np.any(abm % 1 != 0):
+        raise SpecFormatError("grid indices a, b, mu must be integers")
+    abm = abm.astype(int)
     vals = data[:, n + 3]
     if np.any(abm < 0) or np.any(abm[:, 0] >= r) or np.any(abm[:, 1] >= r) or np.any(abm[:, 2] >= n):
         raise SpecFormatError("grid indices out of range (a, b are 0..r-1; mu is 0..n-1)")

@@ -67,7 +67,7 @@ def flat_bundle(base_dim: int = 2, fibre_dim: int = 2) -> GeometryCatalogEntry:
         x = np.asarray(x, dtype=float)
         if x.ndim == 1:
             return np.zeros((r, r, n))
-        return np.zeros((x.shape[0], r, r, n))
+        return np.zeros((r, r, n, x.shape[0])).transpose(3, 0, 1, 2)
 
     geometry = BundleGeometry(base_dim=n, fibre_dim=r, coeffs3=coeffs, chart_domain=None, label="flat")
     return GeometryCatalogEntry(
@@ -102,13 +102,13 @@ def sphere_levi_civita() -> GeometryCatalogEntry:
         x = np.asarray(x, dtype=float)
         pts = np.atleast_2d(x)
         th = pts[:, 0]
-        g = np.zeros((pts.shape[0], 2, 2, 2))
+        g = np.zeros((2, 2, 2, pts.shape[0]))
         sin, cos = np.sin(th), np.cos(th)
-        g[:, 0, 1, 1] = -sin * cos
+        g[0, 1, 1] = -sin * cos
         cot = cos / sin
-        g[:, 1, 0, 1] = cot
-        g[:, 1, 1, 0] = cot
-        return g[0] if x.ndim == 1 else g
+        g[1, 0, 1] = cot
+        g[1, 1, 0] = cot
+        return g[..., 0] if x.ndim == 1 else g.transpose(3, 0, 1, 2)
 
     geometry = BundleGeometry(
         base_dim=2,
@@ -139,11 +139,11 @@ def sphere_orthonormal_frame() -> GeometryCatalogEntry:
         x = np.asarray(x, dtype=float)
         pts = np.atleast_2d(x)
         th = pts[:, 0]
-        g = np.zeros((pts.shape[0], 2, 2, 2))
+        g = np.zeros((2, 2, 2, pts.shape[0]))
         cos = np.cos(th)
-        g[:, 0, 1, 1] = -cos
-        g[:, 1, 0, 1] = cos
-        return g[0] if x.ndim == 1 else g
+        g[0, 1, 1] = -cos
+        g[1, 0, 1] = cos
+        return g[..., 0] if x.ndim == 1 else g.transpose(3, 0, 1, 2)
 
     geometry = BundleGeometry(
         base_dim=2,

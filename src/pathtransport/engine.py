@@ -275,8 +275,9 @@ def path_coefficient_field(geometry: BundleGeometry, path: Path, *, piece: tuple
         # Contract over the base index by hand, in (r, r, n, m) index order and
         # straight into an (r, r, m) array that is contiguous over the samples,
         # as the kernel reads it; n is small and einsum's dispatch overhead
-        # dominates on long grids.  Copying the coefficients to (r, r, n, m)
-        # first costs more than the strided reads it saves.
+        # dominates on long grids.  The rows read contiguously when coeffs3
+        # returns a view of (r, r, n, m) storage and the velocities one of
+        # (n, m) storage; any other layout is read strided, not copied.
         g3 = coeffs3_batch(geometry, xs).transpose(1, 2, 3, 0)
         vt = vs.T
         out = np.multiply(g3[:, :, 0], vt[0], out=np.empty((r, r, u.size)))

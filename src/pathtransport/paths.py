@@ -45,7 +45,9 @@ class Path:
     tangents fall back to finite differences and the smoothness tag is at most
     piecewise-C1.  ``breakpoints`` lists interior parameters where the velocity
     may jump; integrators split there and never evaluate a one-sided quantity
-    from the wrong side.
+    from the wrong side.  Batched evaluators are fastest when they return the
+    ``.T`` view of ``(dim, m)`` storage, which integrators read without a
+    copy; any layout gives the same values.
 
     Two optional fields describe how to evaluate the path cheaply; neither
     changes its values.  ``jet`` maps a 1-d parameter array to the pair
@@ -267,16 +269,22 @@ def reparametrize(path: Path, chi: Reparametrization) -> Path:
     def pos(s):
         return position_at(path, chi.map(s))
 
-    vel = None
+    def chain(v, s):
+        # Chain rule in samples-last form: scales each sample's velocity.
+        return (v.T * np.asarray(chi.derivative(s), dtype=float)).T
+
+    vel = jet = None
     if path.velocity is not None:
 
         def vel(s):  # noqa: F811 - deliberate conditional definition
             arr = _as_param_array(s)
-            d = np.asarray(chi.derivative(arr), dtype=float)
-            v = velocity_at(path, chi.map(arr))
-            if arr.ndim == 0:
-                return float(d) * v
-            return np.asarray(d).reshape(-1, 1) * v
+            return chain(velocity_at(path, chi.map(arr)), arr)
+
+    if path.jet is not None:
+
+        def jet(ts):  # noqa: F811 - deliberate conditional definition
+            xs, vs = path.jet(chi.map(ts))
+            return xs, chain(vs, ts)
 
     bps = tuple(sorted(_monotone_preimage(chi, b) for b in path.breakpoints))
     return Path(
@@ -287,6 +295,7 @@ def reparametrize(path: Path, chi: Reparametrization) -> Path:
         smoothness=path.smoothness,
         breakpoints=bps,
         label=f"{path.label}o{chi.orientation[:3]}" if path.label else "",
+        jet=jet,
     )
 
 
@@ -496,12 +505,13 @@ def validate_reparametrization(chi: Reparametrization, *, samples: int = 33, tol
 
 
 def _constant(value: np.ndarray) -> Callable:
-    """Evaluator with one value at every parameter, repeated along a leading
-    axis for an array of parameters."""
+    """Evaluator with one value at every parameter; for an array of m
+    parameters, the (m, dim) view of (dim, m) storage."""
+    column = value[:, None]
 
     def fn(s):
         arr = _as_param_array(s)
-        return value.copy() if arr.ndim == 0 else np.tile(value, (arr.size, 1))
+        return value.copy() if arr.ndim == 0 else np.repeat(column, arr.size, axis=1).T
 
     return fn
 
@@ -529,12 +539,13 @@ def segment(start: Sequence[float], end: Sequence[float], domain: tuple[float, f
     if tau <= sigma:
         raise IntervalError("segment domain must be non-degenerate")
     rate = (b - a) / (tau - sigma)
+    a_col, rate_col = a[:, None], rate[:, None]
 
     def pos(s):
         arr = _as_param_array(s)
         if arr.ndim == 0:
             return a + (float(arr) - sigma) * rate
-        return a[None, :] + (arr - sigma)[:, None] * rate[None, :]
+        return (a_col + (arr - sigma) * rate_col).T
 
     vel = _constant(rate)
 
@@ -583,10 +594,10 @@ def latitude(colatitude: float, turns: float = 1.0, phi0: float = 0.0, *, pole_m
         phi = _wrap_angle(phi0 + arr)
         if arr.ndim == 0:
             return np.array([th, float(phi)])
-        out = np.empty((arr.size, 2))
-        out[:, 0] = th
-        out[:, 1] = phi
-        return out
+        out = np.empty((2, arr.size))
+        out[0] = th
+        out[1] = phi
+        return out.T
 
     vel = _constant(np.array([0.0, 1.0]))
 
@@ -606,12 +617,12 @@ def _sphere_embed(theta, phi):
 
 
 def _arc_embed(s, anchor, speed, p3, q3):
-    """Parameters, cosine and sine of the arc angle, and the embedded points
-    of the great circle through p3 with unit tangent q3."""
+    """Parameters, cosine and sine of the arc angle, and the (3, m) embedded
+    points of the great circle through the column p3 with unit tangent q3."""
     arr = _as_param_array(s)
     ang = speed * (np.atleast_1d(arr) - anchor)
-    cos, sin = np.cos(ang)[:, None], np.sin(ang)[:, None]
-    return arr, cos, sin, cos * p3[None, :] + sin * q3[None, :]
+    cos, sin = np.cos(ang), np.sin(ang)
+    return arr, cos, sin, cos * p3 + sin * q3
 
 
 def great_circle(
@@ -649,34 +660,38 @@ def great_circle(
     if speed == 0.0:
         raise SpecFormatError("great_circle direction must be nonzero")
     q3 = v3 / speed
+    p3_col, q3_col = p3[:, None], q3[:, None]
 
     def embed(s):
-        return _arc_embed(s, s_anchor, speed, p3, q3)
+        return _arc_embed(s, s_anchor, speed, p3_col, q3_col)
 
     # Unwrapped azimuth reference, so phi stays continuous across +-pi.
     ref_s = np.linspace(a, b, 4097)
-    *_, ref_pts = embed(ref_s)
-    ref_phi = np.unwrap(np.arctan2(ref_pts[:, 1], ref_pts[:, 0]))
+    *_, (ref_x, ref_y, ref_z) = embed(ref_s)
+    ref_phi = np.unwrap(np.arctan2(ref_y, ref_x))
     ref_phi += ph0 - float(np.interp(s_anchor, ref_s, ref_phi))
-    ref_theta = np.arccos(np.clip(ref_pts[:, 2], -1.0, 1.0))
+    ref_theta = np.arccos(np.clip(ref_z, -1.0, 1.0))
     if np.any(ref_theta < pole_margin) or np.any(ref_theta > math.pi - pole_margin):
         raise ChartDomainError("great-circle arc passes too close to a coordinate pole")
 
+    # Both chart evaluators fill (2, m) storage and return its (m, 2) view.
     def chart_position(arr, pts):
-        theta = np.arccos(np.clip(pts[:, 2], -1.0, 1.0))
-        raw = np.arctan2(pts[:, 1], pts[:, 0])
+        out = np.empty((2, pts.shape[1]))
+        x, y, z = pts
+        np.arccos(np.clip(z, -1.0, 1.0), out=out[0])
+        raw = np.arctan2(y, x)
         guess = np.interp(np.atleast_1d(arr), ref_s, ref_phi)
-        phi = raw + 2 * math.pi * np.round((guess - raw) / (2 * math.pi))
-        return np.stack([theta, phi], axis=1)
+        np.add(raw, 2 * math.pi * np.round((guess - raw) / (2 * math.pi)), out=out[1])
+        return out.T
 
     def chart_velocity(cos, sin, pts):
-        dpts = speed * (-sin * p3[None, :] + cos * q3[None, :])
-        x, y, z = pts[:, 0], pts[:, 1], pts[:, 2]
-        dx, dy, dz = dpts[:, 0], dpts[:, 1], dpts[:, 2]
-        sin_theta = np.sqrt(np.maximum(x * x + y * y, 1e-300))
-        dtheta = -dz / sin_theta
-        dphi = (x * dy - y * dx) / (x * x + y * y)
-        return np.stack([dtheta, dphi], axis=1)
+        out = np.empty((2, pts.shape[1]))
+        x, y, _ = pts
+        dx, dy, dz = speed * (-sin * p3_col + cos * q3_col)
+        rho2 = x * x + y * y
+        np.divide(-dz, np.sqrt(np.maximum(rho2, 1e-300)), out=out[0])
+        np.divide(x * dy - y * dx, rho2, out=out[1])
+        return out.T
 
     def pos(s):
         arr, _, _, pts = embed(s)

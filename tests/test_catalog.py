@@ -5,7 +5,7 @@ import pytest
 from scipy.linalg import expm
 
 import pathtransport as pt
-from pathtransport.bundles import coeffs3_at
+from pathtransport.bundles import coeffs3_at, coeffs3_batch
 from pathtransport.errors import SpecFormatError
 from pathtransport.laws import random_paths
 
@@ -59,6 +59,17 @@ def test_sphere_christoffel_values(sphere_entry):
     mask = np.zeros((2, 2, 2), dtype=bool)
     mask[0, 1, 1] = mask[1, 0, 1] = mask[1, 1, 0] = True
     assert np.all(at_quarter[~mask] == 0.0)
+
+
+@pytest.mark.parametrize("entry_id", ["flat", "sphere", "sphere-orthonormal"])
+def test_batched_coefficients_are_views_of_samples_last_storage(catalog, entry_id, rng):
+    entry = catalog[entry_id]
+    lo, hi = np.array(entry.chart_box).T
+    xs = rng.uniform(lo[:, None], hi[:, None], size=(lo.size, 33)).T  # as path jets return them
+    batch = coeffs3_batch(entry.geometry, xs)
+    assert batch.transpose(1, 2, 3, 0).flags.c_contiguous
+    per_point = np.stack([entry.geometry.coeffs3(x) for x in xs])
+    assert np.ascontiguousarray(batch).tobytes() == per_point.tobytes()
 
 
 def test_sphere_factorizes(sphere_entry):

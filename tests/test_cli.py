@@ -41,6 +41,16 @@ def test_check_laws_exit_one_iff_a_record_failed(tmp_path, capsys):
     assert {"parametrization", "reparametrization-invariance"} <= {r["law_id"] for r in rows}
 
 
+@pytest.mark.parametrize("seed", [26, 63, 108])
+def test_check_laws_sphere_passes_where_plain_differences_failed_smoothness(tmp_path, capsys, seed):
+    # At these seeds the plain central-difference lift tangents missed the
+    # smoothness tolerance by their O(h^2) truncation error alone.
+    code, out, _ = run(["check-laws", "--geometry", "sphere", "--seed", str(seed)], tmp_path, capsys)
+    rows = {r["law_id"]: r for r in csv.DictReader((out / "law_reports.csv").read_text().splitlines())}
+    assert float(rows["smoothness"]["max_residual"]) <= 1e-8
+    assert code == 0
+
+
 def test_factorize_evolution_reports_failure(tmp_path, capsys):
     code, out, _ = run(["factorize", "--geometry", "evolution", "--points", "4"], tmp_path, capsys)
     assert code == 1
@@ -194,8 +204,9 @@ def test_config_errors_exit_two(tmp_path, capsys):
     [
         ("base_dim = two\nfibre_dim = 1", "1,0,0,0,0.5"),
         ("base_dim = 1\nfibre_dim = 1", "1,0,0,0,abc"),
+        ("base_dim = 1\nfibre_dim = 1", "1,0.7,0,0,0.5"),
     ],
-    ids=["non-integer-dimension", "non-numeric-grid-cell"],
+    ids=["non-integer-dimension", "non-numeric-grid-cell", "fractional-grid-index"],
 )
 def test_malformed_numbers_in_a_geometry_file_exit_two(tmp_path, capsys, spec_dims, grid_row):
     grid = tmp_path / "grid.csv"

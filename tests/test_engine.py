@@ -653,12 +653,37 @@ def test_finite_difference_factors_are_not_descended_into(sphere_entry):
 
 
 def test_jets_equal_position_and_velocity_bit_for_bit(rng):
-    for path in smooth_factors()[:4] + [pt.latitude(0.8, turns=2.0, phi0=5.0)]:
+    bez = smooth_factors()[3]
+    reparametrized = pt.reparametrize(bez, pt.bulge_reparametrization((-1.0, 2.0), (0.0, 1.0), 0.4))
+    for path in smooth_factors()[:4] + [pt.latitude(0.8, turns=2.0, phi0=5.0), reparametrized]:
         lo, hi = path.domain
         ts = np.concatenate([[lo, hi, -0.0], rng.uniform(lo - 0.1, hi + 0.1, size=200)])
         xs, vs = path.jet(ts)
         assert xs.tobytes() == pt.paths.position_at(path, ts).tobytes()
         assert vs.tobytes() == pt.paths.velocity_at(path, ts).tobytes()
+
+
+def test_field_over_a_reparametrized_path_calls_the_inner_jet_once_per_chunk(monkeypatch, sphere_entry):
+    calls = dict(jet=0, position=0, velocity=0)
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    bez = smooth_factors()[3]
+    path = pt.reparametrize(
+        dataclasses.replace(bez, jet=counted("jet", bez.jet)),
+        pt.bulge_reparametrization((-1.0, 2.0), (0.0, 1.0), 0.4),
+    )
+    for module in (pt.paths, engine):
+        monkeypatch.setattr(module, "position_at", counted("position", module.position_at))
+        monkeypatch.setattr(module, "velocity_at", counted("velocity", module.velocity_at))
+    step = 3.0 / (2 * CHUNK + 5)
+    pt.transport_matrix_over_path(sphere_entry.geometry, path, -1.0, 2.0, step=step)
+    assert calls == dict(jet=math.ceil(engine._step_count(3.0, step) / CHUNK), position=0, velocity=0)
 
 
 def test_triangle_transport_evaluates_each_sample_once(monkeypatch, ortho_entry):

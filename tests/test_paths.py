@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import pathtransport as pt
 from pathtransport.errors import ChartDomainError, EndpointMismatchError, IntervalError, SpecFormatError
+from pathtransport.laws import _bezier_path
 from pathtransport.paths import parse_scalar
 
 
@@ -390,3 +391,41 @@ def test_parse_path_spec_families():
         pt.parse_path_spec("helix:radius=1")
     with pytest.raises(SpecFormatError):
         pt.parse_path_spec("segment:from=0,0")
+
+
+# --- samples-last storage -----------------------------------------------------
+
+
+def shipped_paths():
+    """One path of each shipped family with analytic evaluators."""
+    bez = _bezier_path(np.array([[0.9, 0.1], [1.5, 0.6], [1.1, 0.9], [1.7, -0.3]]), (0.0, 1.0))
+    gc = pt.great_circle((1.2, 0.3), (0.4, 0.5), domain=(0.0, 1.0))
+    return {
+        "segment": pt.segment([1.0, -0.4, 0.5], [1.6, 0.2, -0.1]),
+        "latitude": pt.latitude(0.8, turns=2.0, phi0=5.0),
+        "great_circle": gc,
+        "constant": pt.constant_path([0.3, -1.2]),
+        "bezier": bez,
+        "reparametrized-bezier": pt.reparametrize(bez, pt.bulge_reparametrization((-1.0, 2.0), (0.0, 1.0), 0.4)),
+        "reversed-great_circle": pt.reparametrize(
+            gc, pt.affine_reparametrization((0.0, 2.0), (0.0, 1.0), reversing=True)
+        ),
+    }
+
+
+@pytest.mark.parametrize("name", list(shipped_paths()))
+def test_batched_evaluators_return_views_of_samples_last_storage(name, rng):
+    path = shipped_paths()[name]
+    lo, hi = path.domain
+    ts = np.concatenate([[lo, hi], rng.uniform(lo, hi, size=257)])
+    outputs = {"position": path.position(ts), "velocity": path.velocity(ts)}
+    if path.jet is not None:
+        outputs["jet-position"], outputs["jet-velocity"] = path.jet(ts)
+    per_scalar = {
+        "position": np.stack([path.position(float(t)) for t in ts]),
+        "velocity": np.stack([path.velocity(float(t)) for t in ts]),
+    }
+    for what, out in outputs.items():
+        assert out.shape == (ts.size, path.dim), what
+        assert out.T.flags.c_contiguous, what
+        assert np.ascontiguousarray(out).tobytes() == per_scalar[what.split("-")[-1]].tobytes(), what

@@ -41,3 +41,19 @@ def test_traced_argument_positions():
     assert list(inspect.signature(engine._rk4_transitions).parameters)[3] == "n_steps"
     for fn in (paths.position_at, paths.velocity_at):
         assert list(inspect.signature(fn).parameters)[:2] == ["path", "s"]
+
+
+def test_output_digest_quick_is_well_formed_and_repeatable():
+    import re
+    import subprocess
+    import sys
+
+    root = Path(__file__).resolve().parent.parent
+    argv = [sys.executable, str(root / "tools" / "output_digest.py"), "--src", str(root / "src"), "--quick"]
+    runs = [subprocess.run(argv, capture_output=True, text=True, timeout=120, check=True).stdout for _ in range(2)]
+    lines = runs[0].splitlines()
+    assert runs[0] == runs[1]
+    assert len(lines) >= 10 and lines == sorted(lines, key=lambda line: line[66:])
+    assert all(re.fullmatch(r"[0-9a-f]{64}  \S+", line) for line in lines)
+    names = {line[66:] for line in lines}
+    assert {"list-geometries:stdout", "check-laws:sphere:seed1:law_reports.csv", "matrix:triangle:sphere:1e-02"} <= names
