@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import expm
 
 from .bundles import BundleGeometry, FibreVector, complex_structure, grid_geometry_from_csv
 from .engine import TransportMatrix
@@ -30,6 +29,55 @@ from .transports import (
 )
 
 SPHERE_POLE_MARGIN = 1e-3
+
+
+def _pade_coefficients(m: int) -> np.ndarray:
+    """[even b_k, odd b_k] of p(x) = sum_k b_k x^k, b_k = (2m - k)! / (k! (m - k)!): the
+    textbook coefficients of the [m/m] Pade approximant p(A) / p(-A) of exp, times (2m)! / m!."""
+    b = [math.factorial(2 * m - k) / (math.factorial(k) * math.factorial(m - k)) for k in range(m + 1)]
+    return np.array([b[0::2], b[1::2]])
+
+
+#: (theta_m, coefficients) for m = 3, 5, 7, 9, 13: the approximant of degree m has
+#: double-precision accuracy while the 1-norm of A is at most theta_m (Higham 2005, Table 2.3).
+_PADE = [(theta, _pade_coefficients(m)) for m, theta in ((3, 1.495585217958292e-2), (5, 2.539398330063230e-1),
+         (7, 9.504178996162932e-1), (9, 2.097847961257068e0), (13, 5.371920351148152e0))]
+
+
+def expm(a) -> np.ndarray:
+    """Exponential of a real square matrix by scaling and squaring (Higham
+    2005): the lowest Pade degree whose theta bounds the 1-norm, else degree
+    13 on A / 2^s squared s times.  A zero matrix gives ``np.eye`` exactly."""
+    a = np.asarray(a, dtype=float)
+    n = len(a)
+    # Few, small NumPy calls: on 2 x 2 inputs each call costs more than its flops.
+    cols = np.add.reduce(abs(a)).tolist()
+    if not math.isfinite(sum(cols)):
+        raise ValueError("matrix exponential of a non-finite matrix")
+    norm = max(cols, default=0.0)
+    if norm == 0.0:
+        return np.eye(n)
+    for theta, coeffs in _PADE:
+        if norm <= theta:
+            break
+    squarings = max(0, math.ceil(math.log2(norm / theta)))
+    if squarings:
+        a = a * 2.0**-squarings
+    # The even powers I, A^2, A^4, ... times the coefficient rows give V and U / A.
+    powers = np.zeros((len(coeffs[0]), n, n))
+    eye = powers[0]
+    eye.flat[:: n + 1] = 1.0
+    p = powers[1] = a.dot(a)
+    for row in powers[2:]:
+        row[...] = p = p.dot(powers[1])
+    v, u = coeffs.dot(powers.reshape(len(powers), -1)).reshape(2, n, n)
+    u = a.dot(u)
+    # (V - U)^-1 (V + U) = I + 2 (V - U)^-1 U: the correction to I is solved for on its
+    # own, so it keeps its relative accuracy when A is small.
+    r = eye + 2.0 * np.linalg.solve(v - u, u)
+    for _ in range(squarings):
+        r = r.dot(r)
+    return r
 
 
 @dataclass(frozen=True)

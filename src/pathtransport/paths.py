@@ -263,7 +263,7 @@ def _monotone_preimage(chi: Reparametrization, value: float) -> float:
 
 def reparametrize(path: Path, chi: Reparametrization) -> Path:
     """The composed path ``path o chi`` with the chain-rule velocity."""
-    if not np.allclose(chi.target, path.domain, rtol=0, atol=1e-9):
+    if not all(a == b or abs(a - b) <= 1e-9 for a, b in zip(chi.target, path.domain)):
         raise IntervalError(f"reparametrization target {chi.target} is not the path domain {path.domain}")
 
     def pos(s):
@@ -560,7 +560,7 @@ def line_through(point: Sequence[float], direction: Sequence[float], half_width:
     x0 = np.asarray(point, dtype=float)
     v = np.asarray(direction, dtype=float)
     w = float(half_width)
-    if np.allclose(v, 0):
+    if all(abs(c) <= 1e-8 for c in v.ravel().tolist()):
         return constant_path(x0, domain=(-w, w))
     return segment(x0 - w * v, x0 + w * v, domain=(-w, w))
 

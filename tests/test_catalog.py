@@ -5,6 +5,7 @@ import pytest
 from scipy.linalg import expm
 
 import pathtransport as pt
+from pathtransport import catalog as catalog_module
 from pathtransport.bundles import coeffs3_at, coeffs3_batch
 from pathtransport.errors import SpecFormatError
 from pathtransport.laws import random_paths
@@ -92,6 +93,91 @@ def test_sphere_frames_agree_on_metric_invariants(sphere_entry, ortho_entry):
     m_chart = pt.holonomy(sphere_entry.transport, lat, step=1e-3).matrix
     m_ortho = pt.holonomy(ortho_entry.transport, lat, step=1e-3).matrix
     assert np.trace(m_chart) == pytest.approx(np.trace(m_ortho), abs=1e-9)
+
+
+# --- matrix exponential -----------------------------------------------------------
+
+
+def one_norm(m):
+    return np.abs(m).sum(axis=0).max()
+
+
+def test_expm_matches_scipy_on_random_matrices():
+    # Both sides round in their squarings, so the difference grows with the
+    # norm: at norm 1e2 scipy itself is up to ~1e-11 away from a 40-digit
+    # reference on such matrices, while the in-house value stays ~1e-14 away.
+    # The exact references below pin the in-house error at large norms.
+    rng = np.random.default_rng(7)
+    for n in range(1, 7):
+        for norm in np.logspace(-12, 2, 29):
+            for _ in range(3):
+                a = rng.standard_normal((n, n))
+                a *= norm / one_norm(a)
+                ref = expm(a)
+                assert one_norm(catalog_module.expm(a) - ref) <= 1e-12 * max(1.0, norm) * one_norm(ref), (n, norm)
+
+
+def test_expm_matches_exact_shifted_nilpotent_exponentials():
+    # exp(cI + N) = e^c (I + N + ... + N^(n-1) / (n-1)!) for strictly upper
+    # triangular N; with N >= 0 the sum has no cancellation, so it is exact to
+    # a few roundings.  These are the non-normal matrices that make scaling
+    # and squaring hard.
+    rng = np.random.default_rng(8)
+    for n in range(2, 7):
+        for norm in np.logspace(-12, 2, 29):
+            nil = np.triu(rng.uniform(0.0, 1.0, (n, n)), 1)
+            nil *= norm / one_norm(nil)
+            c = rng.uniform(-0.25, 0.25) * norm
+            ref = math.exp(c) * sum(np.linalg.matrix_power(nil, k) / math.factorial(k) for k in range(n))
+            got = catalog_module.expm(c * np.eye(n) + nil)
+            assert one_norm(got - ref) <= 1e-13 * one_norm(ref), (n, norm)
+
+
+def test_expm_of_realified_hamiltonians_matches_complex_exponential():
+    rng = np.random.default_rng(9)
+    for n in (1, 2, 3):
+        for tau in (1e-6, 0.3, 2.0, 25.0):
+            h = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            h = h + h.conj().T
+            j = pt.complex_structure(n)
+            got = catalog_module.expm(-tau * (j @ pt.realify_matrix(h)))
+            # J H realifies i H, so the real form of exp(-i tau H) is expected.
+            ref = pt.realify_matrix(expm(-1j * tau * h))
+            assert np.max(np.abs(got - ref)) <= 1e-12 * max(1.0, tau * one_norm(h))
+            assert np.max(np.abs(got.T @ got - np.eye(2 * n))) <= 1e-12 * max(1.0, tau * one_norm(h))
+
+
+def test_expm_of_plane_generator_is_rotation_to_four_ulps():
+    j = pt.complex_structure(1)
+    for tau in np.concatenate([np.linspace(-4.0, 4.0, 401), np.logspace(-12, 0, 25)]):
+        rot = np.array([[math.cos(tau), math.sin(tau)], [-math.sin(tau), math.cos(tau)]])
+        assert np.max(np.abs(catalog_module.expm(-tau * j) - rot)) <= 4 * np.spacing(1.0), tau
+
+
+@pytest.mark.parametrize("n", [1, 2, 4])
+@pytest.mark.parametrize("zero", [0.0, -0.0])
+def test_expm_of_zero_is_identity_bit_for_bit(n, zero):
+    got = catalog_module.expm(np.full((n, n), zero))
+    assert got.dtype == np.float64 and np.array_equal(got, np.eye(n))
+    assert not np.signbit(got).any()
+
+
+def test_expm_rejects_non_finite_matrices():
+    # A column of zeros must not hide a NaN in another column.
+    for bad in (np.nan, np.inf, -np.inf):
+        for m in ([[bad, 0.0], [0.0, 1.0]], [[0.0, 0.0], [0.0, bad]]):
+            with pytest.raises(ValueError):
+                catalog_module.expm(np.array(m))
+
+
+def test_expm_is_the_in_house_catalog_function(monkeypatch):
+    # benchmarks/tracing.py times the module global catalog.expm, so the
+    # evolution transport must look it up there on every call.
+    assert catalog_module.expm.__module__ == "pathtransport.catalog"
+    calls = []
+    monkeypatch.setattr(catalog_module, "expm", lambda a: calls.append(a) or np.eye(len(a)))
+    pt.evolution_transport().transport.matrix(pt.segment([0.0], [1.0]), 0.0, 0.5)
+    assert len(calls) == 1
 
 
 # --- evolution transport -----------------------------------------------------------

@@ -89,6 +89,23 @@ def test_reparametrize_domain_mismatch():
         pt.reparametrize(p, chi)
 
 
+def test_reparametrize_accepts_targets_within_1e_9_of_the_domain():
+    # The tolerance is 1e-9 absolute on each endpoint; the endpoints that move
+    # are 0, so the offsets are exact.
+    low, high = pt.segment([0.0], [1.0]), pt.segment([0.0], [1.0], domain=(-1.0, 0.0))
+    pt.reparametrize(low, pt.affine_reparametrization((0.0, 1.0), (1e-9, 1.0)))
+    pt.reparametrize(high, pt.affine_reparametrization((0.0, 1.0), (-1.0, -1e-9)))
+    for path, target in ((low, (1.1e-9, 1.0)), (high, (-1.0, 1.1e-9))):
+        with pytest.raises(IntervalError):
+            pt.reparametrize(path, pt.affine_reparametrization((0.0, 1.0), target))
+
+
+def test_reparametrize_rejects_a_nan_target():
+    chi = pt.Reparametrization((0.0, 1.0), (math.nan, 1.0), lambda s: np.asarray(s), lambda s: np.ones_like(s))
+    with pytest.raises(IntervalError):
+        pt.reparametrize(pt.segment([0.0], [1.0]), chi)
+
+
 def test_reparametrization_validation():
     good = pt.affine_reparametrization((0.0, 1.0), (2.0, 5.0))
     pt.validate_reparametrization(good)
@@ -218,6 +235,14 @@ def test_line_through_zero_direction_is_stationary_on_its_interval():
     ts = np.linspace(-0.25, 0.25, 7)
     assert np.array_equal(pt.paths.velocity_at(p, ts), np.zeros((7, 2)))
     assert np.array_equal(pt.paths.position_at(p, ts), np.tile(x, (7, 1)))
+
+
+def test_line_through_treats_directions_up_to_1e_8_as_zero():
+    x = [1.0, 0.5]
+    for direction in ([1e-8, 0.0], [-1e-8, 1e-8], [0.0, -0.0]):
+        assert pt.line_through(x, direction).label == "constant", direction
+    for direction in ([2e-8, 0.0], [0.0, -2e-8], [math.nan, 0.0]):
+        assert pt.line_through(x, direction).label == "segment", direction
 
 
 def test_point_path_keeps_its_degenerate_domain_and_label():
