@@ -44,6 +44,7 @@ from .engine import (
     factorization_test,
     horizontal_lift,
     integrate_transport_matrix,
+    transport_matrices,
     transport_matrix_over_path,
 )
 from .holonomy import HolonomyReport, angle_gap_mod_2pi, holonomy, latitude_sweep, rotation_angle
@@ -55,6 +56,7 @@ from .laws import (
     check_parallel_axioms,
     check_parametrization_laws,
     check_smoothness_conditions,
+    check_transport_laws,
     law_reports_csv,
     law_reports_table,
     lift_tangent,

@@ -13,6 +13,7 @@ import argparse
 import csv
 import dataclasses
 import io
+import math
 import os
 import sys
 from pathlib import Path as FsPath
@@ -25,18 +26,16 @@ from .engine import coefficients_along_path, connection_from_transport, factoriz
 from .errors import NotFactorizableError, PathTransportError
 from .holonomy import holonomy, latitude_sweep
 from .laws import (
-    check_groupoid_laws,
     check_linearity,
     check_parallel_axioms,
-    check_parametrization_laws,
     check_smoothness_conditions,
+    check_transport_laws,
     format_float,
     format_table,
     LawReport,
     law_reports_csv,
     law_reports_table,
     make_parallel_fixtures,
-    merge_reports,
 )
 from .paths import parse_key_values, parse_path_spec, parse_scalar, parse_vector, position_at
 from .transports import KIND_GENERIC, parallel_from_transport, transport_from_parallel
@@ -191,17 +190,7 @@ def _suite_reports(entry: GeometryCatalogEntry, args) -> list[LawReport]:
     transport = entry.transport
     rng = np.random.default_rng(args.seed)
     paths = sample_paths(entry, rng, args.samples)
-    groupoid = [
-        check_groupoid_laws(transport, p, samples=1, seed=args.seed + i, tolerance=args.tolerance, step=args.step)
-        for i, p in enumerate(paths)
-    ]
-    parametrization = [
-        check_parametrization_laws(
-            transport, p, pairs_per_fixture=1, seed=args.seed + i, tolerance=args.tolerance, step=args.step
-        )
-        for i, p in enumerate(paths)
-    ]
-    reports = [merge_reports("groupoid", groupoid), merge_reports("parametrization", parametrization)]
+    reports = check_transport_laws(transport, paths, seed=args.seed, tolerance=args.tolerance, step=args.step)
     fixtures = make_parallel_fixtures(sample_paths(entry, rng, args.fixtures))
     psi = parallel_from_transport(transport)
     reports.extend(check_parallel_axioms(psi, fixtures, seed=args.seed, tolerance=args.tolerance))
@@ -266,16 +255,17 @@ def _cmd_roundtrip(args) -> int:
     psi = parallel_from_transport(transport)
     back = transport_from_parallel(psi)
     paths = sample_paths(entry, rng, args.samples)
-    residual = 0.0
+    requests = []
     for p in paths:
         lo, hi = p.domain
         s, t = rng.uniform(lo, hi, size=2)
         if not transport.is_linear and t < s:
             s, t = t, s
-        u = FibreVector(position_at(p, s), rng.standard_normal(transport.fibre_dim))
-        direct = transport.apply(p, s, t, u, step=args.step)
-        recomposed = back.apply(p, s, t, u, step=args.step)
-        residual = max(residual, float(np.max(np.abs(direct.components - recomposed.components))))
+        requests.append((p, s, t, FibreVector(position_at(p, s), rng.standard_normal(transport.fibre_dim))))
+    residual = 0.0
+    direct = transport.apply_many(requests, step=args.step)
+    for a, b in zip(direct, back.apply_many(requests, step=args.step)):
+        residual = max(residual, float(np.max(np.abs(a.components - b.components))))
     reports = [LawReport("roundtrip-transport", len(paths), residual, 1e-9, seed=args.seed)]
     if entry.geometry is not None:
         pts = _interior_points(entry, rng, args.points)
@@ -284,11 +274,9 @@ def _cmd_roundtrip(args) -> int:
                 transport, pts, threshold=args.threshold, step=args.step, seed=args.seed
             )
             coeff_residual = 0.0
-            for x in pts:
-                coeff_residual = max(
-                    coeff_residual,
-                    float(np.max(np.abs(np.asarray(recovered.coeffs3(x)) - np.asarray(entry.geometry.coeffs3(x))))),
-                )
+            for x, got in zip(pts, recovered.coeffs3(np.stack(pts))):
+                expected = np.asarray(entry.geometry.coeffs3(x))
+                coeff_residual = max(coeff_residual, float(np.max(np.abs(got - expected))))
             reports.append(LawReport("roundtrip-connection", len(pts), coeff_residual, 1e-5, seed=args.seed))
         except NotFactorizableError:
             reports.append(LawReport("roundtrip-connection", len(pts), float("inf"), 1e-5, seed=args.seed))
@@ -351,10 +339,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        if getattr(args, "step", 1.0) <= 0:
-            raise PathTransportError("--step must be positive")
-        if getattr(args, "tolerance", 1.0) <= 0:
-            raise PathTransportError("--tolerance must be positive")
+        for flag in ("step", "tolerance", "threshold"):
+            value = getattr(args, flag, 1.0)
+            if not (math.isfinite(value) and value > 0):
+                raise PathTransportError(f"--{flag} must be positive and finite, got {value}")
         return _COMMANDS[args.command](args)
     except (PathTransportError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -16,7 +16,9 @@ chunk samples the field on its own nodes, forms its per-step transitions in
 (r, r, m) layout (one vectorised product over the m steps instead of m small
 matrix products) and reduces them pairwise to one matrix; the chunk matrices
 are reduced pairwise in turn.  Memory therefore grows with the chunk size,
-not with the step count.
+not with the step count.  The chunks of many requests are integrated
+together, in passes that hold at most one chunk's worth of samples
+(``transport_matrices``); a one-request call is the same pass machinery.
 
 Matrix orientation: ``L(t, s)`` maps the fibre at parameter s to the fibre at
 parameter t.  The coefficient matrix recovered from a transport is the
@@ -30,7 +32,8 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from itertools import groupby
+from typing import Any, Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -58,6 +61,27 @@ _BREAK_NUDGE = 1e-9
 #: chunk, and a step-1e-5 latitude holonomy on the sphere took about 38k page
 #: faults per call and ran about 40% slower.
 _CHUNK_STEPS = 2048
+
+
+class _Chunk(NamedTuple):
+    """At most _CHUNK_STEPS RK4 steps from a to b; the first and last node
+    move inward by lo and hi.  ``source`` says how to sample the field."""
+
+    source: Any
+    a: float
+    b: float
+    n: int
+    lo: float
+    hi: float
+
+
+class _Source(NamedTuple):
+    """The field along one smooth piece of a path: ``jet`` evaluates it;
+    pieces with equal keys have the same jet."""
+
+    key: tuple
+    jet: Callable
+    path: Path
 
 
 @dataclass(frozen=True)
@@ -129,83 +153,168 @@ def _matmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.einsum("ikm,kjm->ijm", x, y)
 
 
-def _ordered_product(mats: np.ndarray) -> np.ndarray:
-    """Product mats[..., K-1] @ ... @ mats[..., 0] of an (r, r, K) stack, reduced pairwise."""
-    while mats.shape[-1] > 1:
-        k = mats.shape[-1]
-        even = k - (k % 2)
-        paired = _matmul(mats[..., 1:even:2], mats[..., 0:even:2])
-        mats = np.concatenate([paired, mats[..., -1:]], axis=-1) if k % 2 else paired
-    return mats[..., 0]
+def _ordered_product(mats: np.ndarray, lengths) -> np.ndarray:
+    """Ordered products over consecutive segments of an (r, r, K) stack.
+
+    Segment c holds ``lengths[c]`` matrices and yields their product, latest
+    on the left, as slice c of the (r, r, len(lengths)) result.  Each segment
+    is reduced pairwise as if it were alone: adjacent pairs first, an odd
+    last matrix carried up a level.
+    """
+    n = np.asarray(lengths)
+    if mats.shape[-1] == n.size:
+        return mats
+    if n.size == 1:
+        while mats.shape[-1] > 1:
+            k = mats.shape[-1]
+            even = k - k % 2
+            paired = _matmul(mats[..., 1:even:2], mats[..., 0:even:2])
+            mats = np.concatenate([paired, mats[..., -1:]], axis=-1) if k % 2 else paired
+        return mats
+    # Several segments: each is padded with identities to a power-of-two
+    # width, so a level pairs adjacent matrices throughout, and an odd last
+    # matrix meets an identity; I @ X is X bit for bit (finite X, whose zero
+    # entries are +0.0, as every transition and every product here is).
+    # Widest segments first: the segments that reach width 1 at a level are
+    # the last ones of the stack, and leave it.
+    width = np.left_shift(1, np.ceil(np.log2(n)).astype(int))
+    order = np.argsort(-width, kind="stable")
+    w, m = width[order], n[order]
+    offset = np.repeat(np.cumsum(w) - w, w)
+    pos = np.arange(offset.size) - offset
+    src = np.where(pos < np.repeat(m, w), np.repeat((np.cumsum(n) - n)[order], w) + pos, mats.shape[-1])
+    stack = np.take(np.concatenate([mats, np.eye(mats.shape[0])[:, :, None]], axis=2), src, axis=2)
+    finishing = np.bincount(np.log2(w).astype(int)).tolist()
+    done = []
+    for count in finishing:
+        if count:
+            done.append(stack[..., stack.shape[-1] - count :])
+            stack = stack[..., : stack.shape[-1] - count]
+        if stack.shape[-1]:
+            stack = _matmul(stack[..., 1::2], stack[..., 0::2])
+    return np.take(np.concatenate(done[::-1], axis=2), np.argsort(order), axis=2)
 
 
-def _eye_minus(eye: np.ndarray, k: float, c: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """I - k c over an (r, r, m) stack, written into ``out`` when given."""
+def _eye_minus(eye: np.ndarray, k, c: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """I - k c over an (r, r, m) stack (k a scalar or one factor per m), written into ``out`` when given."""
     out = np.multiply(k, c, out=out)
     return np.subtract(eye, out, out=out)
 
 
-def _rk4_transitions(field: Callable, a: float, b: float, n_steps: int, *, nudge=(0.0, 0.0)) -> np.ndarray:
-    """RK4 transition matrix L(b, a) of dL/dt = -G(t) L, n_steps steps on [a, b].
+def _rk4_transitions(g: np.ndarray, h, lengths: np.ndarray, n_steps: int) -> np.ndarray:
+    """RK4 transition matrices of dL/dt = -G(t) L over consecutive chunks.
 
-    The field is sampled at the nodes a + (h/2) k, k = 0..2 n_steps: the
-    n_steps + 1 step ends first, then the n_steps midpoints, so each block is
-    contiguous.  ``nudge`` moves the first and last step end inward by the
-    given signed offsets.  The per-step transitions are formed in (r, r, m)
-    layout and reduced to one matrix.
+    ``g`` is the (r, r, 2 n_steps + C) field sampled at the nodes of C chunks
+    of ``lengths`` steps, n_steps in all, chunk after chunk: each chunk's
+    n + 1 step ends, then its n midpoints.  ``h`` holds the n_steps signed
+    step sizes, or one for all.  The per-step transitions are formed in
+    (r, r, m) layout and reduced to one matrix per chunk; returns the
+    (C, r, r) stack.
     """
-    h = (b - a) / n_steps
-    k = np.arange(2 * n_steps + 1)
-    pts = a + 0.5 * h * np.concatenate((k[::2], k[1::2]))
-    pts[0] = a + nudge[0]
-    pts[n_steps] = b - nudge[1]
-    # (r, r, samples) layout, each entry contiguous over the samples; a field
-    # that returns an (m, r, r) view of such an array is not copied.
-    g = np.ascontiguousarray(np.asarray(field(pts), dtype=float).transpose(1, 2, 0))
     if not np.isfinite(g).all():
         raise SingularCoefficientError("non-finite coefficients encountered during integration")
+    if lengths.size == 1:
+        ends, mids = g[..., : n_steps + 1], g[..., n_steps + 1 :]
+        c1, right = ends[..., :-1], ends[..., 1:]
+    else:
+        # Step k of chunk c starts at node k + (steps before c) + c.
+        left = np.arange(n_steps) + np.repeat(np.cumsum(lengths) - lengths + np.arange(lengths.size), lengths)
+        mids = np.take(g, left + np.repeat(lengths + 1, lengths), axis=2)
+        c1, right = np.take(g, left, axis=2), np.take(g, left + 1, axis=2)
     # With P = -G the step is T = I + (h/6)(b1 + 2 b2 + 2 b3 + b4) for
     # b1 = P1, b2 = P2 (I + (h/2) b1), b3 = P2 (I + (h/2) b2),
     # b4 = P3 (I + h b3); c = -b below is the same recursion in G, with no
     # negated copy.  The sum c1 + 2 c2 + 2 c3 + c4 accumulates in c2, left
     # to right.
     eye = np.eye(g.shape[0])[:, :, None]
-    ends, mids = g[..., : n_steps + 1], g[..., n_steps + 1 :]
-    c1 = ends[..., :-1]
     c2 = _matmul(mids, _eye_minus(eye, h / 2, c1))
     c3 = _matmul(mids, _eye_minus(eye, h / 2, c2))
-    c4 = _matmul(ends[..., 1:], _eye_minus(eye, h, c3))
+    c4 = _matmul(right, _eye_minus(eye, h, c3))
     c2 *= 2
     c2 += c1
     c3 *= 2
     c2 += c3
     c2 += c4
-    return _ordered_product(_eye_minus(eye, h / 6, c2, out=c2))
+    return _ordered_product(_eye_minus(eye, h / 6, c2, out=c2), lengths).transpose(2, 0, 1)
 
 
-def _propagate(field: Callable, a: float, b: float, n_steps: int, nudge=(False, False)) -> list:
-    """RK4 transition matrices of consecutive chunks of at most _CHUNK_STEPS
-    steps on [a, b], in order; ``nudge`` marks breakpoint ends."""
+def _split(a: float, b: float, n_steps: int, nudge=(False, False), source=None) -> list[_Chunk]:
+    """Consecutive chunks of at most _CHUNK_STEPS of the n_steps steps on
+    [a, b]; ``nudge`` marks breakpoint ends."""
     h = (b - a) / n_steps
     delta = math.copysign(_BREAK_NUDGE * abs(b - a), h)
     chunks = []
     for k0 in range(0, n_steps, _CHUNK_STEPS):
         k1 = min(k0 + _CHUNK_STEPS, n_steps)
         last = k1 == n_steps
-        ends = (delta if nudge[0] and k0 == 0 else 0.0, delta if nudge[1] and last else 0.0)
-        chunks.append(_rk4_transitions(field, a + k0 * h, b if last else a + k1 * h, k1 - k0, nudge=ends))
+        chunks.append(
+            _Chunk(
+                source,
+                a + k0 * h,
+                b if last else a + k1 * h,
+                k1 - k0,
+                delta if nudge[0] and k0 == 0 else 0.0,
+                delta if nudge[1] and last else 0.0,
+            )
+        )
     return chunks
+
+
+def _integrate(chunks: list[_Chunk], sample: Callable) -> list:
+    """The transition matrix of every chunk, in order.
+
+    Chunks are packed in order into passes of at most 2 _CHUNK_STEPS + 1
+    field samples, so at most _CHUNK_STEPS steps; a chunk is never split
+    across passes.  ``sample(chunks, pts)`` evaluates the field of a pass at
+    its nodes as an (r, r, len(pts)) array.
+    """
+    mats, first, used = [], 0, 0
+    for i, chunk in enumerate(chunks + [None]):
+        size = 0 if chunk is None else 2 * chunk.n + 1
+        if i > first and (chunk is None or used + size > 2 * _CHUNK_STEPS + 1):
+            mats.extend(_pass(chunks[first:i], sample))
+            first, used = i, 0
+        used += size
+    return mats
+
+
+def _pass(chunks: list[_Chunk], sample: Callable) -> np.ndarray:
+    """RK4 transition matrices of the chunks of one pass, (C, r, r).
+
+    A chunk of n steps on [a, b] samples the field at a + (h/2) k for
+    h = (b - a) / n: at its n + 1 step ends (k even), then at its n
+    midpoints (k odd); its first and last end move inward by its nudges.
+    """
+    if len(chunks) == 1:
+        _, a, b, n, lo, hi = chunks[0]
+        h = (b - a) / n
+        k = np.arange(2 * n + 1)
+        pts = a + 0.5 * h * np.concatenate((k[::2], k[1::2]))
+        pts[0], pts[n] = a + lo, b - hi
+        return _rk4_transitions(sample(chunks, pts), h, np.array([n]), n)
+    a, b, n, lo, hi = (np.array(col) for col in list(zip(*chunks))[1:])
+    h = (b - a) / n
+    size = 2 * n + 1
+    first = np.cumsum(size) - size
+    k = np.arange(2 * int(n.max()) + 1)
+    k = np.concatenate([part for m in n.tolist() for part in (k[: 2 * m + 1 : 2], k[1 : 2 * m : 2])])
+    pts = np.repeat(a, size) + np.repeat(0.5 * h, size) * k
+    pts[first] = a + lo
+    pts[first + n] = b - hi
+    return _rk4_transitions(sample(chunks, pts), np.repeat(h, n), n, int(n.sum()))
 
 
 def _chain(chunks: list) -> np.ndarray:
     """Product chunks[-1] @ ... @ chunks[0] of consecutive chunk matrices."""
-    return chunks[0] if len(chunks) == 1 else _ordered_product(np.stack(chunks, axis=-1))
+    return chunks[0] if len(chunks) == 1 else _ordered_product(np.stack(chunks, axis=-1), [len(chunks)])[..., 0]
 
 
 def _step_count(span: float, step: float | None) -> int:
     """RK4 steps over a span: DEFAULT_STEP_COUNT for ``step=None``, else ceil(span / step)."""
     if step is None:
         return DEFAULT_STEP_COUNT
+    if not math.isfinite(step):
+        raise IntervalError(f"integration step must be finite, not {step}")
     if step <= 0:
         raise IntervalError("integration step must be positive")
     return max(1, math.ceil(span / step))
@@ -236,7 +345,64 @@ def integrate_transport_matrix(coeff_field: Callable, s: float, t: float, step: 
     if s == t:
         return TransportMatrix(np.eye(r), s=s, t=t, step=0.0)
     n_steps = _step_count(abs(t - s), step)
-    return TransportMatrix(_chain(_propagate(field, s, t, n_steps)), s=s, t=t, step=abs(t - s) / n_steps)
+    mats = _integrate(_split(s, t, n_steps), lambda _, pts: np.ascontiguousarray(field(pts).transpose(1, 2, 0)))
+    return TransportMatrix(_chain(mats), s=s, t=t, step=abs(t - s) / n_steps)
+
+
+def _piece_jet(path: Path, piece: tuple[float, float] | None) -> _Source:
+    """The source of one smooth piece of a path: its ``jet(ts)`` gives the
+    positions and velocities at parameters of the piece, evaluated on the
+    smooth factor that the piece runs on (``paths.smooth_part``), through its
+    ``jet`` when it has one; the values equal the path's own evaluation bit
+    for bit."""
+    factor, maps = (path, ()) if piece is None else smooth_part(path, *piece)
+    scale = math.prod(slope for slope, _ in maps)
+
+    def jet(u):
+        for slope, offset in maps:
+            u = slope * u + offset if offset else slope * u
+        if factor.jet is not None:
+            xs, vs = factor.jet(u)
+        else:
+            # Only an undescended path can lack an analytic velocity, so the
+            # piece's finite-difference stencil is in this path's parameter.
+            xs, vs = position_at(factor, u), velocity_at(factor, u, piece=piece)
+        return xs, (scale * vs if maps else vs)
+
+    if factor.jet is not None:
+        key = (id(factor.jet), maps)  # restrictions share their path's jet
+    else:
+        key = (id(factor), maps) if factor.velocity is not None else (id(factor), maps, piece)
+    return _Source(key, jet, path)
+
+
+def _check_chart(geometry: BundleGeometry, xs: np.ndarray, path: Path):
+    """ChartDomainError naming the path unless every point of xs lies in the chart."""
+    if geometry.chart_domain is None:
+        return
+    try:
+        ok = bool(geometry.chart_domain(xs))
+    except (TypeError, ValueError):
+        ok = all(geometry.contains(x) for x in xs)
+    if not ok:
+        raise ChartDomainError(f"path {path.label or ''} leaves the chart of {geometry.label or 'geometry'}")
+
+
+def _contract(geometry: BundleGeometry, xs: np.ndarray, vs: np.ndarray) -> np.ndarray:
+    """The (r, r, m) field G = coeffs3(x) . v at m points, contiguous over the samples."""
+    # Contract over the base index by hand, in (r, r, n, m) index order and
+    # straight into an (r, r, m) array that is contiguous over the samples,
+    # as the kernel reads it; n is small and einsum's dispatch overhead
+    # dominates on long grids.  The rows read contiguously when coeffs3
+    # returns a view of (r, r, n, m) storage and the velocities one of
+    # (n, m) storage; any other layout is read strided, not copied.
+    r = geometry.fibre_dim
+    g3 = coeffs3_batch(geometry, xs).transpose(1, 2, 3, 0)
+    vt = vs.T
+    out = np.multiply(g3[:, :, 0], vt[0], out=np.empty((r, r, len(xs))))
+    for mu in range(1, geometry.base_dim):
+        out += np.multiply(g3[:, :, mu], vt[mu], out=np.empty_like(out))
+    return out
 
 
 def path_coefficient_field(geometry: BundleGeometry, path: Path, *, piece: tuple[float, float] | None = None) -> Callable:
@@ -248,44 +414,46 @@ def path_coefficient_field(geometry: BundleGeometry, path: Path, *, piece: tuple
     through its ``jet`` when it has one; the values equal the path's own
     evaluation bit for bit.
     """
-    factor, maps = (path, ()) if piece is None else smooth_part(path, *piece)
-    scale = math.prod(slope for slope, _ in maps)
-    n, r = geometry.base_dim, geometry.fibre_dim
+    jet = _piece_jet(path, piece).jet
 
     def field(ts):
-        u = np.atleast_1d(np.asarray(ts, dtype=float))
-        for slope, offset in maps:
-            u = slope * u + offset if offset else slope * u
-        xs, vs = factor.jet(u) if factor.jet is not None else (position_at(factor, u), None)
-        if geometry.chart_domain is not None:
-            try:
-                ok = bool(geometry.chart_domain(xs))
-            except (TypeError, ValueError):
-                ok = all(geometry.contains(x) for x in xs)
-            if not ok:
-                raise ChartDomainError(
-                    f"path {path.label or ''} leaves the chart of {geometry.label or 'geometry'}"
-                )
-        if vs is None:
-            # Only an undescended path can lack an analytic velocity, so the
-            # piece's finite-difference stencil is in this path's parameter.
-            vs = velocity_at(factor, u, piece=piece)
-        if maps:
-            vs = scale * vs
-        # Contract over the base index by hand, in (r, r, n, m) index order and
-        # straight into an (r, r, m) array that is contiguous over the samples,
-        # as the kernel reads it; n is small and einsum's dispatch overhead
-        # dominates on long grids.  The rows read contiguously when coeffs3
-        # returns a view of (r, r, n, m) storage and the velocities one of
-        # (n, m) storage; any other layout is read strided, not copied.
-        g3 = coeffs3_batch(geometry, xs).transpose(1, 2, 3, 0)
-        vt = vs.T
-        out = np.multiply(g3[:, :, 0], vt[0], out=np.empty((r, r, u.size)))
-        for mu in range(1, n):
-            out += np.multiply(g3[:, :, mu], vt[mu], out=np.empty_like(out))
-        return out.transpose(2, 0, 1)
+        xs, vs = jet(np.atleast_1d(np.asarray(ts, dtype=float)))
+        _check_chart(geometry, xs, path)
+        return _contract(geometry, xs, vs).transpose(2, 0, 1)
 
     return field
+
+
+def _samples_last(arrays: list) -> np.ndarray:
+    """(m_1 + ... + m_k, d) arrays stacked as the (m, d) view of (d, m) storage."""
+    return arrays[0] if len(arrays) == 1 else np.concatenate([x.T for x in arrays], axis=1).T
+
+
+def _geometry_sampler(geometry: BundleGeometry) -> Callable:
+    """``sample(chunks, pts)`` for chunks whose sources are path pieces: one
+    jet call per run of consecutive chunks with one key, then one coefficient
+    evaluation and one contraction over the whole pass."""
+
+    def sample(chunks, pts):
+        runs, start = [], 0
+        for _, run in groupby(chunks, key=lambda c: c.source.key):
+            run = list(run)
+            stop = start + sum(2 * c.n + 1 for c in run)
+            runs.append(run[0].source.jet(pts[start:stop]))
+            start = stop
+        xs = _samples_last([x for x, _ in runs])
+        try:
+            _check_chart(geometry, xs, chunks[0].source.path)
+        except ChartDomainError:
+            # Name the path of the first chunk that leaves the chart.
+            start = 0
+            for c in chunks:
+                _check_chart(geometry, xs[start : start + 2 * c.n + 1], c.source.path)
+                start += 2 * c.n + 1
+            raise
+        return _contract(geometry, xs, _samples_last([v for _, v in runs]))
+
+    return sample
 
 
 def _segment_nodes(path: Path, s: float, t: float) -> list[float]:
@@ -298,29 +466,61 @@ def _segment_nodes(path: Path, s: float, t: float) -> list[float]:
     return [s] + list(inner) + [t]
 
 
+def transport_matrices(
+    geometry: BundleGeometry, requests: Sequence[tuple[Path, float, float]], *, step: float | None = None
+) -> list[TransportMatrix]:
+    """Transport matrices L(t, s) for many ``(path, s, t)`` requests on one geometry.
+
+    Each request is split at its path's breakpoints and into chunks of at
+    most _CHUNK_STEPS steps, as it would be alone; the chunks of all requests
+    are integrated together in passes (see ``_integrate``), and every matrix
+    equals its one-request result bit for bit.  Identical requests (the same
+    path object, s and t) are integrated once.
+    """
+    requests = [(path, float(s), float(t)) for path, s, t in requests]
+    plans = {}
+    for path, s, t in requests:
+        if (id(path), s, t) in plans:
+            continue
+        lo, hi = path.domain
+        eps = 1e-12 * max(1.0, abs(lo), abs(hi))
+        if not (lo - eps <= s <= hi + eps and lo - eps <= t <= hi + eps):
+            raise IntervalError(f"parameters ({s}, {t}) outside path domain {path.domain}")
+        chunks, used = [], 0.0
+        if s != t:
+            nodes = _segment_nodes(path, s, t)
+            bound = abs(t - s) / DEFAULT_STEP_COUNT if step is None else step
+            bps = set(path.breakpoints)
+            for a, b in zip(nodes[:-1], nodes[1:]):
+                n_steps = _step_count(abs(b - a), bound)
+                used = max(used, abs(b - a) / n_steps)
+                chunks += _split(a, b, n_steps, (a in bps, b in bps), _piece_jet(path, (min(a, b), max(a, b))))
+        plans[id(path), s, t] = (path, s, t, chunks, used)
+    chunks = [c for *_, request_chunks, _ in plans.values() for c in request_chunks]
+    # Chunks with one jet run side by side, so a pass evaluates each jet once.
+    rank = {}
+    for c in chunks:
+        rank.setdefault(c.source.key, len(rank))
+    order = sorted(range(len(chunks)), key=lambda i: rank[chunks[i].source.key])
+    mats = [None] * len(chunks)
+    for i, m in zip(order, _integrate([chunks[i] for i in order], _geometry_sampler(geometry))):
+        mats[i] = m
+    mats = iter(mats)
+    r = geometry.fibre_dim
+    done = {
+        key: TransportMatrix(
+            _chain([next(mats) for _ in chunks]) if chunks else np.eye(r), path_id=path.label, s=s, t=t, step=used
+        )
+        for key, (path, s, t, chunks, used) in plans.items()
+    }
+    return [done[id(path), s, t] for path, s, t in requests]
+
+
 def transport_matrix_over_path(
     geometry: BundleGeometry, path: Path, s: float, t: float, *, step: float | None = None
 ) -> TransportMatrix:
     """Transport matrix L(t, s) along a path for a connection geometry."""
-    s, t = float(s), float(t)
-    lo, hi = path.domain
-    eps = 1e-12 * max(1.0, abs(lo), abs(hi))
-    if not (lo - eps <= s <= hi + eps and lo - eps <= t <= hi + eps):
-        raise IntervalError(f"parameters ({s}, {t}) outside path domain {path.domain}")
-    r = geometry.fibre_dim
-    if s == t:
-        return TransportMatrix(np.eye(r), path_id=path.label, s=s, t=t, step=0.0)
-    nodes = _segment_nodes(path, s, t)
-    bound = abs(t - s) / DEFAULT_STEP_COUNT if step is None else step
-    bps = set(path.breakpoints)
-    chunks = []
-    used = 0.0
-    for a, b in zip(nodes[:-1], nodes[1:]):
-        field = path_coefficient_field(geometry, path, piece=(min(a, b), max(a, b)))
-        n_steps = _step_count(abs(b - a), bound)
-        used = max(used, abs(b - a) / n_steps)
-        chunks += _propagate(field, a, b, n_steps, (a in bps, b in bps))
-    return TransportMatrix(_chain(chunks), path_id=path.label, s=s, t=t, step=used)
+    return transport_matrices(geometry, [(path, s, t)], step=step)[0]
 
 
 def coefficients_along_path(geometry: BundleGeometry, path: Path, s: float) -> TransportCoefficients:
@@ -361,20 +561,19 @@ def horizontal_lift(
     comps = np.empty((ts.size, geometry.fibre_dim))
     # March outward from s0 in both directions, reusing partial products.
     order = np.argsort(np.abs(ts - s0), kind="stable")
-    right_mat = np.eye(geometry.fibre_dim)
-    right_at = s0
-    left_mat = np.eye(geometry.fibre_dim)
-    left_at = s0
-    for i in np.sort(order[ts[order] >= s0]):
-        m = transport_matrix_over_path(geometry, path, right_at, float(ts[i]), step=step)
-        right_mat = m.value @ right_mat
-        right_at = float(ts[i])
-        comps[i] = right_mat @ u.components
-    for i in np.sort(order[ts[order] < s0])[::-1]:
-        m = transport_matrix_over_path(geometry, path, left_at, float(ts[i]), step=step)
-        left_mat = m.value @ left_mat
-        left_at = float(ts[i])
-        comps[i] = left_mat @ u.components
+    sides = (np.sort(order[ts[order] >= s0]), np.sort(order[ts[order] < s0])[::-1])
+    requests = []
+    for side in sides:
+        at = s0
+        for i in side:
+            requests.append((path, at, float(ts[i])))
+            at = float(ts[i])
+    mats = iter(transport_matrices(geometry, requests, step=step))
+    for side in sides:
+        acc = np.eye(geometry.fibre_dim)
+        for i in side:
+            acc = next(mats).value @ acc
+            comps[i] = acc @ u.components
     return LiftedPath(ts=ts, base=position_at(path, ts), components=comps)
 
 
@@ -401,13 +600,19 @@ def coefficients_from_transport(
     return TransportCoefficients((plus - minus) / (2 * h), path_id=path_id, s=float(s))
 
 
-def _coefficients_at_velocity(transport, x: np.ndarray, v: np.ndarray, *, half_width: float, fd_step: float, step: float | None) -> np.ndarray:
-    """Coefficient matrix of a transport at x along the straight probe with velocity v."""
-    probe = line_through(x, v, half_width)
-    coeff = coefficients_from_transport(
-        lambda a, b: transport.matrix(probe, a, b, step=step), 0.0, h=fd_step, path_id=probe.label
-    )
-    return coeff.value
+def _probe_coefficients(
+    transport, probes, *, half_width: float, fd_step: float, step: float | None
+) -> list[np.ndarray]:
+    """Coefficient matrices of a transport at x along the straight probe with
+    velocity v, for each ``(x, v)`` of ``probes``; one batch of transports."""
+    lines = [line_through(x, v, half_width) for x, v in probes]
+    mats = iter(transport.matrices([(p, 0.0, 0.0 + h) for p in lines for h in (fd_step, -fd_step)], step=step))
+    out = []
+    for p in lines:
+        plus, minus = next(mats), next(mats)
+        coeff = coefficients_from_transport(lambda a, b: plus if b > a else minus, 0.0, h=fd_step, path_id=p.label)
+        out.append(coeff.value)
+    return out
 
 
 def factorization_test(
@@ -432,32 +637,51 @@ def factorization_test(
     plus the zero velocity; the zero-velocity probe alone already exposes
     transports with path-independent coefficients.
     """
+    return _factorization_tests(
+        transport, [x], probe_velocities, random_velocities, threshold=threshold, half_width=half_width,
+        fd_step=fd_step, step=step, seed=seed, n_random=n_random,
+    )[0]
+
+
+def _factorization_tests(
+    transport, points, probe_velocities=None, random_velocities=None, *, threshold, half_width, fd_step, step, seed,
+    n_random=8,
+) -> list[FactorizationVerdict]:
+    """``factorization_test`` at each point, with the probes of all points in one batch."""
     if not getattr(transport, "is_linear", False):
         raise NotApplicableError("factorization test needs a linear transport with a matrix realization")
-    x = np.asarray(x, dtype=float)
+    points = [np.asarray(x, dtype=float) for x in points]
     n = transport.base_dim
     r = transport.fibre_dim
-    if transport.geometry is not None and not transport.geometry.contains(x):
-        raise ChartDomainError(f"probe point {x.tolist()} lies outside the chart")
+    for x in points:
+        if transport.geometry is not None and not transport.geometry.contains(x):
+            raise ChartDomainError(f"probe point {x.tolist()} lies outside the chart")
     probes = np.eye(n) if probe_velocities is None else np.asarray(probe_velocities, dtype=float)
     if probes.ndim != 2 or probes.shape[1] != n or np.linalg.matrix_rank(probes) < n:
         raise DegenerateProbeError("probe velocities must span the base tangent space")
-    measured = np.stack(
-        [_coefficients_at_velocity(transport, x, v, half_width=half_width, fd_step=fd_step, step=step) for v in probes]
-    )
-    # Solve measured[j] = sum_mu candidate[.., mu] probes[j, mu] for the candidate.
-    flat, *_ = np.linalg.lstsq(probes, measured.reshape(probes.shape[0], r * r), rcond=None)
-    candidate = np.moveaxis(flat.reshape(n, r, r), 0, -1)
     if random_velocities is None:
         rng = np.random.default_rng(seed)
         random_velocities = rng.standard_normal((n_random, n))
     checks = list(np.asarray(random_velocities, dtype=float)) + [np.zeros(n)]
-    residual = 0.0
-    for v in checks:
-        direct = _coefficients_at_velocity(transport, x, v, half_width=half_width, fd_step=fd_step, step=step)
-        predicted = np.einsum("abm,m->ab", candidate, v)
-        residual = max(residual, float(np.max(np.abs(direct - predicted))))
-    return FactorizationVerdict(point=x, candidate3=candidate, residual=residual, threshold=threshold, factorizable=residual <= threshold)
+    velocities = list(probes) + checks
+    coeffs = iter(
+        _probe_coefficients(
+            transport, [(x, v) for x in points for v in velocities], half_width=half_width, fd_step=fd_step, step=step
+        )
+    )
+    verdicts = []
+    for x in points:
+        measured = np.stack([next(coeffs) for _ in probes])
+        # Solve measured[j] = sum_mu candidate[.., mu] probes[j, mu] for the candidate.
+        flat, *_ = np.linalg.lstsq(probes, measured.reshape(probes.shape[0], r * r), rcond=None)
+        candidate = np.moveaxis(flat.reshape(n, r, r), 0, -1)
+        residual = 0.0
+        for v in checks:
+            predicted = np.einsum("abm,m->ab", candidate, v)
+            residual = max(residual, float(np.max(np.abs(next(coeffs) - predicted))))
+        verdict = FactorizationVerdict(x, candidate, residual, threshold, factorizable=residual <= threshold)
+        verdicts.append(verdict)
+    return verdicts
 
 
 def connection_from_transport(
@@ -475,16 +699,14 @@ def connection_from_transport(
     Every sample point must pass the factorization test at ``threshold``;
     otherwise NotFactorizableError carries the failing verdicts.  The returned
     geometry evaluates coefficients by running the probe extraction at the
-    queried point, so it is exact wherever the transport factorizes (no
-    interpolation error at or between the sample points).
+    queried points (one batch of transports per call), so it is exact
+    wherever the transport factorizes (no interpolation error at or between
+    the sample points).
     """
     pts = [np.asarray(p, dtype=float) for p in sample_points]
-    verdicts = [
-        factorization_test(
-            transport, p, threshold=threshold, half_width=half_width, fd_step=fd_step, step=step, seed=seed
-        )
-        for p in pts
-    ]
+    verdicts = _factorization_tests(
+        transport, pts, threshold=threshold, half_width=half_width, fd_step=fd_step, step=step, seed=seed
+    )
     failed = [v for v in verdicts if not v.factorizable]
     if failed:
         worst = max(v.residual for v in failed)
@@ -495,17 +717,16 @@ def connection_from_transport(
     n, r = transport.base_dim, transport.fibre_dim
     probes = np.eye(n)
 
-    def extract(x):
-        measured = np.stack(
-            [_coefficients_at_velocity(transport, x, v, half_width=half_width, fd_step=fd_step, step=step) for v in probes]
-        )
-        return np.moveaxis(measured.reshape(n, r, r), 0, -1)
-
     def coeffs(x):
         x = np.asarray(x, dtype=float)
-        if x.ndim == 1:
-            return extract(x)
-        return np.stack([extract(row) for row in x])
+        rows = np.atleast_2d(x)
+        measured = _probe_coefficients(
+            transport, [(row, v) for row in rows for v in probes], half_width=half_width, fd_step=fd_step, step=step
+        )
+        out = np.stack(
+            [np.moveaxis(np.stack(measured[i : i + n]).reshape(n, r, r), 0, -1) for i in range(0, len(measured), n)]
+        )
+        return out[0] if x.ndim == 1 else out
 
     chart = transport.geometry.chart_domain if transport.geometry is not None else None
     label = f"recovered:{getattr(transport, 'label', '') or 'transport'}"

@@ -109,6 +109,44 @@ def _maxdiff(a, b) -> float:
     return float(np.max(np.abs(np.asarray(a) - np.asarray(b))))
 
 
+def _drive(apply_many, checks: list) -> list:
+    """Run law checks written as generators that yield lists of apply
+    requests, receive their results and return a report.  Each round sends
+    the requests of every pending check to one ``apply_many`` call, so their
+    transports are integrated together."""
+    results, replies = [None] * len(checks), [None] * len(checks)
+    pending = range(len(checks))
+    while pending:
+        asked = []
+        for i in pending:
+            try:
+                asked.append((i, checks[i].send(replies[i])))
+            except StopIteration as stop:
+                results[i] = stop.value
+        out = apply_many([request for _, requests in asked for request in requests]) if asked else []
+        for i, requests in asked:
+            replies[i], out = out[: len(requests)], out[len(requests) :]
+        pending = [i for i, _ in asked]
+    return results
+
+
+def _worst(pairs) -> float:
+    """Largest component difference over pairs of fibre vectors (0 for none)."""
+    residual = 0.0
+    for a, b in pairs:
+        residual = max(residual, _maxdiff(a.components, b.components))
+    return residual
+
+
+def _runs(items: list, *sizes: int) -> list[list]:
+    """Consecutive runs of the given sizes."""
+    runs = []
+    for size in sizes:
+        runs.append(items[:size])
+        items = items[size:]
+    return runs
+
+
 # ---------------------------------------------------------------------------
 # Random fixtures
 
@@ -201,6 +239,11 @@ def check_groupoid_laws(
     step: float | None = None,
 ) -> LawReport:
     """Composition, identity and two-sided inverse laws along one path."""
+    check = _groupoid_steps(transport, path, triples, u_samples, samples, seed, tolerance)
+    return _drive(lambda requests: transport.apply_many(requests, step=step), [check])[0]
+
+
+def _groupoid_steps(transport, path, triples, u_samples, samples, seed, tolerance):
     rng = np.random.default_rng(seed)
     lo, hi = path.domain
     if triples is None:
@@ -208,17 +251,19 @@ def check_groupoid_laws(
     triples = np.asarray(triples, dtype=float)
     if u_samples is None:
         u_samples = random_components(rng, len(triples), transport.fibre_dim)
-    residual = 0.0
-    for (r_, s_, t_), comps in zip(triples, np.asarray(u_samples, dtype=float)):
-        u = FibreVector(position_at(path, r_), comps)
-        v = transport.apply(path, r_, s_, u, step=step)
-        w = transport.apply(path, s_, t_, v, step=step)
-        direct = transport.apply(path, r_, t_, u, step=step)
-        residual = max(residual, _maxdiff(w.components, direct.components))
-        stay = transport.apply(path, s_, s_, v, step=step)
-        residual = max(residual, _maxdiff(stay.components, v.components))
-        back = transport.apply(path, t_, s_, w, step=step)
-        residual = max(residual, _maxdiff(back.components, v.components))
+    rows = [
+        (r_, s_, t_, FibreVector(position_at(path, r_), comps))
+        for (r_, s_, t_), comps in zip(triples, np.asarray(u_samples, dtype=float))
+    ]
+    # v = L(s, r) u and L(t, r) u; then w = L(t, s) v and L(s, s) v; then L(s, t) w.
+    out = yield [(path, r_, s_, u) for r_, s_, _, u in rows] + [(path, r_, t_, u) for r_, _, t_, u in rows]
+    vs, directs = _runs(out, len(rows), len(rows))
+    out = yield [(path, s_, t_, v) for (_, s_, t_, _), v in zip(rows, vs)] + [
+        (path, s_, s_, v) for (_, s_, _, _), v in zip(rows, vs)
+    ]
+    ws, stays = _runs(out, len(rows), len(rows))
+    backs = yield [(path, t_, s_, w) for (_, s_, t_, _), w in zip(rows, ws)]
+    residual = _worst([*zip(ws, directs), *zip(stays, vs), *zip(backs, vs)])
     return LawReport("groupoid", len(triples), residual, tolerance, seed=seed)
 
 
@@ -250,6 +295,15 @@ def check_parametrization_laws(
     The default reparametrizations include an orientation-reversing one, which
     is what the inverse-path axiom of the derived parallel transport rests on.
     """
+    check = _parametrization_steps(
+        transport, path, subintervals, reparams, pairs_per_fixture, seed, tolerance, include_reversing
+    )
+    return _drive(lambda requests: transport.apply_many(requests, step=step), [check])[0]
+
+
+def _parametrization_steps(
+    transport, path, subintervals, reparams, pairs_per_fixture, seed, tolerance, include_reversing
+):
     rng = np.random.default_rng(seed)
     lo, hi = path.domain
     if subintervals is None:
@@ -259,27 +313,47 @@ def check_parametrization_laws(
         subintervals = list(zip(starts, ends))
     if reparams is None:
         reparams = default_reparams(path.domain, include_reversing=include_reversing)
-    residual = 0.0
-    count = 0
+    # Pairs of requests whose results must agree.
+    requests = []
     for sub in subintervals:
         piece = restrict(path, (float(sub[0]), float(sub[1])))
         for _ in range(pairs_per_fixture):
             s_, t_ = rng.uniform(piece.domain[0], piece.domain[1], size=2)
             u = FibreVector(position_at(path, s_), rng.standard_normal(transport.fibre_dim))
-            via_piece = transport.apply(piece, s_, t_, u, step=step)
-            via_whole = transport.apply(path, s_, t_, u, step=step)
-            residual = max(residual, _maxdiff(via_piece.components, via_whole.components))
-            count += 1
+            requests += [(piece, s_, t_, u), (path, s_, t_, u)]
     for chi in reparams:
         composed = reparametrize(path, chi)
         for _ in range(pairs_per_fixture):
             s_, t_ = rng.uniform(chi.source[0], chi.source[1], size=2)
             u = FibreVector(position_at(composed, s_), rng.standard_normal(transport.fibre_dim))
-            via_composed = transport.apply(composed, s_, t_, u, step=step)
-            via_original = transport.apply(path, float(chi.map(s_)), float(chi.map(t_)), u, step=step)
-            residual = max(residual, _maxdiff(via_composed.components, via_original.components))
-            count += 1
-    return LawReport("parametrization", count, residual, tolerance, seed=seed)
+            requests += [(composed, s_, t_, u), (path, float(chi.map(s_)), float(chi.map(t_)), u)]
+    out = yield requests
+    return LawReport("parametrization", len(requests) // 2, _worst(zip(out[0::2], out[1::2])), tolerance, seed=seed)
+
+
+def check_transport_laws(
+    transport: TransportAlongPaths,
+    paths: Sequence[Path],
+    *,
+    seed: int = 0,
+    tolerance: float = DEFAULT_TOLERANCE,
+    step: float | None = None,
+) -> list[LawReport]:
+    """The groupoid and parametrization laws over a set of paths.
+
+    Path i gets one groupoid triple and one parametrization pair per fixture,
+    seeded with ``seed + i``, as ``check_groupoid_laws(..., samples=1)`` and
+    ``check_parametrization_laws(..., pairs_per_fixture=1)`` would; the
+    reports of each law are merged.  The transports of all paths are
+    integrated together.
+    """
+    checks = [_groupoid_steps(transport, p, None, None, 1, seed + i, tolerance) for i, p in enumerate(paths)]
+    checks += [
+        _parametrization_steps(transport, p, None, None, 1, seed + i, tolerance, True) for i, p in enumerate(paths)
+    ]
+    reports = _drive(lambda requests: transport.apply_many(requests, step=step), checks)
+    k = len(paths)
+    return [merge_reports("groupoid", reports[:k]), merge_reports("parametrization", reports[k:])]
 
 
 # ---------------------------------------------------------------------------
@@ -348,45 +422,38 @@ def check_parallel_axioms(
     def u_at(path: Path) -> FibreVector:
         return FibreVector(position_at(path, path.domain[0]), rng.standard_normal(r))
 
-    rep_res, rep_n = 0.0, 0
-    for path in fixtures.canonical_paths:
-        for chi in fixtures.reparams:
-            if chi.orientation != "preserving":
-                continue
-            u = u_at(path)
-            composed = reparametrize(path, chi)
-            rep_res = max(
-                rep_res, _maxdiff(psi.apply(composed, u).components, psi.apply(path, u).components)
-            )
-            rep_n += 1
-
-    inv_res, inv_n = 0.0, 0
-    for path in fixtures.canonical_paths:
-        u = u_at(path)
-        out = psi.apply(path, u)
-        back = psi.apply(invert_canonical(path), out)
-        inv_res = max(inv_res, _maxdiff(back.components, u.components))
-        inv_n += 1
-
-    prod_res, prod_n = 0.0, 0
-    for p1, p2 in fixtures.composable_pairs:
-        u = u_at(p1)
-        whole = psi.apply(product_canonical(p1, p2), u)
-        stepwise = psi.apply(p2, psi.apply(p1, u))
-        prod_res = max(prod_res, _maxdiff(whole.components, stepwise.components))
-        prod_n += 1
-
-    pt_res, pt_n = 0.0, 0
-    for pp in fixtures.point_paths:
-        u = u_at(pp)
-        pt_res = max(pt_res, _maxdiff(psi.apply(pp, u).components, u.components))
-        pt_n += 1
-
+    # The fibre vectors are drawn axiom by axiom, as the checks read them;
+    # the transports run in two batches.
+    rep = [
+        (reparametrize(path, chi), path, u_at(path))
+        for path in fixtures.canonical_paths
+        for chi in fixtures.reparams
+        if chi.orientation == "preserving"
+    ]
+    inv = [(path, u_at(path)) for path in fixtures.canonical_paths]
+    prod = [(p1, p2, u_at(p1)) for p1, p2 in fixtures.composable_pairs]
+    pts = [(pp, u_at(pp)) for pp in fixtures.point_paths]
+    out = psi.apply_many(
+        [(composed, u) for composed, _, u in rep]
+        + [(path, u) for _, path, u in rep]
+        + inv
+        + [(product_canonical(p1, p2), u) for p1, p2, u in prod]
+        + [(p1, u) for p1, _, u in prod]
+        + pts
+    )
+    rep_composed, rep_plain, inv_out, whole, first, pt_out = _runs(
+        out, len(rep), len(rep), len(inv), len(prod), len(prod), len(pts)
+    )
+    out = psi.apply_many(
+        [(invert_canonical(path), v) for (path, _), v in zip(inv, inv_out)]
+        + [(p2, v) for (_, p2, _), v in zip(prod, first)]
+    )
+    inv_back, stepwise = _runs(out, len(inv), len(prod))
     return [
-        LawReport("reparametrization-invariance", rep_n, rep_res, tolerance, seed=seed),
-        LawReport("inverse-path", inv_n, inv_res, tolerance, seed=seed),
-        LawReport("product-path", prod_n, prod_res, tolerance, seed=seed),
-        LawReport("point-identity", pt_n, pt_res, tolerance, seed=seed),
+        LawReport("reparametrization-invariance", len(rep), _worst(zip(rep_composed, rep_plain)), tolerance, seed=seed),
+        LawReport("inverse-path", len(inv), _worst(zip(inv_back, [u for _, u in inv])), tolerance, seed=seed),
+        LawReport("product-path", len(prod), _worst(zip(whole, stepwise)), tolerance, seed=seed),
+        LawReport("point-identity", len(pts), _worst(zip(pt_out, [u for _, u in pts])), tolerance, seed=seed),
     ]
 
 
@@ -402,14 +469,24 @@ def lift_tangent(
     Returns (base_tangent, fibre_tangent); s0 must sit at least h inside the
     path domain.
     """
-    lo, hi = path.domain
-    if s0 - h < lo - 1e-15 or s0 + h > hi + 1e-15:
-        raise IntervalError(f"cannot center a difference of width {h} at {s0} in {path.domain}")
-    plus = transport.apply(path, s0, s0 + h, u)
-    minus = transport.apply(path, s0, s0 - h, u)
-    base_tan = (np.asarray(plus.base_point) - np.asarray(minus.base_point)) / (2 * h)
-    fibre_tan = (np.asarray(plus.components) - np.asarray(minus.components)) / (2 * h)
-    return base_tan, fibre_tan
+    return _lift_tangents(transport, [(path, s0, u, h)])[0]
+
+
+def _lift_tangents(transport: TransportAlongPaths, specs) -> list[tuple[np.ndarray, np.ndarray]]:
+    """``lift_tangent`` for many ``(path, s0, u, h)``, with one batch of transports."""
+    requests = []
+    for path, s0, u, h in specs:
+        lo, hi = path.domain
+        if s0 - h < lo - 1e-15 or s0 + h > hi + 1e-15:
+            raise IntervalError(f"cannot center a difference of width {h} at {s0} in {path.domain}")
+        requests += [(path, s0, s0 + h, u), (path, s0, s0 - h, u)]
+    out = transport.apply_many(requests)
+    tangents = []
+    for (_, _, _, h), plus, minus in zip(specs, out[0::2], out[1::2]):
+        base_tan = (np.asarray(plus.base_point) - np.asarray(minus.base_point)) / (2 * h)
+        fibre_tan = (np.asarray(plus.components) - np.asarray(minus.components)) / (2 * h)
+        tangents.append((base_tan, fibre_tan))
+    return tangents
 
 
 def check_smoothness_conditions(
@@ -441,37 +518,37 @@ def check_smoothness_conditions(
     if u is None:
         u = FibreVector(position_at(path, s0), rng.standard_normal(transport.fibre_dim))
     x0 = np.asarray(position_at(path, s0))
-
-    def richardson(p: Path, s: float, vec: FibreVector, count: int = 1) -> list[np.ndarray]:
-        """Fibre parts of R(h), ..., R(h / 2**(count - 1)), sharing their differences."""
-        d = [lift_tangent(transport, p, s, vec, h / 2**k)[1] for k in range(count + 1)]
-        return [(4 * fine - coarse) / 3 for coarse, fine in zip(d, d[1:])]
-
-    fib_p, fib_p2 = richardson(path, s0, u, 2)
-    res_a = _maxdiff(fib_p, fib_p2)
-
     # The probe shares the path's position and velocity at s0 by construction,
     # so the base parts of the lift tangents agree up to differencing noise on
     # the path itself; the discriminating comparison is the fibre part.
     v1 = np.asarray(velocity_at(path, s0))
-    probe1 = line_through(x0, v1, half_width)
     u0 = FibreVector(x0, u.components)
-    fib_1 = richardson(probe1, 0.0, u0)[0]
-    res_b = _maxdiff(fib_p, fib_1)
-
     # Complementary direction for the linear-combination probes.
     v2 = np.zeros_like(v1)
     v2[int(np.argmin(np.abs(v1)))] = 1.0
-    fib_2 = richardson(line_through(x0, v2, half_width), 0.0, u0)[0]
     combos = [(1.0, 0.0), (0.0, 1.0), (0.7, 0.4), (1.0, 1.0), (2.0, -0.5)]
+    # (path, s, vector, count): R(h), ..., R(h / 2**(count - 1)) along the
+    # path, from d(h), ..., d(h / 2**count); the last probe has zero
+    # velocity (equal and opposite combination), a point probe.
+    probes = [(path, s0, u, 2)] + [
+        (line_through(x0, v, half_width), 0.0, u0, 1)
+        for v in [v1, v2] + [a1 * v1 + a2 * v2 for a1, a2 in combos] + [0.0 * v1]
+    ]
+    d = iter(
+        fibre for _, fibre in _lift_tangents(
+            transport, [(p, s, vec, h / 2**k) for p, s, vec, count in probes for k in range(count + 1)]
+        )
+    )
+    fib = []
+    for *_, count in probes:
+        diffs = [next(d) for _ in range(count + 1)]
+        fib.append([(4 * fine - coarse) / 3 for coarse, fine in zip(diffs, diffs[1:])])
+    (fib_p, fib_p2), (fib_1,), (fib_2,), *fib_c, (fib_zero,) = fib
+    res_a = _maxdiff(fib_p, fib_p2)
+    res_b = _maxdiff(fib_p, fib_1)
     res_c = 0.0
-    for a1, a2 in combos:
-        probe = line_through(x0, a1 * v1 + a2 * v2, half_width)
-        fib_c = richardson(probe, 0.0, u0)[0]
-        res_c = max(res_c, _maxdiff(fib_c, a1 * fib_1 + a2 * fib_2))
-    # Degenerate combination: equal and opposite velocities give a point probe,
-    # whose lift tangent must vanish outright.
-    fib_zero = richardson(line_through(x0, 0.0 * v1, half_width), 0.0, u0)[0]
+    for (a1, a2), (got,) in zip(combos, fib_c):
+        res_c = max(res_c, _maxdiff(got, a1 * fib_1 + a2 * fib_2))
     res_c = max(res_c, float(np.max(np.abs(fib_zero))))
 
     residual = max(res_a, res_b, res_c)
@@ -507,11 +584,17 @@ def check_linearity(
                 rng.standard_normal((samples, r)),
             )
         ]
+    # The same transport, three vectors a pair: integrated once.
+    out = transport.apply_many(
+        [
+            (path, s, t, FibreVector(x_s, c))
+            for lam, mu, cu, cv in sample_pairs
+            for c in (lam * cu + mu * cv, cu, cv)
+        ],
+        step=step,
+    )
     residual = 0.0
-    for lam, mu, cu, cv in sample_pairs:
-        combined = transport.apply(path, s, t, FibreVector(x_s, lam * cu + mu * cv), step=step)
-        tu = transport.apply(path, s, t, FibreVector(x_s, cu), step=step)
-        tv = transport.apply(path, s, t, FibreVector(x_s, cv), step=step)
+    for (lam, mu, _, _), combined, tu, tv in zip(sample_pairs, out[0::3], out[1::3], out[2::3]):
         residual = max(
             residual,
             _maxdiff(combined.components, lam * np.asarray(tu.components) + mu * np.asarray(tv.components)),

@@ -504,6 +504,14 @@ def validate_reparametrization(chi: Reparametrization, *, samples: int = 33, tol
 # Builtin path families
 
 
+def _require_finite(what: str, *values) -> None:
+    """SpecFormatError unless every value, a float or a flat array of them, is finite."""
+    for value in values:
+        items = value.ravel().tolist() if isinstance(value, np.ndarray) else [value]
+        if not all(map(math.isfinite, items)):
+            raise SpecFormatError(f"{what} must be finite, got {items}")
+
+
 def _constant(value: np.ndarray) -> Callable:
     """Evaluator with one value at every parameter; for an array of m
     parameters, the (m, dim) view of (dim, m) storage."""
@@ -525,6 +533,7 @@ def constant_path(point: Sequence[float], domain: tuple[float, float] = (0.0, 1.
     """The stationary path at a chart point over ``domain`` (zero velocity)."""
     x = np.asarray(point, dtype=float)
     domain = (float(domain[0]), float(domain[1]))
+    _require_finite("constant path point and domain", x, *domain)
     zero = np.zeros(x.size)
     return Path(dim=x.size, domain=domain, position=_constant(x), velocity=_constant(zero), label="constant")
 
@@ -536,6 +545,7 @@ def segment(start: Sequence[float], end: Sequence[float], domain: tuple[float, f
     if a.shape != b.shape:
         raise SpecFormatError("segment endpoints have different dimensions")
     sigma, tau = float(domain[0]), float(domain[1])
+    _require_finite("segment endpoints and domain", a, b, sigma, tau)
     if tau <= sigma:
         raise IntervalError("segment domain must be non-degenerate")
     rate = (b - a) / (tau - sigma)
@@ -560,6 +570,7 @@ def line_through(point: Sequence[float], direction: Sequence[float], half_width:
     x0 = np.asarray(point, dtype=float)
     v = np.asarray(direction, dtype=float)
     w = float(half_width)
+    _require_finite("probe point, direction and half width", x0, v, w)
     if all(abs(c) <= 1e-8 for c in v.ravel().tolist()):
         return constant_path(x0, domain=(-w, w))
     return segment(x0 - w * v, x0 + w * v, domain=(-w, w))
@@ -583,6 +594,7 @@ def latitude(colatitude: float, turns: float = 1.0, phi0: float = 0.0, *, pole_m
     ``pole_margin`` of a pole are rejected.
     """
     th = float(colatitude)
+    _require_finite("latitude colatitude, turns and phi0", th, float(turns), float(phi0))
     if not (pole_margin < th < math.pi - pole_margin):
         raise ChartDomainError(f"latitude colatitude {th:g} is too close to a coordinate pole")
     span = 2 * math.pi * float(turns)
@@ -644,6 +656,10 @@ def great_circle(
     """
     th0, ph0 = float(point[0]), float(point[1])
     a, b = (0.0, float(length)) if domain is None else (float(domain[0]), float(domain[1]))
+    _require_finite(
+        "great_circle point, direction, domain and anchor",
+        th0, ph0, float(direction[0]), float(direction[1]), a, b, a if anchor is None else float(anchor),
+    )
     if b <= a:
         raise IntervalError("great_circle domain must be non-degenerate")
     s_anchor = a if anchor is None else float(anchor)

@@ -16,7 +16,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .bundles import BundleGeometry, FibreVector
-from .engine import TransportMatrix, transport_matrix_over_path
+from .engine import TransportMatrix, transport_matrices
 from .errors import ChartDomainError, InverseUnavailableError, NotApplicableError
 from .paths import Path, position_at, restrict
 
@@ -33,7 +33,10 @@ class TransportAlongPaths:
 
     ``apply_fn(path, s, t, u)`` maps fibre vectors; linear instances may
     instead (or additionally) provide ``matrix_fn(path, s, t, step)`` and get
-    ``apply`` for free through the matrix action.
+    ``apply`` for free through the matrix action.  ``apply_many_fn`` and
+    ``matrices_fn`` are optional batched forms, taking a list of
+    ``(path, s, t, u)`` or ``(path, s, t)`` requests and a step and returning
+    one result per request; given one, its one-request form is not needed.
     """
 
     def __init__(
@@ -47,10 +50,16 @@ class TransportAlongPaths:
         matrix_fn: Optional[Callable] = None,
         default_step: Optional[float] = None,
         label: str = "",
+        apply_many_fn: Optional[Callable] = None,
+        matrices_fn: Optional[Callable] = None,
     ):
         if kind not in (KIND_FROM_CONNECTION, KIND_LINEAR_CUSTOM, KIND_GENERIC):
             raise ValueError(f"unknown transport kind {kind!r}")
-        if apply_fn is None and matrix_fn is None:
+        if apply_many_fn is None and apply_fn is not None:
+            apply_many_fn = _one_at_a_time(lambda path, s, t, u, step: apply_fn(path, s, t, u))
+        if matrices_fn is None and matrix_fn is not None:
+            matrices_fn = _one_at_a_time(matrix_fn)
+        if apply_many_fn is None and matrices_fn is None:
             raise ValueError("a transport needs apply_fn or matrix_fn")
         self.kind = kind
         self.geometry = geometry
@@ -58,46 +67,78 @@ class TransportAlongPaths:
         self.fibre_dim = fibre_dim if fibre_dim is not None else (geometry.fibre_dim if geometry else None)
         if self.base_dim is None or self.fibre_dim is None:
             raise ValueError("transport dimensions could not be inferred")
-        self._apply_fn = apply_fn
-        self._matrix_fn = matrix_fn
+        self._apply_many_fn = apply_many_fn
+        self._matrices_fn = matrices_fn
         self.default_step = default_step
         self.label = label
 
     @property
     def is_linear(self) -> bool:
-        return self._matrix_fn is not None
+        return self._matrices_fn is not None
+
+    def matrices(self, requests, *, step: float | None = None) -> list[TransportMatrix]:
+        """The matrices L(t, s) of many ``(path, s, t)`` requests, integrated together where the realization allows."""
+        if self._matrices_fn is None:
+            raise NotApplicableError(f"transport {self.label or self.kind} has no matrix realization")
+        requests = [(path, float(s), float(t)) for path, s, t in requests]
+        return self._matrices_fn(requests, step if step is not None else self.default_step)
 
     def matrix(self, path: Path, s: float, t: float, *, step: float | None = None) -> TransportMatrix:
-        if self._matrix_fn is None:
-            raise NotApplicableError(f"transport {self.label or self.kind} has no matrix realization")
-        return self._matrix_fn(path, float(s), float(t), step if step is not None else self.default_step)
+        return self.matrices([(path, s, t)], step=step)[0]
+
+    def apply_many(self, requests, *, step: float | None = None) -> list[FibreVector]:
+        """Carry each fibre vector u of many ``(path, s, t, u)`` requests from path(s) to path(t)."""
+        requests = [(path, float(s), float(t), u) for path, s, t, u in requests]
+        for path, s, _, u in requests:
+            x_s = position_at(path, s)
+            if float(np.max(np.abs(np.asarray(u.base_point) - x_s))) > BASE_POINT_TOL:
+                raise ChartDomainError("fibre vector is not attached to path(s)")
+        if self._apply_many_fn is not None:
+            return self._apply_many_fn(requests, step)
+        mats = self.matrices([request[:3] for request in requests], step=step)
+        return [
+            FibreVector(position_at(path, t), m.value @ np.asarray(u.components))
+            for (path, _, t, u), m in zip(requests, mats)
+        ]
 
     def apply(self, path: Path, s: float, t: float, u: FibreVector, *, step: float | None = None) -> FibreVector:
         """Carry the fibre vector u from path(s) to path(t)."""
-        x_s = position_at(path, float(s))
-        if float(np.max(np.abs(np.asarray(u.base_point) - x_s))) > BASE_POINT_TOL:
-            raise ChartDomainError("fibre vector is not attached to path(s)")
-        if self._apply_fn is not None:
-            return self._apply_fn(path, float(s), float(t), u)
-        m = self.matrix(path, s, t, step=step)
-        return FibreVector(position_at(path, float(t)), m.value @ np.asarray(u.components))
+        return self.apply_many([(path, s, t, u)], step=step)[0]
+
+
+def _one_at_a_time(fn: Callable) -> Callable:
+    """The batched form of a one-request function ``fn(*request, step)``."""
+    return lambda requests, step: [fn(*request, step) for request in requests]
 
 
 class ParallelTransport:
-    """A map sending a closed-interval path to its start-to-end fibre map."""
+    """A map sending a closed-interval path to its start-to-end fibre map.
+
+    ``apply_many_fn`` and ``matrices_fn`` are optional batched forms of
+    ``apply_fn`` and ``matrix_fn``, over lists of ``(path, u)`` requests and
+    of paths; given one, its one-request form is not needed.
+    """
 
     def __init__(
         self,
         *,
-        apply_fn: Callable,
+        apply_fn: Optional[Callable] = None,
         matrix_fn: Optional[Callable] = None,
         base_dim: int,
         fibre_dim: int,
         geometry: Optional[BundleGeometry] = None,
         label: str = "",
+        apply_many_fn: Optional[Callable] = None,
+        matrices_fn: Optional[Callable] = None,
     ):
-        self._apply_fn = apply_fn
-        self._matrix_fn = matrix_fn
+        if apply_many_fn is None:
+            if apply_fn is None:
+                raise ValueError("a parallel transport needs apply_fn")
+            apply_many_fn = lambda requests: [apply_fn(path, u) for path, u in requests]  # noqa: E731
+        if matrices_fn is None and matrix_fn is not None:
+            matrices_fn = lambda paths: [matrix_fn(path) for path in paths]  # noqa: E731
+        self._apply_many_fn = apply_many_fn
+        self._matrices_fn = matrices_fn
         self.base_dim = base_dim
         self.fibre_dim = fibre_dim
         self.geometry = geometry
@@ -105,29 +146,32 @@ class ParallelTransport:
 
     @property
     def is_linear(self) -> bool:
-        return self._matrix_fn is not None
+        return self._matrices_fn is not None
+
+    def apply_many(self, requests) -> list[FibreVector]:
+        """The fibre maps of many ``(path, u)`` requests, integrated together where the realization allows."""
+        return self._apply_many_fn(list(requests))
 
     def apply(self, path: Path, u: FibreVector) -> FibreVector:
-        return self._apply_fn(path, u)
+        return self.apply_many([(path, u)])[0]
+
+    def matrices(self, paths) -> list[TransportMatrix]:
+        if self._matrices_fn is None:
+            raise NotApplicableError(f"parallel transport {self.label} has no matrix realization")
+        return self._matrices_fn(list(paths))
 
     def matrix(self, path: Path) -> TransportMatrix:
-        if self._matrix_fn is None:
-            raise NotApplicableError(f"parallel transport {self.label} has no matrix realization")
-        return self._matrix_fn(path)
+        return self.matrices([path])[0]
 
 
 def connection_transport(
     geometry: BundleGeometry, *, step: float | None = None, label: str = ""
 ) -> TransportAlongPaths:
     """The linear transport integrating the lift equation of a coefficient field."""
-
-    def matrix_fn(path, s, t, step_):
-        return transport_matrix_over_path(geometry, path, s, t, step=step_)
-
     return TransportAlongPaths(
         kind=KIND_FROM_CONNECTION,
         geometry=geometry,
-        matrix_fn=matrix_fn,
+        matrices_fn=lambda requests, step_: transport_matrices(geometry, requests, step=step_),
         default_step=step,
         label=label or (geometry.label and f"transport:{geometry.label}") or "transport",
     )
@@ -136,20 +180,18 @@ def connection_transport(
 def parallel_from_transport(transport: TransportAlongPaths) -> ParallelTransport:
     """The parallel transport acting over each path's full parameter interval."""
 
-    def apply_fn(path: Path, u: FibreVector) -> FibreVector:
-        sigma, tau = path.domain
-        return transport.apply(path, sigma, tau, u)
+    def apply_many_fn(requests):
+        return transport.apply_many([(path, *path.domain, u) for path, u in requests])
 
-    matrix_fn = None
+    matrices_fn = None
     if transport.is_linear:
 
-        def matrix_fn(path: Path) -> TransportMatrix:  # noqa: F811
-            sigma, tau = path.domain
-            return transport.matrix(path, sigma, tau)
+        def matrices_fn(paths):  # noqa: F811
+            return transport.matrices([(path, *path.domain) for path in paths])
 
     return ParallelTransport(
-        apply_fn=apply_fn,
-        matrix_fn=matrix_fn,
+        apply_many_fn=apply_many_fn,
+        matrices_fn=matrices_fn,
         base_dim=transport.base_dim,
         fibre_dim=transport.fibre_dim,
         geometry=transport.geometry,
@@ -163,40 +205,51 @@ def transport_from_parallel(psi: ParallelTransport, *, label: str = "") -> Trans
     For s <= t it applies psi over the restriction to [s, t]; for s >= t it
     inverts psi over [t, s], which needs a matrix realization
     (InverseUnavailableError otherwise).  The s == t branch returns its input
-    unchanged.
+    unchanged.  The requests of one batch reach psi as one batch per
+    direction.
     """
 
-    def apply_fn(path: Path, s: float, t: float, u: FibreVector) -> FibreVector:
-        if s == t:
-            return u
-        if s < t:
-            return psi.apply(restrict(path, (s, t)), u)
-        if not psi.is_linear:
+    def split(requests):
+        """Indices of the forward and backward requests, and the restrictions they run on."""
+        forward = [(i, restrict(req[0], (req[1], req[2]))) for i, req in enumerate(requests) if req[1] < req[2]]
+        backward = [(i, restrict(req[0], (req[2], req[1]))) for i, req in enumerate(requests) if req[1] > req[2]]
+        return forward, backward
+
+    def apply_many_fn(requests, step_):
+        out = [u for *_, u in requests]
+        forward, backward = split(requests)
+        if backward and not psi.is_linear:
             raise InverseUnavailableError(
                 "cannot run a generic parallel transport backward; no numerical inverse is available"
             )
-        m = psi.matrix(restrict(path, (t, s)))
-        try:
-            comps = np.linalg.solve(m.value, np.asarray(u.components))
-        except np.linalg.LinAlgError as exc:
-            raise InverseUnavailableError("parallel transport matrix is singular") from exc
-        return FibreVector(position_at(path, t), comps)
-
-    matrix_fn = None
-    if psi.is_linear:
-
-        def matrix_fn(path: Path, s: float, t: float, step_) -> TransportMatrix:  # noqa: F811
-            if s == t:
-                return TransportMatrix(np.eye(psi.fibre_dim), path_id=path.label, s=s, t=t, step=0.0)
-            if s < t:
-                inner = psi.matrix(restrict(path, (s, t)))
-                return TransportMatrix(inner.value, path_id=path.label, s=s, t=t, step=inner.step)
-            inner = psi.matrix(restrict(path, (t, s)))
+        for (i, _), v in zip(forward, psi.apply_many([(piece, requests[i][3]) for i, piece in forward])):
+            out[i] = v
+        for (i, _), m in zip(backward, psi.matrices([piece for _, piece in backward]) if backward else []):
+            path, _, t, u = requests[i]
             try:
-                inv = np.linalg.inv(inner.value)
+                comps = np.linalg.solve(m.value, np.asarray(u.components))
             except np.linalg.LinAlgError as exc:
                 raise InverseUnavailableError("parallel transport matrix is singular") from exc
-            return TransportMatrix(inv, path_id=path.label, s=s, t=t, step=inner.step)
+            out[i] = FibreVector(position_at(path, t), comps)
+        return out
+
+    matrices_fn = None
+    if psi.is_linear:
+
+        def matrices_fn(requests, step_):  # noqa: F811
+            out = [TransportMatrix(np.eye(psi.fibre_dim), path_id=p.label, s=s, t=t, step=0.0) for p, s, t in requests]
+            forward, backward = split(requests)
+            for (i, _), inner in zip(forward, psi.matrices([piece for _, piece in forward])):
+                path, s, t = requests[i]
+                out[i] = TransportMatrix(inner.value, path_id=path.label, s=s, t=t, step=inner.step)
+            for (i, _), inner in zip(backward, psi.matrices([piece for _, piece in backward])):
+                path, s, t = requests[i]
+                try:
+                    inv = np.linalg.inv(inner.value)
+                except np.linalg.LinAlgError as exc:
+                    raise InverseUnavailableError("parallel transport matrix is singular") from exc
+                out[i] = TransportMatrix(inv, path_id=path.label, s=s, t=t, step=inner.step)
+            return out
 
     kind = KIND_LINEAR_CUSTOM if psi.is_linear else KIND_GENERIC
     return TransportAlongPaths(
@@ -204,7 +257,7 @@ def transport_from_parallel(psi: ParallelTransport, *, label: str = "") -> Trans
         geometry=psi.geometry,
         base_dim=psi.base_dim,
         fibre_dim=psi.fibre_dim,
-        apply_fn=apply_fn,
-        matrix_fn=matrix_fn,
+        apply_many_fn=apply_many_fn,
+        matrices_fn=matrices_fn,
         label=label or (f"along:{psi.label}" if psi.label else "along-paths"),
     )

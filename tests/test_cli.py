@@ -218,3 +218,21 @@ def test_malformed_numbers_in_a_geometry_file_exit_two(tmp_path, capsys, spec_di
     assert code == 2
     assert err.startswith("error: ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check-laws", "--geometry", "flat", "--step", "nan"],
+        ["check-laws", "--geometry", "flat", "--step", "inf"],
+        ["check-laws", "--geometry", "flat", "--tolerance", "nan"],
+        ["factorize", "--geometry", "sphere", "--threshold", "nan"],
+        ["factorize", "--geometry", "sphere", "--threshold", "-1"],
+        ["roundtrip", "--geometry", "flat", "--threshold", "0"],
+    ],
+)
+def test_non_finite_or_non_positive_numeric_flags_exit_two(tmp_path, capsys, argv):
+    code = main([*argv, "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:") and "Traceback" not in err

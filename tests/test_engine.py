@@ -517,17 +517,18 @@ def test_breakpoint_nudges_land_on_piece_end_chunks(monkeypatch, sphere_entry, b
         return pt.transport_matrix_over_path(sphere_entry.geometry, prod, s, t, step=steps_for(n, 0.5)).value
 
     calls = []
-    original = engine._rk4_transitions
+    original = engine._pass
 
-    def recorder(field, a, b, n_steps, *, nudge):
-        out = original(field, a, b, n_steps, nudge=nudge)
-        calls.append((a, b, n_steps, nudge, out.shape))
+    def recorder(chunks, sample):
+        out = original(chunks, sample)
+        calls.extend((a, b, n, (lo, hi), out.shape) for _, a, b, n, lo, hi in chunks)
         return out
 
-    monkeypatch.setattr(engine, "_rk4_transitions", recorder)
+    monkeypatch.setattr(engine, "_pass", recorder)
     chunked = run()
     assert [c[2] for c in calls] == [CHUNK, CHUNK, CHUNK, 5] * 2
-    assert all(shape == (2, 2) for *_, shape in calls)
+    # No two of these chunks fit in one pass.
+    assert all(shape == (1, 2, 2) for *_, shape in calls)
     nudged = [(i, k) for i, c in enumerate(calls) for k in (0, 1) if c[3][k] != 0.0]
     # Each piece ends at the breakpoint on one side only: the last chunk of
     # the first piece and the first chunk of the second.
@@ -713,9 +714,9 @@ def test_triangle_transport_evaluates_each_sample_once(monkeypatch, ortho_entry)
         calls["embedded"] += np.size(s)
         return embed(s, *args)
 
-    def counting_rk4(field, a_, b_, n_steps, *, nudge):
-        calls["sampled"] += 2 * n_steps + 1
-        return rk4(field, a_, b_, n_steps, nudge=nudge)
+    def counting_rk4(g, h, lengths, n_steps):
+        calls["sampled"] += g.shape[-1]
+        return rk4(g, h, lengths, n_steps)
 
     monkeypatch.setattr(pt.paths, "_arc_embed", counting_embed, raising=False)
     monkeypatch.setattr(engine, "_rk4_transitions", counting_rk4)
@@ -738,11 +739,11 @@ def test_kernel_samples_the_rk4_nodes_ends_then_midpoints(n, span):
     nudge = (1e-9 * h, 2e-9 * h)
     seen = []
 
-    def field(pts):
+    def sample(chunks, pts):
         seen.append(np.array(pts))
-        return np.tile(ROTATION_GEN, (len(pts), 1, 1))
+        return np.tile(ROTATION_GEN[:, :, None], (1, 1, len(pts)))
 
-    out = engine._rk4_transitions(field, a, b, n, nudge=nudge)
+    (out,) = engine._integrate([engine._Chunk(None, a, b, n, *nudge)], sample)
     assert out.shape == (2, 2)
     (pts,) = seen
     expected = a + 0.5 * h * np.arange(2 * n + 1)

@@ -57,3 +57,38 @@ def test_output_digest_quick_is_well_formed_and_repeatable():
     assert all(re.fullmatch(r"[0-9a-f]{64}  \S+", line) for line in lines)
     names = {line[66:] for line in lines}
     assert {"list-geometries:stdout", "check-laws:sphere:seed1:law_reports.csv", "matrix:triangle:sphere:1e-02"} <= names
+
+
+def bench_pairs_module():
+    spec = importlib.util.spec_from_file_location("bench_pairs", TRACING.parent.parent / "tools" / "bench_pairs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_bench_pairs_verdict_on_synthetic_pairs():
+    verdict = bench_pairs_module().verdict
+    parent = [4.30, 4.35, 4.40, 4.32, 4.38, 4.36, 4.31, 4.41, 4.33, 4.37]
+    # +20%, every pair won: the claim holds.
+    res = verdict(parent, [1.2 * p for p in parent], "higher")
+    assert res["wins"] == 10 and res["holds"]
+    assert abs(res["relative"] - 0.2) < 1e-12
+    # Eight wins in ten are not enough, however large the gain.
+    mixed = [1.2 * p for p in parent[:8]] + [0.9 * p for p in parent[8:]]
+    assert verdict(parent, mixed, "higher")["wins"] == 8 and not verdict(parent, mixed, "higher")["holds"]
+    # Every pair won by a hair: the medians differ by less than the parent's IQR.
+    tiny = [p + 1e-3 for p in parent]
+    assert verdict(parent, tiny, "higher")["wins"] == 10 and not verdict(parent, tiny, "higher")["holds"]
+    # Lower is better: a fall is a win, and equal values are not.
+    res = verdict(parent, [0.8 * p for p in parent], "lower")
+    assert res["wins"] == 10 and res["holds"]
+    assert verdict(parent, parent, "lower")["wins"] == 0
+    (median, q1, q3) = res["parent"]
+    assert q1 <= median <= q3 and median == sorted(parent)[4] / 2 + sorted(parent)[5] / 2
+
+
+def test_bench_pairs_bound_and_seed_parsing():
+    tool = bench_pairs_module()
+    res = tool.verdict([10.0] * 4, [12.5] * 4, "lower")
+    assert tool.worse_beyond(res, "lower", 0.2) and not tool.worse_beyond(res, "lower", 0.25)
+    assert tool.parse_seeds("101-103,7") == [101, 102, 103, 7]
