@@ -27,6 +27,12 @@ class BundleGeometry:
     view of (r, r, n, m) storage (any layout gives the same result).  The first
     index is the fibre row, the second the fibre column, the third the base
     direction.
+
+    ``contract`` is an optional shortcut for the integrators: it maps (m, n)
+    points and velocities to the (r, r, m) field ``G[a, b] = coeffs3[a, b, mu]
+    v^mu``, contiguous over the samples, and equals that contraction bit for
+    bit up to the sign of exact zeros.  It lets a geometry write only its
+    structural non-zeros; ``coeffs3`` stays the definition and the fallback.
     """
 
     base_dim: int
@@ -37,6 +43,7 @@ class BundleGeometry:
     #: Optional axis-aligned box known to lie inside the chart (plumbing for
     #: fixture sampling; not a substitute for chart_domain).
     chart_box: Optional[tuple[tuple[float, float], ...]] = None
+    contract: Optional[Callable] = None
 
     def contains(self, x) -> bool:
         if self.chart_domain is None:

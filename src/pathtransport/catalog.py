@@ -20,7 +20,7 @@ import numpy as np
 from .bundles import BundleGeometry, FibreVector, complex_structure, grid_geometry_from_csv
 from .engine import TransportMatrix
 from .errors import IntervalError, SingularCoefficientError, SpecFormatError
-from .paths import Path, parse_key_values, position_at
+from .paths import Path, parse_key_values, positions_at
 from .transports import (
     KIND_GENERIC,
     KIND_LINEAR_CUSTOM,
@@ -117,7 +117,8 @@ def flat_bundle(base_dim: int = 2, fibre_dim: int = 2) -> GeometryCatalogEntry:
             return np.zeros((r, r, n))
         return np.zeros((r, r, n, x.shape[0])).transpose(3, 0, 1, 2)
 
-    geometry = BundleGeometry(base_dim=n, fibre_dim=r, coeffs3=coeffs, chart_domain=None, label="flat")
+    contract = lambda xs, vs: np.zeros((r, r, len(xs)))  # noqa: E731
+    geometry = BundleGeometry(base_dim=n, fibre_dim=r, coeffs3=coeffs, label="flat", contract=contract)
     return GeometryCatalogEntry(
         id="flat",
         geometry=geometry,
@@ -158,12 +159,22 @@ def sphere_levi_civita() -> GeometryCatalogEntry:
         g[1, 1, 0] = cot
         return g[..., 0] if x.ndim == 1 else g.transpose(3, 0, 1, 2)
 
+    def contract(xs, vs):
+        sin, cos = np.sin(xs[:, 0]), np.cos(xs[:, 0])
+        out = np.zeros((2, 2, len(xs)))
+        np.multiply(-sin * cos, vs[:, 1], out=out[0, 1])
+        cot = cos / sin
+        np.multiply(cot, vs[:, 1], out=out[1, 0])
+        np.multiply(cot, vs[:, 0], out=out[1, 1])
+        return out
+
     geometry = BundleGeometry(
         base_dim=2,
         fibre_dim=2,
         coeffs3=coeffs,
         chart_domain=_sphere_chart(SPHERE_POLE_MARGIN),
         label="sphere",
+        contract=contract,
     )
     return GeometryCatalogEntry(
         id="sphere",
@@ -193,12 +204,19 @@ def sphere_orthonormal_frame() -> GeometryCatalogEntry:
         g[1, 0, 1] = cos
         return g[..., 0] if x.ndim == 1 else g.transpose(3, 0, 1, 2)
 
+    def contract(xs, vs):
+        out = np.zeros((2, 2, len(xs)))
+        np.multiply(np.cos(xs[:, 0]), vs[:, 1], out=out[1, 0])
+        np.negative(out[1, 0], out=out[0, 1])
+        return out
+
     geometry = BundleGeometry(
         base_dim=2,
         fibre_dim=2,
         coeffs3=coeffs,
         chart_domain=_sphere_chart(SPHERE_POLE_MARGIN),
         label="sphere-orthonormal",
+        contract=contract,
     )
     return GeometryCatalogEntry(
         id="sphere-orthonormal",
@@ -270,18 +288,21 @@ def nonlinear_fixture(base_dim: int = 2, fibre_dim: int = 2, alpha: float = 0.1)
     c = 1.0 / np.arange(1.0, n + 1.0)
     a = float(alpha)
 
-    def apply_fn(path: Path, s: float, t: float, u: FibreVector) -> FibreVector:
-        w = float(c @ (position_at(path, t) - position_at(path, s)))
-        denom = 1.0 - a * w * np.asarray(u.components)
-        if np.any(denom <= 0.05):
-            raise SingularCoefficientError("nonlinear flow diverges for this weight/vector combination")
-        return FibreVector(position_at(path, t), np.asarray(u.components) / denom)
+    def apply_many_fn(requests, step_) -> list[FibreVector]:
+        ends = positions_at([(path, at) for path, s, t, _ in requests for at in (s, t)])
+        out = []
+        for (*_, u), x_s, x_t in zip(requests, ends[::2], ends[1::2]):
+            denom = 1.0 - a * float(c @ (x_t - x_s)) * np.asarray(u.components)
+            if np.any(denom <= 0.05):
+                raise SingularCoefficientError("nonlinear flow diverges for this weight/vector combination")
+            out.append(FibreVector(x_t, np.asarray(u.components) / denom))
+        return out
 
     transport = TransportAlongPaths(
         kind=KIND_GENERIC,
         base_dim=n,
         fibre_dim=r,
-        apply_fn=apply_fn,
+        apply_many_fn=apply_many_fn,
         label="nonlinear",
     )
     return GeometryCatalogEntry(

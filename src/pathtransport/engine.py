@@ -201,6 +201,20 @@ def _eye_minus(eye: np.ndarray, k, c: np.ndarray, out: np.ndarray | None = None)
     return np.subtract(eye, out, out=out)
 
 
+def _uniform_product(t: np.ndarray, n: int) -> np.ndarray:
+    """``_ordered_product`` of n copies of the (r, r, 1) matrix t, bit for bit,
+    in O(log n) products: each level of its pairwise tree is a run of equal
+    matrices (one squaring) and at most one carried matrix after it."""
+    run, count, carry = t, n, None
+    while count + (carry is not None) > 1:
+        if count % 2:
+            carry = run if carry is None else _matmul(carry, run)
+        count //= 2
+        if count:
+            run = _matmul(run, run)
+    return run if count else carry
+
+
 def _rk4_transitions(g: np.ndarray, h, lengths: np.ndarray, n_steps: int) -> np.ndarray:
     """RK4 transition matrices of dL/dt = -G(t) L over consecutive chunks.
 
@@ -209,11 +223,16 @@ def _rk4_transitions(g: np.ndarray, h, lengths: np.ndarray, n_steps: int) -> np.
     n + 1 step ends, then its n midpoints.  ``h`` holds the n_steps signed
     step sizes, or one for all.  The per-step transitions are formed in
     (r, r, m) layout and reduced to one matrix per chunk; returns the
-    (C, r, r) stack.
+    (C, r, r) stack.  A one-chunk pass whose samples all equal the first has
+    n_steps equal transitions: it forms one and reduces it by
+    ``_uniform_product``.
     """
     if not np.isfinite(g).all():
         raise SingularCoefficientError("non-finite coefficients encountered during integration")
-    if lengths.size == 1:
+    uniform = np.ndim(h) == 0 and bool((g == g[..., :1]).all())
+    if uniform:
+        c1 = mids = right = g[..., :1]
+    elif lengths.size == 1:
         ends, mids = g[..., : n_steps + 1], g[..., n_steps + 1 :]
         c1, right = ends[..., :-1], ends[..., 1:]
     else:
@@ -235,7 +254,8 @@ def _rk4_transitions(g: np.ndarray, h, lengths: np.ndarray, n_steps: int) -> np.
     c3 *= 2
     c2 += c3
     c2 += c4
-    return _ordered_product(_eye_minus(eye, h / 6, c2, out=c2), lengths).transpose(2, 0, 1)
+    steps = _eye_minus(eye, h / 6, c2, out=c2)
+    return (_uniform_product(steps, n_steps) if uniform else _ordered_product(steps, lengths)).transpose(2, 0, 1)
 
 
 def _split(a: float, b: float, n_steps: int, nudge=(False, False), source=None) -> list[_Chunk]:
@@ -389,7 +409,10 @@ def _check_chart(geometry: BundleGeometry, xs: np.ndarray, path: Path):
 
 
 def _contract(geometry: BundleGeometry, xs: np.ndarray, vs: np.ndarray) -> np.ndarray:
-    """The (r, r, m) field G = coeffs3(x) . v at m points, contiguous over the samples."""
+    """The (r, r, m) field G = coeffs3(x) . v at m points, contiguous over the
+    samples; the geometry's own ``contract`` when it has one."""
+    if geometry.contract is not None:
+        return geometry.contract(xs, vs)
     # Contract over the base index by hand, in (r, r, n, m) index order and
     # straight into an (r, r, m) array that is contiguous over the samples,
     # as the kernel reads it; n is small and einsum's dispatch overhead

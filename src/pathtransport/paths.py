@@ -142,6 +142,21 @@ def position_at(path: Path, s):
     return batch_eval(path.position, _as_param_array(s), (path.dim,))
 
 
+def positions_at(pairs) -> list[np.ndarray]:
+    """``position_at(path, s)`` for many ``(path, s)`` pairs: one batched call
+    per position evaluator that several pairs share (restrictions share their
+    path's), and the scalar call for a pair alone, which costs less."""
+    groups: dict[int, tuple[Path, list[int]]] = {}
+    for i, (path, _) in enumerate(pairs):
+        groups.setdefault(id(path.position), (path, []))[1].append(i)
+    out = [None] * len(pairs)
+    for path, idx in groups.values():
+        params = pairs[idx[0]][1] if len(idx) == 1 else np.array([pairs[i][1] for i in idx], dtype=float)
+        for i, x in zip(idx, np.reshape(position_at(path, params), (len(idx), path.dim))):
+            out[i] = x
+    return out
+
+
 def _piece_bounds(path: Path, s: float) -> tuple[float, float]:
     # Smooth piece containing s; a breakpoint itself belongs to the left piece.
     sigma, tau = path.domain
@@ -703,10 +718,20 @@ def great_circle(
     def chart_velocity(cos, sin, pts):
         out = np.empty((2, pts.shape[1]))
         x, y, _ = pts
-        dx, dy, dz = speed * (-sin * p3_col + cos * q3_col)
-        rho2 = x * x + y * y
-        np.divide(-dz, np.sqrt(np.maximum(rho2, 1e-300)), out=out[0])
-        np.divide(x * dy - y * dx, rho2, out=out[1])
+        # Row by row and in place: one chunk's temporaries stay well below
+        # the allocator's trim threshold (README, "Numerical conventions").
+        dx, dy, dz = (-sin * p for p in p3)
+        for d, q in zip((dx, dy, dz), q3):
+            d += cos * q
+            d *= speed
+        rho2 = x * x
+        rho2 += y * y
+        root = np.maximum(rho2, 1e-300)
+        np.divide(np.negative(dz, out=dz), np.sqrt(root, out=root), out=out[0])
+        dy *= x
+        dx *= y
+        dy -= dx
+        np.divide(dy, rho2, out=out[1])
         return out.T
 
     def pos(s):

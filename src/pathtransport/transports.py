@@ -18,7 +18,7 @@ import numpy as np
 from .bundles import BundleGeometry, FibreVector
 from .engine import TransportMatrix, transport_matrices
 from .errors import ChartDomainError, InverseUnavailableError, NotApplicableError
-from .paths import Path, position_at, restrict
+from .paths import Path, positions_at, restrict
 
 KIND_FROM_CONNECTION = "linear-from-connection"
 KIND_LINEAR_CUSTOM = "linear-custom"
@@ -89,17 +89,14 @@ class TransportAlongPaths:
     def apply_many(self, requests, *, step: float | None = None) -> list[FibreVector]:
         """Carry each fibre vector u of many ``(path, s, t, u)`` requests from path(s) to path(t)."""
         requests = [(path, float(s), float(t), u) for path, s, t, u in requests]
-        for path, s, _, u in requests:
-            x_s = position_at(path, s)
+        for (*_, u), x_s in zip(requests, positions_at([(path, s) for path, s, _, _ in requests])):
             if float(np.max(np.abs(np.asarray(u.base_point) - x_s))) > BASE_POINT_TOL:
                 raise ChartDomainError("fibre vector is not attached to path(s)")
         if self._apply_many_fn is not None:
             return self._apply_many_fn(requests, step)
         mats = self.matrices([request[:3] for request in requests], step=step)
-        return [
-            FibreVector(position_at(path, t), m.value @ np.asarray(u.components))
-            for (path, _, t, u), m in zip(requests, mats)
-        ]
+        ends = positions_at([(path, t) for path, _, t, _ in requests])
+        return [FibreVector(x_t, m.value @ np.asarray(u.components)) for (*_, u), m, x_t in zip(requests, mats, ends)]
 
     def apply(self, path: Path, s: float, t: float, u: FibreVector, *, step: float | None = None) -> FibreVector:
         """Carry the fibre vector u from path(s) to path(t)."""
@@ -224,13 +221,15 @@ def transport_from_parallel(psi: ParallelTransport, *, label: str = "") -> Trans
             )
         for (i, _), v in zip(forward, psi.apply_many([(piece, requests[i][3]) for i, piece in forward])):
             out[i] = v
-        for (i, _), m in zip(backward, psi.matrices([piece for _, piece in backward]) if backward else []):
-            path, _, t, u = requests[i]
+        if not backward:
+            return out
+        ends = positions_at([(requests[i][0], requests[i][2]) for i, _ in backward])
+        for (i, _), m, x_t in zip(backward, psi.matrices([piece for _, piece in backward]), ends):
             try:
-                comps = np.linalg.solve(m.value, np.asarray(u.components))
+                comps = np.linalg.solve(m.value, np.asarray(requests[i][3].components))
             except np.linalg.LinAlgError as exc:
                 raise InverseUnavailableError("parallel transport matrix is singular") from exc
-            out[i] = FibreVector(position_at(path, t), comps)
+            out[i] = FibreVector(x_t, comps)
         return out
 
     matrices_fn = None

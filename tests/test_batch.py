@@ -177,6 +177,25 @@ def test_apply_many_through_a_parallel_transport_equals_the_loop(catalog, entry)
         assert all(np.array_equal(m.value, back.matrix(*req[:3]).value) for m, req in zip(many, requests))
 
 
+def test_positions_at_batches_per_evaluator_and_equals_position_at():
+    rng = np.random.default_rng(8)
+    bezier, other = pt.random_paths(rng, 2, dim=2, box=BOX)
+    prod = pt.product_canonical(bezier, pt.segment(bezier.at(1.0), [1.0, -0.5]))
+    lat = pt.latitude(1.2)
+    calls = []
+
+    def counted(path):
+        return dataclasses.replace(path, position=lambda s, f=path.position: calls.append(np.ndim(s)) or f(s))
+
+    bezier, prod, lat, other = counted(bezier), counted(prod), counted(lat), counted(other)
+    pairs = [(bezier, 0.3), (pt.restrict(bezier, (0.2, 0.8)), 0.7), (prod, 0.5), (lat, 5.0), (bezier, 1.0)]
+    pairs += [(prod, 0.9), (pt.restrict(lat, (1.0, 2.0)), 1.5), (other, 0.0)]
+    got = pt.paths.positions_at(pairs)
+    assert calls == [1, 1, 1, 0]  # one batched call per shared evaluator, a scalar call for ``other``
+    calls.clear()
+    assert all(np.array_equal(x, pt.paths.position_at(path, s)) for x, (path, s) in zip(got, pairs))
+
+
 def test_transport_laws_over_paths_equal_the_merged_per_path_checks(sphere_entry):
     transport = sphere_entry.transport
     paths = pt.sample_paths(sphere_entry, np.random.default_rng(8), 6)

@@ -92,3 +92,29 @@ def test_bench_pairs_bound_and_seed_parsing():
     res = tool.verdict([10.0] * 4, [12.5] * 4, "lower")
     assert tool.worse_beyond(res, "lower", 0.2) and not tool.worse_beyond(res, "lower", 0.25)
     assert tool.parse_seeds("101-103,7") == [101, 102, 103, 7]
+
+
+def heap_probe_module():
+    spec = importlib.util.spec_from_file_location("heap_probe", TRACING.parent.parent / "tools" / "heap_probe.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_heap_probe_summary_per_job_kind():
+    records = [
+        ("triangle:sphere", 0.050, 0, 600_000),
+        ("latitude:sphere", 0.100, 3, 450_000),
+        ("triangle:sphere", 0.070, 10, 0),
+        ("triangle:sphere", 0.060, 2, 650_000),
+    ]
+    rows = heap_probe_module().summarize(records)
+    assert [row["kind"] for row in rows] == ["triangle:sphere", "latitude:sphere"]
+    tri, lat = rows
+    assert tri["jobs"] == 3 and abs(tri["wall_ms"] - 60.0) < 1e-9
+    assert tri["faults_median"] == 2 and tri["faults_total"] == 12
+    assert tri["pass_peak_kb"] == 650.0
+    assert lat == {
+        "kind": "latitude:sphere", "jobs": 1, "wall_ms": 100.0, "faults_median": 3, "faults_total": 3,
+        "pass_peak_kb": 450.0,
+    }

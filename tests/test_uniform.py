@@ -1,0 +1,146 @@
+"""Constant one-chunk passes and the geometries' own G·v evaluators.
+
+A pass of one chunk whose field samples all equal the first is reduced from
+one transition by ``engine._uniform_product``; every test here compares bit
+for bit against the general kernel formulas, built from ``_matmul`` and
+``_ordered_product``.
+"""
+
+import dataclasses
+import math
+
+import numpy as np
+import pytest
+
+import pathtransport as pt
+from pathtransport import engine
+from pathtransport.bundles import coeffs3_batch
+from pathtransport.errors import SingularCoefficientError
+
+
+def general_kernel(g, h, n):
+    """The kernel's RK4 formulas over the n steps of one chunk, and the
+    single-segment ordered product, with no uniform shortcut."""
+    eye = np.eye(g.shape[0])[:, :, None]
+    ends, mids = g[..., : n + 1], g[..., n + 1 :]
+    c1, right = ends[..., :-1], ends[..., 1:]
+    c2 = engine._matmul(mids, eye - (h / 2) * c1)
+    c3 = engine._matmul(mids, eye - (h / 2) * c2)
+    c4 = engine._matmul(right, eye - h * c3)
+    steps = eye - (h / 6) * (((2 * c2 + c1) + 2 * c3) + c4)
+    return engine._ordered_product(steps, [n]).transpose(2, 0, 1)
+
+
+def constant_samples(rng, r, n):
+    return np.ascontiguousarray(np.repeat(rng.standard_normal((r, r, 1)), 2 * n + 1, axis=2))
+
+
+@pytest.mark.parametrize("r", [1, 2, 4])
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 2047, 2048])
+def test_constant_chunk_equals_the_general_kernel(r, n, rng, monkeypatch):
+    g, h = constant_samples(rng, r, n), 0.7 / n
+    expected = general_kernel(g, h, n)
+    taken = []
+    reduce = engine._uniform_product
+    monkeypatch.setattr(engine, "_uniform_product", lambda t, k: taken.append(k) or reduce(t, k))
+    got = engine._rk4_transitions(g, h, np.array([n]), n)
+    assert taken == [n]
+    assert got.shape == (1, r, r)
+    assert np.array_equal(got, expected)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 6, 7, 31, 33, 1000, 1001])
+def test_uniform_product_follows_the_pairwise_tree(n, rng):
+    t = np.eye(3)[:, :, None] + 0.01 * rng.standard_normal((3, 3, 1))
+    full = np.ascontiguousarray(np.repeat(t, n, axis=2))
+    assert np.array_equal(engine._uniform_product(t, n), engine._ordered_product(full, [n]))
+
+
+def test_varying_field_takes_the_general_path(rng, monkeypatch):
+    n, h = 64, 0.01
+    g = constant_samples(rng, 2, n)
+    g[1, 0, -1] += 1e-12  # one midpoint differs
+    monkeypatch.setattr(engine, "_uniform_product", lambda *a: pytest.fail("took the uniform branch"))
+    got = engine._rk4_transitions(g, h, np.array([n]), n)
+    assert np.array_equal(got, general_kernel(g, h, n))
+
+
+def test_constant_field_in_a_packed_pass_takes_the_general_path(rng, monkeypatch):
+    lengths = np.array([3, 5])
+    g = np.ascontiguousarray(np.repeat(rng.standard_normal((2, 2, 1)), 2 * 8 + 2, axis=2))
+    monkeypatch.setattr(engine, "_uniform_product", lambda *a: pytest.fail("took the uniform branch"))
+    got = engine._rk4_transitions(g, np.full(8, 0.1), lengths, 8)
+    assert got.shape == (2, 2, 2)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_constant_field_raises(bad):
+    g = np.full((2, 2, 2 * 16 + 1), bad)
+    with pytest.raises(SingularCoefficientError):
+        engine._rk4_transitions(g, 0.1, np.array([16]), 16)
+
+
+def test_uniform_chunk_takes_logarithmically_many_products(rng, monkeypatch):
+    n = 2048
+    g = constant_samples(rng, 2, n)
+    calls = []
+    matmul = engine._matmul
+    monkeypatch.setattr(engine, "_matmul", lambda x, y: calls.append(x.shape[-1]) or matmul(x, y))
+    engine._rk4_transitions(g, 1.0 / n, np.array([n]), n)
+    # Three products form the one transition; the tree of 2048 equal
+    # matrices is 11 squarings.
+    assert len(calls) <= 3 + 2 * math.ceil(math.log2(n))
+    assert set(calls) == {1}
+
+
+def test_latitude_transport_equals_the_general_kernel(sphere_entry, monkeypatch):
+    # A latitude has a constant field: every one-chunk pass is uniform.  An
+    # array of equal steps makes the kernel take its general path instead.
+    loop, geo = pt.latitude(1.1), sphere_entry.geometry
+    fast = pt.transport_matrix_over_path(geo, loop, 0.0, 2.0, step=1e-3).value
+    rk4 = engine._rk4_transitions
+    monkeypatch.setattr(engine, "_rk4_transitions", lambda g, h, lengths, n: rk4(g, np.full(n, h), lengths, n))
+    assert np.array_equal(fast, pt.transport_matrix_over_path(geo, loop, 0.0, 2.0, step=1e-3).value)
+
+
+# --- the geometries' G·v evaluators -------------------------------------------
+
+
+def coeffs3_contraction(geometry, xs, vs):
+    """The definition: G[a, b] = sum over mu of coeffs3[a, b, mu] v^mu, in order of mu."""
+    g3 = coeffs3_batch(geometry, xs).transpose(1, 2, 3, 0)
+    out = g3[:, :, 0] * vs[:, 0]
+    for mu in range(1, geometry.base_dim):
+        out = out + g3[:, :, mu] * vs[:, mu]
+    return out
+
+
+@pytest.mark.parametrize("entry_id", ["flat", "sphere", "sphere-orthonormal"])
+def test_contract_equals_the_coeffs3_contraction(entry_id, catalog, rng):
+    geometry = catalog[entry_id].geometry
+    m = 257
+    xs = np.column_stack([rng.uniform(0.35, math.pi - 0.35, m), rng.uniform(-3.0, 3.0, m)])
+    vs = rng.standard_normal((m, 2))
+    vs[::3, 0] = 0.0
+    vs[1::3, 1] = 0.0
+    vs[2::7] = 0.0
+    vs[5::11, 1] = -0.0
+    got = geometry.contract(xs, vs)
+    assert got.shape == (2, 2, m) and got.flags.c_contiguous
+    assert np.array_equal(got, coeffs3_contraction(geometry, xs, vs))
+
+
+def test_contract_reads_strided_views(sphere_entry, rng):
+    # The integrators pass (m, n) views of (n, m) storage.
+    geometry = sphere_entry.geometry
+    xs = np.vstack([rng.uniform(0.5, 2.5, 50), rng.uniform(-1.0, 1.0, 50)]).T
+    vs = np.vstack([rng.standard_normal(50), rng.standard_normal(50)]).T
+    assert np.array_equal(geometry.contract(xs, vs), coeffs3_contraction(geometry, xs, vs))
+
+
+def test_engine_contracts_through_coeffs3_without_an_evaluator(sphere_entry, rng):
+    geometry = sphere_entry.geometry
+    plain = dataclasses.replace(geometry, contract=None)
+    xs = np.column_stack([rng.uniform(0.5, 2.5, 40), rng.uniform(-1.0, 1.0, 40)])
+    vs = rng.standard_normal((40, 2))
+    assert np.array_equal(engine._contract(plain, xs, vs), engine._contract(geometry, xs, vs))

@@ -47,6 +47,17 @@ OTHER_RUNS = (
     ("holonomy:sphere-orthonormal:step", ["holonomy", "--geometry", "sphere-orthonormal", "--loop", "latitude:1.1",
                                           "--step", "1e-2"]),
     ("holonomy:nonlinear", ["holonomy", "--geometry", "nonlinear", "--loop", "latitude:pi/3"]),
+    # Constant fields, integrated through the kernel's uniform branch.
+    (
+        "transport:sphere:constant-theta",
+        ["transport", "--geometry", "sphere", "--path", "segment:from=1.1,-0.5;to=1.1,1.5", "--vector", "1,0.5"],
+    ),
+    (
+        "transport:sphere-orthonormal:equator",
+        ["transport", "--geometry", "sphere-orthonormal", "--path", "great_circle:point=pi/2,0;direction=0,1;length=2",
+         "--vector", "0.5,-1"],
+    ),
+    ("holonomy:flat:latitude:step", ["holonomy", "--geometry", "flat", "--loop", "latitude:1.0", "--step", "1e-4"]),
 )
 
 QUICK_RUNS = (
