@@ -192,7 +192,7 @@ def _suite_reports(entry: GeometryCatalogEntry, args) -> list[LawReport]:
     paths = sample_paths(entry, rng, args.samples)
     reports = check_transport_laws(transport, paths, seed=args.seed, tolerance=args.tolerance, step=args.step)
     fixtures = make_parallel_fixtures(sample_paths(entry, rng, args.fixtures))
-    psi = parallel_from_transport(transport)
+    psi = parallel_from_transport(transport, step=args.step)
     reports.extend(check_parallel_axioms(psi, fixtures, seed=args.seed, tolerance=args.tolerance))
     if entry.traits.linear:
         reports.append(
@@ -200,7 +200,7 @@ def _suite_reports(entry: GeometryCatalogEntry, args) -> list[LawReport]:
         )
     if transport.kind != KIND_GENERIC:
         mid = 0.5 * (paths[0].domain[0] + paths[0].domain[1])
-        reports.append(check_smoothness_conditions(transport, paths[0], mid, seed=args.seed))
+        reports.append(check_smoothness_conditions(transport, paths[0], mid, seed=args.seed, step=args.step))
     return reports
 
 
@@ -252,8 +252,7 @@ def _cmd_roundtrip(args) -> int:
     entry = _resolve_entry(args)
     transport = entry.transport
     rng = np.random.default_rng(args.seed)
-    psi = parallel_from_transport(transport)
-    back = transport_from_parallel(psi)
+    back = transport_from_parallel(parallel_from_transport(transport, step=args.step))
     paths = sample_paths(entry, rng, args.samples)
     requests = []
     for p in paths:

@@ -215,7 +215,7 @@ def _uniform_product(t: np.ndarray, n: int) -> np.ndarray:
     return run if count else carry
 
 
-def _rk4_transitions(g: np.ndarray, h, lengths: np.ndarray, n_steps: int) -> np.ndarray:
+def _rk4_transitions(g: np.ndarray, h, lengths: np.ndarray, n_steps: int, *, table: dict | None = None) -> np.ndarray:
     """RK4 transition matrices of dL/dt = -G(t) L over consecutive chunks.
 
     ``g`` is the (r, r, 2 n_steps + C) field sampled at the nodes of C chunks
@@ -225,12 +225,18 @@ def _rk4_transitions(g: np.ndarray, h, lengths: np.ndarray, n_steps: int) -> np.
     (r, r, m) layout and reduced to one matrix per chunk; returns the
     (C, r, r) stack.  A one-chunk pass whose samples all equal the first has
     n_steps equal transitions: it forms one and reduces it by
-    ``_uniform_product``.
+    ``_uniform_product``.  Its result depends on h, n_steps and the first
+    sample alone, so with a ``table`` it is looked up under those bits, or
+    computed, made read-only and stored there.
     """
-    if not np.isfinite(g).all():
-        raise SingularCoefficientError("non-finite coefficients encountered during integration")
     uniform = np.ndim(h) == 0 and bool((g == g[..., :1]).all())
+    # NaN never equals itself, so a uniform field is finite when its first sample is.
+    if not np.isfinite(g[..., :1] if uniform else g).all():
+        raise SingularCoefficientError("non-finite coefficients encountered during integration")
     if uniform:
+        key = (h, n_steps, g[..., :1].tobytes())
+        if table is not None and key in table:
+            return table[key]
         c1 = mids = right = g[..., :1]
     elif lengths.size == 1:
         ends, mids = g[..., : n_steps + 1], g[..., n_steps + 1 :]
@@ -255,7 +261,13 @@ def _rk4_transitions(g: np.ndarray, h, lengths: np.ndarray, n_steps: int) -> np.
     c2 += c3
     c2 += c4
     steps = _eye_minus(eye, h / 6, c2, out=c2)
-    return (_uniform_product(steps, n_steps) if uniform else _ordered_product(steps, lengths)).transpose(2, 0, 1)
+    if not uniform:
+        return _ordered_product(steps, lengths).transpose(2, 0, 1)
+    out = _uniform_product(steps, n_steps).transpose(2, 0, 1)
+    if table is not None:
+        out.setflags(write=False)
+        table[key] = out
+    return out
 
 
 def _split(a: float, b: float, n_steps: int, nudge=(False, False), source=None) -> list[_Chunk]:
@@ -286,24 +298,29 @@ def _integrate(chunks: list[_Chunk], sample: Callable) -> list:
     Chunks are packed in order into passes of at most 2 _CHUNK_STEPS + 1
     field samples, so at most _CHUNK_STEPS steps; a chunk is never split
     across passes.  ``sample(chunks, pts)`` evaluates the field of a pass at
-    its nodes as an (r, r, len(pts)) array.
+    its nodes as an (r, r, len(pts)) array.  Equal constant one-chunk passes
+    are reduced once per call: they share one table, which lives as long as
+    the call.  The matrices of the table are read-only and may be handed out
+    more than once.
     """
-    mats, first, used = [], 0, 0
+    mats, first, used, table = [], 0, 0, {}
     for i, chunk in enumerate(chunks + [None]):
         size = 0 if chunk is None else 2 * chunk.n + 1
         if i > first and (chunk is None or used + size > 2 * _CHUNK_STEPS + 1):
-            mats.extend(_pass(chunks[first:i], sample))
+            mats.extend(_pass(chunks[first:i], sample, table=table))
             first, used = i, 0
         used += size
     return mats
 
 
-def _pass(chunks: list[_Chunk], sample: Callable) -> np.ndarray:
+def _pass(chunks: list[_Chunk], sample: Callable, *, table: dict | None = None) -> np.ndarray:
     """RK4 transition matrices of the chunks of one pass, (C, r, r).
 
     A chunk of n steps on [a, b] samples the field at a + (h/2) k for
     h = (b - a) / n: at its n + 1 step ends (k even), then at its n
     midpoints (k odd); its first and last end move inward by its nudges.
+    A one-chunk pass looks its matrix up in ``table`` when its field is
+    constant (see ``_rk4_transitions``).
     """
     if len(chunks) == 1:
         _, a, b, n, lo, hi = chunks[0]
@@ -311,7 +328,7 @@ def _pass(chunks: list[_Chunk], sample: Callable) -> np.ndarray:
         k = np.arange(2 * n + 1)
         pts = a + 0.5 * h * np.concatenate((k[::2], k[1::2]))
         pts[0], pts[n] = a + lo, b - hi
-        return _rk4_transitions(sample(chunks, pts), h, np.array([n]), n)
+        return _rk4_transitions(sample(chunks, pts), h, np.array([n]), n, table=table)
     a, b, n, lo, hi = (np.array(col) for col in list(zip(*chunks))[1:])
     h = (b - a) / n
     size = 2 * n + 1

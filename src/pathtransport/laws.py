@@ -472,15 +472,17 @@ def lift_tangent(
     return _lift_tangents(transport, [(path, s0, u, h)])[0]
 
 
-def _lift_tangents(transport: TransportAlongPaths, specs) -> list[tuple[np.ndarray, np.ndarray]]:
-    """``lift_tangent`` for many ``(path, s0, u, h)``, with one batch of transports."""
+def _lift_tangents(
+    transport: TransportAlongPaths, specs, step: float | None = None
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """``lift_tangent`` for many ``(path, s0, u, h)``, with one batch of transports at ``step``."""
     requests = []
     for path, s0, u, h in specs:
         lo, hi = path.domain
         if s0 - h < lo - 1e-15 or s0 + h > hi + 1e-15:
             raise IntervalError(f"cannot center a difference of width {h} at {s0} in {path.domain}")
         requests += [(path, s0, s0 + h, u), (path, s0, s0 - h, u)]
-    out = transport.apply_many(requests)
+    out = transport.apply_many(requests, step=step)
     tangents = []
     for (_, _, _, h), plus, minus in zip(specs, out[0::2], out[1::2]):
         base_tan = (np.asarray(plus.base_point) - np.asarray(minus.base_point)) / (2 * h)
@@ -499,6 +501,7 @@ def check_smoothness_conditions(
     half_width: float = 0.1,
     tolerance: float = SMOOTHNESS_TOLERANCE,
     seed: int = 0,
+    step: float | None = None,
 ) -> LawReport:
     """Differentiability conditions on lifted paths through one fibre vector.
 
@@ -536,7 +539,7 @@ def check_smoothness_conditions(
     ]
     d = iter(
         fibre for _, fibre in _lift_tangents(
-            transport, [(p, s, vec, h / 2**k) for p, s, vec, count in probes for k in range(count + 1)]
+            transport, [(p, s, vec, h / 2**k) for p, s, vec, count in probes for k in range(count + 1)], step
         )
     )
     fib = []

@@ -174,17 +174,18 @@ def connection_transport(
     )
 
 
-def parallel_from_transport(transport: TransportAlongPaths) -> ParallelTransport:
-    """The parallel transport acting over each path's full parameter interval."""
+def parallel_from_transport(transport: TransportAlongPaths, *, step: float | None = None) -> ParallelTransport:
+    """The parallel transport acting over each path's full parameter interval;
+    its transports run at ``step`` (see ``TransportAlongPaths.matrices``)."""
 
     def apply_many_fn(requests):
-        return transport.apply_many([(path, *path.domain, u) for path, u in requests])
+        return transport.apply_many([(path, *path.domain, u) for path, u in requests], step=step)
 
     matrices_fn = None
     if transport.is_linear:
 
         def matrices_fn(paths):  # noqa: F811
-            return transport.matrices([(path, *path.domain) for path in paths])
+            return transport.matrices([(path, *path.domain) for path in paths], step=step)
 
     return ParallelTransport(
         apply_many_fn=apply_many_fn,

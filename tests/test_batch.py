@@ -75,9 +75,9 @@ def test_passes_hold_at_most_chunk_steps_and_never_split_a_chunk(monkeypatch):
     passes = []
     original = engine._pass
 
-    def recorder(chunks, sample):
+    def recorder(chunks, sample, **kwargs):
         passes.append([n for _, _, _, n, _, _ in chunks])
-        return original(chunks, sample)
+        return original(chunks, sample, **kwargs)
 
     monkeypatch.setattr(engine, "_pass", recorder)
     requests = mixed_requests()
@@ -93,9 +93,9 @@ def test_duplicate_requests_integrate_once(monkeypatch):
     steps = []
     original = engine._rk4_transitions
 
-    def counting(g, h, lengths, n_steps):
+    def counting(g, h, lengths, n_steps, **kwargs):
         steps.append(n_steps)
-        return original(g, h, lengths, n_steps)
+        return original(g, h, lengths, n_steps, **kwargs)
 
     monkeypatch.setattr(engine, "_rk4_transitions", counting)
     single = pt.transport_matrix_over_path(geo, path, 0.2, 0.7, step=1e-3)

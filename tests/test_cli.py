@@ -236,3 +236,23 @@ def test_non_finite_or_non_positive_numeric_flags_exit_two(tmp_path, capsys, arg
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["check-laws", "roundtrip"])
+def test_step_flag_reaches_every_transport(tmp_path, capsys, monkeypatch, command):
+    # The parallel-axiom rows, the smoothness row and roundtrip's back
+    # transport integrate at --step too, not at the default span / 1000.
+    from pathtransport import engine, transports
+
+    steps = []
+    original = engine.transport_matrices
+
+    def recording(geometry, requests, *, step=None):
+        steps.append(step)
+        return original(geometry, requests, step=step)
+
+    monkeypatch.setattr(engine, "transport_matrices", recording)
+    monkeypatch.setattr(transports, "transport_matrices", recording)
+    # At so coarse a step some rows miss their tolerance; only the steps matter.
+    run([command, "--geometry", "sphere", "--step", "0.05", "--samples", "3"], tmp_path, capsys)
+    assert steps and set(steps) == {0.05}

@@ -519,8 +519,8 @@ def test_breakpoint_nudges_land_on_piece_end_chunks(monkeypatch, sphere_entry, b
     calls = []
     original = engine._pass
 
-    def recorder(chunks, sample):
-        out = original(chunks, sample)
+    def recorder(chunks, sample, **kwargs):
+        out = original(chunks, sample, **kwargs)
         calls.extend((a, b, n, (lo, hi), out.shape) for _, a, b, n, lo, hi in chunks)
         return out
 
@@ -714,9 +714,9 @@ def test_triangle_transport_evaluates_each_sample_once(monkeypatch, ortho_entry)
         calls["embedded"] += np.size(s)
         return embed(s, *args)
 
-    def counting_rk4(g, h, lengths, n_steps):
+    def counting_rk4(g, h, lengths, n_steps, **kwargs):
         calls["sampled"] += g.shape[-1]
-        return rk4(g, h, lengths, n_steps)
+        return rk4(g, h, lengths, n_steps, **kwargs)
 
     monkeypatch.setattr(pt.paths, "_arc_embed", counting_embed, raising=False)
     monkeypatch.setattr(engine, "_rk4_transitions", counting_rk4)

@@ -118,3 +118,11 @@ def test_heap_probe_summary_per_job_kind():
         "kind": "latitude:sphere", "jobs": 1, "wall_ms": 100.0, "faults_median": 3, "faults_total": 3,
         "pass_peak_kb": 450.0,
     }
+
+
+def test_bench_pairs_probe_summary():
+    tool = bench_pairs_module()
+    parent = [0.18, 0.19, 0.20, 0.21, 0.22]
+    change = [0.17, 0.18, 0.19, 0.20, 0.23]
+    line = tool.probe_summary("setup", parent, change)
+    assert line == "probe setup: 0.2 [0.19, 0.21] -> 0.19 [0.18, 0.2] ref-s (-5.0%), change faster in 4/5"

@@ -1,9 +1,10 @@
 """Constant one-chunk passes and the geometries' own G·v evaluators.
 
 A pass of one chunk whose field samples all equal the first is reduced from
-one transition by ``engine._uniform_product``; every test here compares bit
-for bit against the general kernel formulas, built from ``_matmul`` and
-``_ordered_product``.
+one transition by ``engine._uniform_product``, once per integration for each
+distinct (h, n, field value); every test here compares bit for bit against
+the general kernel formulas, built from ``_matmul`` and ``_ordered_product``,
+or against the kernel run pass by pass without a table.
 """
 
 import dataclasses
@@ -99,8 +100,99 @@ def test_latitude_transport_equals_the_general_kernel(sphere_entry, monkeypatch)
     loop, geo = pt.latitude(1.1), sphere_entry.geometry
     fast = pt.transport_matrix_over_path(geo, loop, 0.0, 2.0, step=1e-3).value
     rk4 = engine._rk4_transitions
-    monkeypatch.setattr(engine, "_rk4_transitions", lambda g, h, lengths, n: rk4(g, np.full(n, h), lengths, n))
+    monkeypatch.setattr(engine, "_rk4_transitions", lambda g, h, lengths, n, **kw: rk4(g, np.full(n, h), lengths, n))
     assert np.array_equal(fast, pt.transport_matrix_over_path(geo, loop, 0.0, 2.0, step=1e-3).value)
+
+
+# --- the per-call table of constant chunks -----------------------------------
+
+
+def counting_uniform_products(monkeypatch) -> list:
+    """Record the step count of every ``_uniform_product`` call."""
+    calls, reduce = [], engine._uniform_product
+    monkeypatch.setattr(engine, "_uniform_product", lambda t, n: calls.append(n) or reduce(t, n))
+    return calls
+
+
+def constant_sampler(column):
+    """``sample(chunks, pts)`` of a constant field with the given (r, r, 1) value."""
+    return lambda chunks, pts: np.ascontiguousarray(np.repeat(column, len(pts), axis=2))
+
+
+@pytest.mark.parametrize("span", [(0.0, 2 * math.pi), (5.0, 0.5)])
+def test_fine_latitude_equals_the_per_pass_kernel(span, sphere_entry, monkeypatch):
+    geo, loop = sphere_entry.geometry, pt.latitude(math.pi / 3)
+    keys, rk4 = [], engine._rk4_transitions
+
+    def recording(g, h, lengths, n, **kw):
+        keys.append((h, n))
+        return rk4(g, h, lengths, n, **kw)
+
+    monkeypatch.setattr(engine, "_rk4_transitions", recording)
+    calls = counting_uniform_products(monkeypatch)
+    got = pt.transport_matrix_over_path(geo, loop, *span, step=1e-5).value
+    # Hundreds of passes, a handful of distinct step sizes.
+    assert len(keys) > 200 and len(calls) <= len(set(keys)) + 1 < len(keys) / 10
+    # Every pass forms and reduces its own transitions, with no table.
+    monkeypatch.setattr(engine, "_rk4_transitions", lambda g, h, lengths, n, **kw: rk4(g, h, lengths, n))
+    assert got.tobytes() == pt.transport_matrix_over_path(geo, loop, *span, step=1e-5).value.tobytes()
+
+
+def test_chunks_one_ulp_apart_are_reduced_separately(rng, monkeypatch):
+    n = engine._CHUNK_STEPS
+    b = 0.3
+    chunks = [engine._Chunk(None, 0.0, b, n, 0.0, 0.0), engine._Chunk(None, 0.0, np.nextafter(b, 1.0), n, 0.0, 0.0),
+              engine._Chunk(None, 0.0, b, n, 0.0, 0.0)]
+    assert chunks[0].b / n != chunks[1].b / n
+    column = rng.standard_normal((2, 2, 1))
+    calls = counting_uniform_products(monkeypatch)
+    first, other, again = engine._integrate(chunks, constant_sampler(column))
+    assert calls == [n, n]
+    g = np.repeat(column, 2 * n + 1, axis=2)
+    for chunk, got in zip(chunks, (first, other, again)):
+        assert got.tobytes() == engine._rk4_transitions(g, (chunk.b - chunk.a) / n, np.array([n]), n)[0].tobytes()
+    assert not np.array_equal(first, other)
+    # The repeated chunk was looked up: its matrix is shared and read-only.
+    assert np.shares_memory(first, again) and not again.flags.writeable
+
+
+def test_signed_zero_columns_are_separate_entries():
+    n = engine._CHUNK_STEPS
+    plus = np.array([[0.0, 1.0], [-1.0, 0.0]])[:, :, None]
+    minus = np.array([[-0.0, 1.0], [-1.0, -0.0]])[:, :, None]
+    chunk = engine._Chunk(None, 1.0, 0.0, n, 0.0, 0.0)  # a backward chunk: h < 0
+    table = {}
+    got = [
+        engine._rk4_transitions(np.repeat(col, 2 * n + 1, axis=2), -1.0 / n, np.array([n]), n, table=table)
+        for col in (plus, minus, plus)
+    ]
+    assert len(table) == 2 and got[2] is got[0]
+    for col, out in zip((plus, minus), got):
+        g = np.repeat(col, 2 * n + 1, axis=2)
+        assert out.tobytes() == engine._rk4_transitions(g, -1.0 / n, np.array([n]), n).tobytes()
+    (whole,) = engine._integrate([chunk], constant_sampler(minus))
+    assert whole.tobytes() == got[1][0].tobytes()
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_constant_field_raises_with_a_table(bad):
+    table = {}
+    g = np.full((2, 2, 2 * 16 + 1), bad)
+    with pytest.raises(SingularCoefficientError):
+        engine._rk4_transitions(g, 0.1, np.array([16]), 16, table=table)
+    assert table == {}
+    with pytest.raises(SingularCoefficientError):
+        engine._integrate([engine._Chunk(None, 0.0, 1.0, 16, 0.0, 0.0)], constant_sampler(g[..., :1]))
+
+
+def test_successive_calls_share_no_table(sphere_entry, monkeypatch):
+    geo, loop = sphere_entry.geometry, pt.latitude(1.1)
+    calls = counting_uniform_products(monkeypatch)
+    first = pt.transport_matrix_over_path(geo, loop, 0.0, 2.0, step=1e-4)
+    once = len(calls)
+    second = pt.transport_matrix_over_path(geo, loop, 0.0, 2.0, step=1e-4)
+    assert once and len(calls) == 2 * once
+    assert np.array_equal(first.value, second.value) and not np.shares_memory(first.value, second.value)
 
 
 # --- the geometries' G·v evaluators -------------------------------------------

@@ -1,6 +1,7 @@
 """Interleaved benchmark pairs between two checkouts, with the acceptance verdict.
 
     python3 tools/bench_pairs.py PARENT CHANGE --workload laws-suite --seeds 101-110 [--seconds 45]
+    python3 tools/bench_pairs.py PARENT CHANGE --probe setup [--count 12]
 
 For each seed it runs ``benchmarks/run.py`` once in each checkout, the
 parent first for odd pair numbers and the change first for even ones.  For
@@ -9,7 +10,13 @@ quartiles, how many pairs the change won, its relative move against the
 bound in the parent's BENCHMARK.json, and the verdict on a claimed gain: the
 change must win at least nine pairs in ten, and the medians must differ, in
 the better direction, by more than the parent's interquartile range.  Each
-pair's values go to ``--json`` when given.  Standard library only.
+pair's values go to ``--json`` when given.
+
+``--probe import|setup`` instead runs ``benchmarks/probe.py`` in a fresh
+interpreter ``--count`` times per checkout, in the same alternating order,
+and summarizes the reference seconds the same way.  A start-up figure read
+once per benchmark run is noisy; this resolves a move of a few percent.
+Standard library only.
 """
 
 from __future__ import annotations
@@ -17,6 +24,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import statistics
 import subprocess
 import sys
@@ -84,15 +92,62 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
+#: The thread pinning of ``benchmarks/run.py``'s child processes.
+PINNED_THREADS = {
+    name: "1" for name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "BLIS_NUM_THREADS")
+}
+
+
+def probe_once(checkout: Path, mode: str) -> float:
+    """One fresh ``benchmarks/probe.py`` run: its reference seconds."""
+    proc = subprocess.run(
+        [sys.executable, "benchmarks/probe.py", mode],
+        cwd=checkout,
+        env=dict(os.environ, **PINNED_THREADS),
+        stdout=subprocess.PIPE,
+        text=True,
+        check=True,
+    )
+    return float(proc.stdout.split()[-1])
+
+
+def probe_summary(mode: str, parent: list[float], change: list[float]) -> str:
+    """One line: both medians with their quartiles, the relative move, and
+    in how many pairs the change started faster."""
+    res = verdict(parent, change, "lower")
+    (pm, p1, p3), (cm, c1, c3) = res["parent"], res["change"]
+    return (
+        f"probe {mode}: {pm:.4g} [{p1:.4g}, {p3:.4g}] -> {cm:.4g} [{c1:.4g}, {c3:.4g}] ref-s"
+        f" ({100 * res['relative']:+.1f}%), change faster in {res['wins']}/{res['pairs']}"
+    )
+
+
+def run_probes(args) -> int:
+    runs = {"parent": [], "change": []}
+    for k in range(args.count):
+        for side in ("parent", "change") if k % 2 == 0 else ("change", "parent"):
+            runs[side].append(probe_once(getattr(args, side), args.probe))
+    print(probe_summary(args.probe, runs["parent"], runs["change"]))
+    if args.json:
+        args.json.write_text(json.dumps(runs, indent=1) + "\n")
+    return 0
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", type=Path)
     parser.add_argument("change", type=Path)
-    parser.add_argument("--workload", action="append", required=True)
-    parser.add_argument("--seeds", required=True, help="e.g. 101-110 or 1,4,9")
+    parser.add_argument("--workload", action="append")
+    parser.add_argument("--seeds", help="e.g. 101-110 or 1,4,9")
     parser.add_argument("--seconds", type=float, default=45)
+    parser.add_argument("--probe", choices=("import", "setup"), help="interleave start-up probes instead")
+    parser.add_argument("--count", type=int, default=12, help="probe runs per checkout")
     parser.add_argument("--json", type=Path, help="write every pair's results here")
     args = parser.parse_args()
+    if args.probe:
+        return run_probes(args)
+    if not (args.workload and args.seeds):
+        parser.error("--workload and --seeds are required unless --probe is given")
     spec = json.loads((args.parent / "BENCHMARK.json").read_text())
     metrics = spec["end_to_end"]
     runs = {}

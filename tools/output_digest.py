@@ -25,7 +25,7 @@ from pathlib import Path
 
 GEOMETRIES = ("flat", "sphere", "sphere-orthonormal", "evolution", "nonlinear")
 LAW_SEEDS = (1, 4, 108)
-HOLONOMY_STEPS = (1e-2, 1e-3, 1e-4)
+HOLONOMY_STEPS = (1e-2, 1e-3, 1e-4, 1e-5)
 
 #: (name, argv) of the CLI runs beyond the law suites.
 OTHER_RUNS = (
@@ -58,6 +58,11 @@ OTHER_RUNS = (
          "--vector", "0.5,-1"],
     ),
     ("holonomy:flat:latitude:step", ["holonomy", "--geometry", "flat", "--loop", "latitude:1.0", "--step", "1e-4"]),
+    (
+        "transport:sphere:latitude:backward",
+        ["transport", "--geometry", "sphere", "--path", "latitude:pi/3", "--from", "5", "--to", "0.5", "--step", "1e-5",
+         "--vector", "1,0"],
+    ),
 )
 
 QUICK_RUNS = (
