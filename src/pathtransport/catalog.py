@@ -19,8 +19,8 @@ import numpy as np
 
 from .bundles import BundleGeometry, FibreVector, complex_structure, grid_geometry_from_csv
 from .engine import TransportMatrix
-from .errors import IntervalError, SingularCoefficientError, SpecFormatError
-from .paths import Path, parse_key_values, positions_at
+from .errors import SingularCoefficientError, SpecFormatError
+from .paths import check_parameters, parse_key_values, positions_at
 from .transports import (
     KIND_GENERIC,
     KIND_LINEAR_CUSTOM,
@@ -250,18 +250,18 @@ def evolution_transport(hamiltonian: np.ndarray | None = None, hbar: float = 1.0
     generator = (j @ h) / float(hbar)
     flat_traits = bool(np.all(h == 0.0))
 
-    def matrix_fn(path: Path, s: float, t: float, step_) -> TransportMatrix:
-        lo, hi = path.domain
-        eps = 1e-12 * max(1.0, abs(lo), abs(hi))
-        if not (lo - eps <= s <= hi + eps and lo - eps <= t <= hi + eps):
-            raise IntervalError(f"parameters ({s}, {t}) outside path domain {path.domain}")
-        return TransportMatrix(expm(-(t - s) * generator), path_id=path.label, s=s, t=t, step=0.0)
+    def matrices_fn(requests, step_) -> list[TransportMatrix]:
+        out = []
+        for path, s, t in requests:
+            check_parameters(path, s, t)
+            out.append(TransportMatrix(expm(-(t - s) * generator), path_id=path.label, s=s, t=t, step=0.0))
+        return out
 
     transport = TransportAlongPaths(
         kind=KIND_LINEAR_CUSTOM,
         base_dim=1,
         fibre_dim=r,
-        matrix_fn=matrix_fn,
+        matrices_fn=matrices_fn,
         label="evolution",
     )
     return GeometryCatalogEntry(

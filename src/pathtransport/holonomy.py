@@ -74,7 +74,9 @@ def holonomy(
     """Transport around a closed loop, summarized as a fibre matrix.
 
     ``base_vector`` selects the linearization point for generic transports
-    (default: the zero fibre vector) and is ignored for linear ones.
+    (default: the zero fibre vector) and is ignored for linear ones.  The 2r
+    perturbed loop transports of a generic transport run as one batch, at
+    ``step`` as a linear transport's matrix does.
     """
     sigma, tau = loop.domain
     start = position_at(loop, sigma)
@@ -87,13 +89,10 @@ def holonomy(
         m = np.asarray(transport.matrix(loop, sigma, tau, step=step).value)
     else:
         u0 = np.zeros(r) if base_vector is None else np.asarray(base_vector, dtype=float)
-        m = np.empty((r, r))
-        for j in range(r):
-            e = np.zeros(r)
-            e[j] = fd_step
-            plus = transport.apply(loop, sigma, tau, FibreVector(start, u0 + e))
-            minus = transport.apply(loop, sigma, tau, FibreVector(start, u0 - e))
-            m[:, j] = (np.asarray(plus.components) - np.asarray(minus.components)) / (2 * fd_step)
+        e = fd_step * np.eye(r)
+        requests = [(loop, sigma, tau, FibreVector(start, u0 + sign * e[j])) for j in range(r) for sign in (1, -1)]
+        ends = np.array([v.components for v in transport.apply_many(requests, step=step)], dtype=float)
+        m = (ends[0::2] - ends[1::2]).T / (2 * fd_step)
     angle = None
     if r == 2:
         try:

@@ -243,11 +243,24 @@ def tangent(path: Path, s: float, *, h: float | None = None) -> np.ndarray:
     return velocity_at(path, float(s), h=h)
 
 
+def _domain_eps(path: Path) -> float:
+    """How far outside its domain a parameter of the path is still taken as inside."""
+    return 1e-12 * max(1.0, abs(path.domain[0]), abs(path.domain[1]))
+
+
+def check_parameters(path: Path, s: float, t: float) -> None:
+    """Raise IntervalError unless s and t lie in the path's domain (within ``_domain_eps``)."""
+    lo, hi = path.domain
+    eps = _domain_eps(path)
+    if not (lo - eps <= s <= hi + eps and lo - eps <= t <= hi + eps):
+        raise IntervalError(f"parameters ({s}, {t}) outside path domain {path.domain}")
+
+
 def restrict(path: Path, sub: tuple[float, float]) -> Path:
     """Restriction of the path to a closed subinterval of its domain."""
     a, b = float(sub[0]), float(sub[1])
     sigma, tau = path.domain
-    eps = 1e-12 * max(1.0, abs(sigma), abs(tau))
+    eps = _domain_eps(path)
     if a > b or a < sigma - eps or b > tau + eps:
         raise IntervalError(f"subinterval {sub!r} not contained in {path.domain}")
     a, b = max(a, sigma), min(b, tau)

@@ -29,14 +29,14 @@ BASE_POINT_TOL = 1e-8
 
 
 class TransportAlongPaths:
-    """A transport along paths, optionally with a matrix realization.
+    """A transport along paths, realized by batched callbacks.
 
-    ``apply_fn(path, s, t, u)`` maps fibre vectors; linear instances may
-    instead (or additionally) provide ``matrix_fn(path, s, t, step)`` and get
-    ``apply`` for free through the matrix action.  ``apply_many_fn`` and
-    ``matrices_fn`` are optional batched forms, taking a list of
-    ``(path, s, t, u)`` or ``(path, s, t)`` requests and a step and returning
-    one result per request; given one, its one-request form is not needed.
+    ``apply_many_fn(requests, step)`` carries the fibre vectors of a list of
+    ``(path, s, t, u)`` requests; ``matrices_fn(requests, step)`` returns the
+    matrices L(t, s) of a list of ``(path, s, t)`` requests.  Both return one
+    result per request.  A transport needs at least one of them; one with
+    ``matrices_fn`` is linear, and without ``apply_many_fn`` it acts through
+    its matrices.
     """
 
     def __init__(
@@ -46,21 +46,14 @@ class TransportAlongPaths:
         geometry: Optional[BundleGeometry] = None,
         base_dim: Optional[int] = None,
         fibre_dim: Optional[int] = None,
-        apply_fn: Optional[Callable] = None,
-        matrix_fn: Optional[Callable] = None,
-        default_step: Optional[float] = None,
-        label: str = "",
         apply_many_fn: Optional[Callable] = None,
         matrices_fn: Optional[Callable] = None,
+        label: str = "",
     ):
         if kind not in (KIND_FROM_CONNECTION, KIND_LINEAR_CUSTOM, KIND_GENERIC):
             raise ValueError(f"unknown transport kind {kind!r}")
-        if apply_many_fn is None and apply_fn is not None:
-            apply_many_fn = _one_at_a_time(lambda path, s, t, u, step: apply_fn(path, s, t, u))
-        if matrices_fn is None and matrix_fn is not None:
-            matrices_fn = _one_at_a_time(matrix_fn)
         if apply_many_fn is None and matrices_fn is None:
-            raise ValueError("a transport needs apply_fn or matrix_fn")
+            raise ValueError("a transport needs apply_many_fn or matrices_fn")
         self.kind = kind
         self.geometry = geometry
         self.base_dim = base_dim if base_dim is not None else (geometry.base_dim if geometry else None)
@@ -69,7 +62,6 @@ class TransportAlongPaths:
             raise ValueError("transport dimensions could not be inferred")
         self._apply_many_fn = apply_many_fn
         self._matrices_fn = matrices_fn
-        self.default_step = default_step
         self.label = label
 
     @property
@@ -80,8 +72,7 @@ class TransportAlongPaths:
         """The matrices L(t, s) of many ``(path, s, t)`` requests, integrated together where the realization allows."""
         if self._matrices_fn is None:
             raise NotApplicableError(f"transport {self.label or self.kind} has no matrix realization")
-        requests = [(path, float(s), float(t)) for path, s, t in requests]
-        return self._matrices_fn(requests, step if step is not None else self.default_step)
+        return self._matrices_fn([(path, float(s), float(t)) for path, s, t in requests], step)
 
     def matrix(self, path: Path, s: float, t: float, *, step: float | None = None) -> TransportMatrix:
         return self.matrices([(path, s, t)], step=step)[0]
@@ -103,37 +94,26 @@ class TransportAlongPaths:
         return self.apply_many([(path, s, t, u)], step=step)[0]
 
 
-def _one_at_a_time(fn: Callable) -> Callable:
-    """The batched form of a one-request function ``fn(*request, step)``."""
-    return lambda requests, step: [fn(*request, step) for request in requests]
-
-
 class ParallelTransport:
     """A map sending a closed-interval path to its start-to-end fibre map.
 
-    ``apply_many_fn`` and ``matrices_fn`` are optional batched forms of
-    ``apply_fn`` and ``matrix_fn``, over lists of ``(path, u)`` requests and
-    of paths; given one, its one-request form is not needed.
+    ``apply_many_fn(requests)`` carries the fibre vectors of a list of
+    ``(path, u)`` requests, each over its path's whole domain;
+    ``matrices_fn(paths)``, when given, returns the matrices of a list of
+    paths and makes the parallel transport linear.  Both return one result
+    per request.
     """
 
     def __init__(
         self,
         *,
-        apply_fn: Optional[Callable] = None,
-        matrix_fn: Optional[Callable] = None,
+        apply_many_fn: Callable,
+        matrices_fn: Optional[Callable] = None,
         base_dim: int,
         fibre_dim: int,
         geometry: Optional[BundleGeometry] = None,
         label: str = "",
-        apply_many_fn: Optional[Callable] = None,
-        matrices_fn: Optional[Callable] = None,
     ):
-        if apply_many_fn is None:
-            if apply_fn is None:
-                raise ValueError("a parallel transport needs apply_fn")
-            apply_many_fn = lambda requests: [apply_fn(path, u) for path, u in requests]  # noqa: E731
-        if matrices_fn is None and matrix_fn is not None:
-            matrices_fn = lambda paths: [matrix_fn(path) for path in paths]  # noqa: E731
         self._apply_many_fn = apply_many_fn
         self._matrices_fn = matrices_fn
         self.base_dim = base_dim
@@ -161,15 +141,12 @@ class ParallelTransport:
         return self.matrices([path])[0]
 
 
-def connection_transport(
-    geometry: BundleGeometry, *, step: float | None = None, label: str = ""
-) -> TransportAlongPaths:
+def connection_transport(geometry: BundleGeometry, *, label: str = "") -> TransportAlongPaths:
     """The linear transport integrating the lift equation of a coefficient field."""
     return TransportAlongPaths(
         kind=KIND_FROM_CONNECTION,
         geometry=geometry,
-        matrices_fn=lambda requests, step_: transport_matrices(geometry, requests, step=step_),
-        default_step=step,
+        matrices_fn=lambda requests, step: transport_matrices(geometry, requests, step=step),
         label=label or (geometry.label and f"transport:{geometry.label}") or "transport",
     )
 

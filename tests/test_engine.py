@@ -89,6 +89,42 @@ def test_default_step_is_a_fixed_step_count():
     assert m.step == pytest.approx(1.0 / engine.DEFAULT_STEP_COUNT, rel=1e-15)
 
 
+def test_default_step_takes_exactly_the_step_count_over_all_pieces(monkeypatch):
+    steps = []
+
+    def counted(g, h, lengths, n_steps, **kwargs):
+        steps.append(n_steps)
+        return kernel(g, h, lengths, n_steps, **kwargs)
+
+    kernel = engine._rk4_transitions
+    monkeypatch.setattr(engine, "_rk4_transitions", counted)
+    sphere = pt.get_entry("sphere").geometry
+    # ceil(0.265 / (0.265 / 1000)) is 1001 in floating point.
+    m = pt.transport_matrix_over_path(sphere, pt.segment([1.0, 0.0], [1.5, 0.5]), 0.0, 0.265)
+    assert steps == [engine.DEFAULT_STEP_COUNT] and m.step == 0.265 / engine.DEFAULT_STEP_COUNT
+    a = pt.segment([1.0, 0.0], [1.3, 0.1])
+    b = pt.segment(a.at(1.0), [1.2, 0.6])
+    three = pt.product_canonical(a, pt.product_canonical(b, pt.segment(b.at(1.0), [1.5, 0.5])))
+    assert len(three.breakpoints) == 2
+    steps.clear()
+    pt.transport_matrix_over_path(sphere, three, 0.03, 0.97)
+    assert sum(steps) == engine.DEFAULT_STEP_COUNT
+
+
+def test_a_parameter_outside_the_domain_raises_one_error_for_every_matrix_transport():
+    seg = pt.segment([1.0, 0.0], [1.5, 0.5])
+    sphere = pt.get_entry("sphere").geometry
+    evolution = pt.get_entry("evolution").transport
+    outside = "parameters (0.0, 1.000000001) outside path domain (0.0, 1.0)"
+    with pytest.raises(IntervalError) as engine_error:
+        pt.transport_matrix_over_path(sphere, seg, 0.0, 1.0 + 1e-9)
+    with pytest.raises(IntervalError) as evolution_error:
+        evolution.matrix(seg, 0.0, 1.0 + 1e-9)
+    assert str(engine_error.value) == str(evolution_error.value) == outside
+    pt.transport_matrix_over_path(sphere, seg, 0.0, 1.0 + 1e-13)
+    evolution.matrix(seg, 0.0, 1.0 + 1e-13)
+
+
 def test_explicit_step_rounds_the_count_up():
     m = pt.integrate_transport_matrix(constant_field(ROTATION_GEN), 0.0, 1.0, 0.3)
     assert m.step == 0.25

@@ -141,10 +141,27 @@ def test_generic_holonomy_is_a_jacobian_linearization(nonlinear_entry, sphere_en
         kind="generic",
         base_dim=2,
         fibre_dim=2,
-        apply_fn=lambda p, s, t, u: T.apply(p, s, t, u, step=1e-3),
+        apply_many_fn=lambda requests, step: T.apply_many(requests, step=1e-3),
         label="opaque-sphere",
     )
     lat = pt.latitude(1.0)
     direct = pt.holonomy(T, lat, step=1e-3).matrix
     linearized = pt.holonomy(opaque, lat, base_vector=np.zeros(2)).matrix
     assert np.max(np.abs(direct - linearized)) <= 1e-6
+
+
+def test_generic_holonomy_is_one_batch(nonlinear_entry):
+    # The 2r perturbed loop transports of the Jacobian reach the realization
+    # as one batch, at the holonomy's step.
+    inner = nonlinear_entry.transport
+    batches = []
+
+    def apply_many_fn(requests, step):
+        batches.append((len(requests), step))
+        return inner.apply_many(requests, step=step)
+
+    counted = pt.TransportAlongPaths(kind="generic", base_dim=2, fibre_dim=2, apply_many_fn=apply_many_fn)
+    loop = closed_loop_from(pt.segment([0.1, 0.2], [0.5, -0.3]))
+    rep = pt.holonomy(counted, loop, base_vector=np.array([0.4, -0.2]), step=1e-3)
+    assert batches == [(4, 1e-3)]
+    assert np.array_equal(rep.matrix, pt.holonomy(inner, loop, base_vector=np.array([0.4, -0.2])).matrix)

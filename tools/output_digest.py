@@ -6,7 +6,8 @@
 example ``src`` of a checkout).  The script runs CLI subcommands in-process,
 each into a fresh output directory, and digests their stdout, stderr, exit
 code and every report file.  It also digests the bytes of holonomy matrices
-of a fixed latitude and a fixed geodesic triangle at several steps.  Each
+of a fixed latitude and a fixed geodesic triangle at several steps, and
+three CLI runs on a small grid geometry read through ``--geometry-file``.  Each
 line reads ``<sha256>  <name>``, sorted by name, so two checkouts produce
 byte-identical outputs exactly when ``diff`` of their two listings is empty.
 ``--quick`` runs a small subset.
@@ -18,6 +19,7 @@ import argparse
 import contextlib
 import hashlib
 import io
+import itertools
 import math
 import sys
 import tempfile
@@ -65,6 +67,13 @@ OTHER_RUNS = (
     ),
 )
 
+#: CLI runs on a user grid geometry, as (name, argv before ``--geometry-file SPEC``).
+GRID_RUNS = (
+    ("check-laws:grid", ["check-laws", "--samples", "5"]),
+    ("factorize:grid", ["factorize", "--points", "3"]),
+    ("roundtrip:grid", ["roundtrip", "--samples", "20", "--points", "3"]),
+)
+
 QUICK_RUNS = (
     ("check-laws:sphere:seed1", ["check-laws", "--geometry", "sphere", "--seed", "1", "--samples", "4"]),
     ("roundtrip:flat:seed1", ["roundtrip", "--geometry", "flat", "--seed", "1", "--samples", "4", "--points", "2"]),
@@ -101,6 +110,21 @@ def cli_outputs(pt, name: str, argv: list[str]) -> dict[str, bytes]:
         for path in sorted(Path(tmp).iterdir()):
             outputs[f"{name}:{path.name}"] = path.read_bytes()
     return outputs
+
+
+def write_grid_spec(directory: Path) -> Path:
+    """A ``kind = grid`` spec and its CSV in ``directory``: a 2-d base, a 2-d
+    fibre, coefficients G[a, b, mu] sampled from a smooth non-flat field on a
+    3 x 3 grid."""
+    rows = []
+    for x1, x2, a, b, mu in itertools.product((0.5, 1.0, 1.5), (-0.5, 0.0, 0.5), range(2), range(2), range(2)):
+        value = math.sin(x1 + 2 * a - b) * math.cos(x2 + mu) * (1 if a != b else 0.25)
+        rows.append(f"{x1!r},{x2!r},{a},{b},{mu},{value!r}")
+    grid = directory / "grid.csv"
+    grid.write_text("\n".join(rows) + "\n")
+    spec = directory / "grid.spec"
+    spec.write_text(f"kind = grid\nlabel = digest-grid\nbase_dim = 2\nfibre_dim = 2\ngrid_file = {grid}\n")
+    return spec
 
 
 def _embed(theta: float, phi: float):
@@ -150,6 +174,11 @@ def all_outputs(pt, quick: bool) -> dict[str, bytes]:
     outputs = {}
     for name, argv in runs:
         outputs.update(cli_outputs(pt, name, argv))
+    if not quick:
+        with tempfile.TemporaryDirectory() as tmp:
+            spec = write_grid_spec(Path(tmp))
+            for name, argv in GRID_RUNS:
+                outputs.update(cli_outputs(pt, name, argv + ["--geometry-file", str(spec)]))
     outputs.update(holonomy_outputs(pt, HOLONOMY_STEPS[:1] if quick else HOLONOMY_STEPS))
     return outputs
 
