@@ -17,6 +17,9 @@ import numpy as np
 from .errors import ChartDomainError, SpecFormatError
 from .paths import batch_eval, read_csv_rows
 
+#: How far a fibre vector may sit from the path point it is attached to.
+BASE_POINT_TOL = 1e-8
+
 
 @dataclass(frozen=True)
 class BundleGeometry:

@@ -37,7 +37,7 @@ from typing import Any, Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .bundles import BundleGeometry, FibreVector, coeffs3_batch, coeffs3_at
+from .bundles import BASE_POINT_TOL, BundleGeometry, FibreVector, coeffs3_batch
 from .errors import (
     ChartDomainError,
     DegenerateProbeError,
@@ -570,15 +570,13 @@ def transport_matrix_over_path(
 
 
 def coefficients_along_path(geometry: BundleGeometry, path: Path, s: float) -> TransportCoefficients:
-    """Coefficient matrix G(s) = coeffs3(path(s)) contracted with the velocity."""
+    """Coefficient matrix G(s) = coeffs3(path(s)) . velocity(s), one sample of the
+    integrators' ``path_coefficient_field``; s is checked by ``check_parameters``."""
     s = float(s)
-    lo, hi = path.domain
-    if not (lo <= s <= hi):
-        raise IntervalError(f"parameter {s} outside path domain {path.domain}")
-    x = position_at(path, s)
-    g3 = coeffs3_at(geometry, x)
-    v = velocity_at(path, s)
-    return TransportCoefficients(np.einsum("abm,m->ab", g3, v), path_id=path.label, s=s)
+    check_parameters(path, s, s)
+    # + 0.0 turns -0.0 into 0.0, as a sum from zero gives; reports print "0", not "-0".
+    g = path_coefficient_field(geometry, path)(s)[0] + 0.0
+    return TransportCoefficients(g, path_id=path.label, s=s)
 
 
 def horizontal_lift(
@@ -589,21 +587,18 @@ def horizontal_lift(
     grid: Sequence[float],
     *,
     step: float | None = None,
-    tol: float = 1e-9,
 ) -> LiftedPath:
     """Sampled horizontal lift of the path through a starting fibre vector.
 
     Returns parameters (sorted), base points and transported components
-    ``L(t, s0) u`` over the grid.
+    ``L(t, s0) u`` over the grid.  u must sit within ``BASE_POINT_TOL`` of
+    path(s0); the grid and s0 are checked as transport parameters.
     """
     s0 = float(s0)
     x0 = position_at(path, s0)
-    if float(np.max(np.abs(np.asarray(u.base_point) - x0))) > tol:
+    if float(np.max(np.abs(np.asarray(u.base_point) - x0))) > BASE_POINT_TOL:
         raise ChartDomainError("starting fibre vector is not attached to path(s0)")
     ts = np.sort(np.asarray(grid, dtype=float))
-    lo, hi = path.domain
-    if ts.size and (ts[0] < lo - 1e-12 or ts[-1] > hi + 1e-12):
-        raise IntervalError("lift grid leaves the path domain")
     comps = np.empty((ts.size, geometry.fibre_dim))
     # March outward from s0 in both directions, reusing partial products.
     order = np.argsort(np.abs(ts - s0), kind="stable")

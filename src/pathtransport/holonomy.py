@@ -15,7 +15,7 @@ import numpy as np
 
 from .bundles import FibreVector
 from .errors import NotALoopError, NotARotationError
-from .paths import Path, latitude, position_at
+from .paths import JUNCTION_TOL, Path, latitude, position_at
 from .transports import TransportAlongPaths
 
 ORTHOGONALITY_TOL = 1e-6
@@ -69,9 +69,9 @@ def holonomy(
     base_vector: Optional[np.ndarray] = None,
     step: float | None = None,
     fd_step: float = JACOBIAN_STEP,
-    junction_tol: float = 1e-9,
 ) -> HolonomyReport:
-    """Transport around a closed loop, summarized as a fibre matrix.
+    """Transport around a closed loop (endpoints equal within ``paths.JUNCTION_TOL``),
+    summarized as a fibre matrix.
 
     ``base_vector`` selects the linearization point for generic transports
     (default: the zero fibre vector) and is ignored for linear ones.  The 2r
@@ -82,8 +82,8 @@ def holonomy(
     start = position_at(loop, sigma)
     end = position_at(loop, tau)
     gap = float(np.max(np.abs(start - end)))
-    if gap > junction_tol:
-        raise NotALoopError(f"path endpoints differ by {gap:.3e} (tolerance {junction_tol:g})")
+    if gap > JUNCTION_TOL:
+        raise NotALoopError(f"path endpoints differ by {gap:.3e} (tolerance {JUNCTION_TOL:g})")
     r = transport.fibre_dim
     if transport.is_linear:
         m = np.asarray(transport.matrix(loop, sigma, tau, step=step).value)

@@ -17,8 +17,10 @@ from .errors import IntervalError, NotApplicableError
 from .paths import (
     Path,
     Reparametrization,
+    _require_canonical,
     affine_reparametrization,
     bulge_reparametrization,
+    check_parameters,
     identity_reparametrization,
     invert_canonical,
     line_through,
@@ -372,8 +374,7 @@ class ParallelAxiomFixtures:
 
 def split_canonical(path: Path) -> tuple[Path, Path]:
     """Both halves of a canonical path, each reparametrized back onto [0, 1]."""
-    if path.domain != (0.0, 1.0):
-        raise IntervalError("split_canonical needs a canonical path")
+    _require_canonical(path, "split_canonical")
     left = reparametrize(restrict(path, (0.0, 0.5)), affine_reparametrization((0.0, 1.0), (0.0, 0.5)))
     right = reparametrize(restrict(path, (0.5, 1.0)), affine_reparametrization((0.0, 1.0), (0.5, 1.0)))
     return left, right
@@ -478,9 +479,9 @@ def _lift_tangents(
     """``lift_tangent`` for many ``(path, s0, u, h)``, with one batch of transports at ``step``."""
     requests = []
     for path, s0, u, h in specs:
-        lo, hi = path.domain
-        if s0 - h < lo - 1e-15 or s0 + h > hi + 1e-15:
-            raise IntervalError(f"cannot center a difference of width {h} at {s0} in {path.domain}")
+        if not h > 0:
+            raise IntervalError(f"difference width {h} is not positive")
+        check_parameters(path, s0 - h, s0 + h)
         requests += [(path, s0, s0 + h, u), (path, s0, s0 - h, u)]
     out = transport.apply_many(requests, step=step)
     tangents = []

@@ -236,10 +236,8 @@ def velocity_at(path: Path, s, *, h: float | None = None, piece: tuple[float, fl
 
 
 def tangent(path: Path, s: float, *, h: float | None = None) -> np.ndarray:
-    """Tangent vector of the path at s (zero for point paths)."""
-    sigma, tau = path.domain
-    if not (sigma <= s <= tau):
-        raise IntervalError(f"parameter {s} outside domain {path.domain}")
+    """Tangent vector of the path at s (zero for point paths); s is checked by ``check_parameters``."""
+    check_parameters(path, s, s)
     return velocity_at(path, float(s), h=h)
 
 
@@ -385,29 +383,27 @@ def invert_canonical(path: Path) -> Path:
     )
 
 
-def product_canonical(p1: Path, p2: Path, *, tol: float = JUNCTION_TOL) -> Path:
+def product_canonical(p1: Path, p2: Path) -> Path:
     """Canonical product: p1 traversed on [0, 1/2], then p2 on [1/2, 1].
 
-    Requires both factors canonical and p1(1) = p2(0) within ``tol``.  The
-    junction becomes a breakpoint; the velocity evaluator uses the left branch
-    at exactly t = 1/2.
+    Requires both factors canonical and p1(1) = p2(0) within ``JUNCTION_TOL``;
+    it is C1 where the scaled velocities agree there as closely.  The junction
+    becomes a breakpoint; the velocity evaluator uses the left branch at t = 1/2.
     """
     _require_canonical(p1, "product_canonical")
     _require_canonical(p2, "product_canonical")
     if p1.dim != p2.dim:
         raise EndpointMismatchError("factor paths live in different chart dimensions")
-    end1 = position_at(p1, 1.0)
-    start2 = position_at(p2, 0.0)
-    gap = float(np.max(np.abs(end1 - start2)))
-    if gap > tol:
-        raise EndpointMismatchError(f"junction mismatch {gap:.3e} exceeds tolerance {tol:.3e}")
+    gap = float(np.max(np.abs(position_at(p1, 1.0) - position_at(p2, 0.0))))
+    if gap > JUNCTION_TOL:
+        raise EndpointMismatchError(f"junction mismatch {gap:.3e} exceeds tolerance {JUNCTION_TOL:.3e}")
 
     v_left = 2 * velocity_at(p1, 1.0)
     v_right = 2 * velocity_at(p2, 0.0)
     joins_c1 = (
         p1.smoothness == C1
         and p2.smoothness == C1
-        and float(np.max(np.abs(v_left - v_right))) <= tol
+        and float(np.max(np.abs(v_left - v_right))) <= JUNCTION_TOL
     )
     if p1.smoothness == C0 or p2.smoothness == C0:
         tag = C0

@@ -15,7 +15,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .bundles import BundleGeometry, FibreVector
+from .bundles import BASE_POINT_TOL, BundleGeometry, FibreVector
 from .engine import TransportMatrix, transport_matrices
 from .errors import ChartDomainError, InverseUnavailableError, NotApplicableError
 from .paths import Path, positions_at, restrict
@@ -23,9 +23,6 @@ from .paths import Path, positions_at, restrict
 KIND_FROM_CONNECTION = "linear-from-connection"
 KIND_LINEAR_CUSTOM = "linear-custom"
 KIND_GENERIC = "generic"
-
-#: How far a fibre vector may sit from its claimed base point.
-BASE_POINT_TOL = 1e-8
 
 
 class TransportAlongPaths:

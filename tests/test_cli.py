@@ -238,6 +238,16 @@ def test_non_finite_or_non_positive_numeric_flags_exit_two(tmp_path, capsys, arg
     assert err.startswith("error:") and "Traceback" not in err
 
 
+def test_transport_to_a_parameter_within_the_domain_tolerance(tmp_path, capsys):
+    # 1 + 1e-13 lies within the domain tolerance of the unit segment: the
+    # transport and the coefficient dump both accept it.
+    argv = ["transport", "--geometry", "sphere", "--path", "segment:from=1,0;to=1.2,0.3", "--to", "1.0000000000001"]
+    code, out, text = run([*argv, "--vector", "1,0"], tmp_path, capsys)
+    assert code == 0 and "components:" in text
+    assert (out / "transport_matrix.csv").exists()
+    assert len((out / "transport_coefficients.csv").read_text().splitlines()) == 1 + 11 * 4
+
+
 @pytest.mark.parametrize("command", ["check-laws", "roundtrip"])
 def test_step_flag_reaches_every_transport(tmp_path, capsys, monkeypatch, command):
     # The parallel-axiom rows, the smoothness row and roundtrip's back

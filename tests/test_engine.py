@@ -9,6 +9,7 @@ from scipy.linalg import expm
 
 import pathtransport as pt
 from pathtransport import engine
+from pathtransport.bundles import coeffs3_at
 from pathtransport.engine import path_coefficient_field
 from pathtransport.errors import (
     ChartDomainError,
@@ -19,6 +20,7 @@ from pathtransport.errors import (
     SingularCoefficientError,
 )
 from pathtransport.laws import _bezier_path, random_paths
+from pathtransport.paths import position_at, velocity_at
 
 ROTATION_GEN = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
@@ -125,6 +127,37 @@ def test_a_parameter_outside_the_domain_raises_one_error_for_every_matrix_transp
     evolution.matrix(seg, 0.0, 1.0 + 1e-13)
 
 
+def _long_segment():
+    return pt.segment([1.0, 0.0], [1.5, 0.5], domain=(0.0, 1e4))
+
+
+BOUNDARY_CALLS = {
+    "coefficients": lambda e: pt.coefficients_along_path(e.geometry, pt.segment([1.0, 0.0], [1.5, 0.5]), 1.0 + 1e-13),
+    "tangent": lambda e: pt.tangent(pt.segment([1.0, 0.0], [1.5, 0.5]), 1.0 + 1e-13),
+    "lift-grid": lambda e: pt.horizontal_lift(
+        e.geometry, _long_segment(), 0.0, pt.FibreVector([1.0, 0.0], [1.0, 0.0]), [0.0, 5e3, 1e4 + 1e-9]
+    ),
+    "lift-tangent": lambda e: pt.lift_tangent(
+        e.transport, _long_segment(), 1e4 - 1.0 + 1e-10, pt.FibreVector(_long_segment().at(1e4 - 1.0), [1.0, 0.0]), 1.0
+    ),
+    "split-canonical": lambda e: pt.split_canonical(pt.segment([1.0, 0.0], [1.5, 0.5], domain=(0.0, 1.0 - 1e-13))),
+    "lift-attachment": lambda e: pt.horizontal_lift(
+        e.geometry, pt.segment([1.0, 0.0], [1.5, 0.5]), 0.0, pt.FibreVector([1.0 + 5e-9, 0.0], [1.0, 0.0]), [0.5, 1.0]
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BOUNDARY_CALLS))
+def test_every_boundary_decision_accepts_what_the_transport_accepts(sphere_entry, case):
+    # Each call sits inside the tolerance of the one rule for its decision
+    # (domain, canonical domain, attachment); the transport accepts the
+    # same inputs, so these must run too.
+    seg = pt.segment([1.0, 0.0], [1.5, 0.5])
+    sphere_entry.transport.apply(seg, 0.0, 1.0 + 1e-13, pt.FibreVector([1.0 + 5e-9, 0.0], [1.0, 0.0]))
+    pt.invert_canonical(pt.segment([1.0, 0.0], [1.5, 0.5], domain=(0.0, 1.0 - 1e-13)))
+    BOUNDARY_CALLS[case](sphere_entry)
+
+
 def test_explicit_step_rounds_the_count_up():
     m = pt.integrate_transport_matrix(constant_field(ROTATION_GEN), 0.0, 1.0, 0.3)
     assert m.step == 0.25
@@ -162,6 +195,34 @@ def test_coefficients_vanish_on_point_paths(sphere_entry):
     pp = pt.point_path(0.0, [1.0, 0.5])
     c = pt.coefficients_along_path(sphere_entry.geometry, pp, 0.0)
     assert np.all(c.value == 0.0)
+
+
+def _small_grid_geometry():
+    # A 3 x 3 grid on a 2-d base with a 2-d fibre; one fibre entry is zero.
+    values = np.random.default_rng(7).standard_normal((3, 3, 2, 2, 2))
+    values[..., 0, 1, :] = 0.0
+    return pt.geometry_from_grid([np.array([0.5, 1.0, 1.5]), np.array([-0.5, 0.0, 0.5])], values, fibre_dim=2)
+
+
+@pytest.mark.parametrize("name", ["flat", "sphere", "sphere-orthonormal", "grid"])
+def test_coefficients_equal_the_contraction_at_one_point_bit_for_bit(catalog, name):
+    # The reference is the scalar contraction that coefficients_along_path
+    # used before it sampled the integrators' field; bytes compare the signs
+    # of zeros too.  Velocities have negative and zero components.
+    geometry = _small_grid_geometry() if name == "grid" else catalog[name].geometry
+    paths = [
+        pt.segment([1.4, 0.4], [0.6, 0.4]),
+        pt.segment([1.2, 0.3], [1.2, -0.4]),
+        pt.segment([1.5, 0.5], [0.9, -0.5]),
+        pt.invert_canonical(pt.segment([0.8, -0.3], [1.3, 0.2])),
+        pt.point_path(0.0, [1.0, 0.25]),
+    ]
+    for path in paths:
+        for s in np.linspace(*path.domain, 5):
+            x, v = position_at(path, s), velocity_at(path, s)
+            expected = np.einsum("abm,m->ab", coeffs3_at(geometry, x), v)
+            got = pt.coefficients_along_path(geometry, path, s).value
+            assert got.tobytes() == expected.tobytes(), (path.label, s)
 
 
 def test_coefficients_on_latitude_match_christoffel_contraction(sphere_entry):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pathtransport as pt
-from pathtransport.errors import NotApplicableError
+from pathtransport.errors import IntervalError, NotApplicableError
 from pathtransport.laws import DEFAULT_TOLERANCE, LawReport, random_paths
 
 
@@ -225,6 +225,19 @@ def test_smoothness_not_applicable_for_generic(nonlinear_entry):
     seg = pt.segment([0.0, 0.0], [1.0, 0.0])
     with pytest.raises(NotApplicableError):
         pt.check_smoothness_conditions(nonlinear_entry.transport, seg, 0.5)
+
+
+@pytest.mark.parametrize("h", [0.0, -1e-3])
+def test_a_difference_width_that_is_not_positive_is_rejected(sphere_entry, h):
+    # A zero width divided by zero (NaN tangents, a NaN residual); a
+    # negative one passed the domain check and differenced backward.  A NaN
+    # width already failed the domain check.
+    lat = pt.latitude(1.0)
+    u = pt.FibreVector(lat.at(2.0), [1.0, 0.0])
+    with pytest.raises(IntervalError):
+        pt.lift_tangent(sphere_entry.transport, lat, 2.0, u, h)
+    with pytest.raises(IntervalError):
+        pt.check_smoothness_conditions(sphere_entry.transport, lat, 2.0, u, h=h)
 
 
 def test_smoothness_detects_evolution_transport(evolution_entry):

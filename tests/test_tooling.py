@@ -59,6 +59,21 @@ def test_output_digest_quick_is_well_formed_and_repeatable():
     assert {"list-geometries:stdout", "check-laws:sphere:seed1:law_reports.csv", "matrix:triangle:sphere:1e-02"} <= names
 
 
+def test_tracer_records_the_coefficient_dump_as_field_calls(tmp_path):
+    # The transport command's coefficient dump samples the integrators'
+    # field, so the tracer's engine.field span sees it.
+    from pathtransport.cli import main
+
+    tracer = tracing_module().Tracer()
+    argv = ["transport", "--geometry", "sphere", "--path", "segment:from=1,0;to=1.2,0.3", "--vector", "1,0"]
+    with tracer.installed():
+        tracer.begin_job()
+        assert main([*argv, "--out", str(tmp_path)]) == 0
+        tracer.end_job(0)
+    assert tracer.calls["engine.field"] > 0
+    assert (tmp_path / "transport_coefficients.csv").exists()
+
+
 def bench_pairs_module():
     spec = importlib.util.spec_from_file_location("bench_pairs", TRACING.parent.parent / "tools" / "bench_pairs.py")
     module = importlib.util.module_from_spec(spec)
