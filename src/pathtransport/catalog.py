@@ -20,15 +20,13 @@ import numpy as np
 from .bundles import BundleGeometry, FibreVector, complex_structure, grid_geometry_from_csv
 from .engine import TransportMatrix
 from .errors import SingularCoefficientError, SpecFormatError
-from .paths import check_parameters, parse_key_values, positions_at
+from .paths import SPHERE_POLE_MARGIN, check_parameters, parse_key_values, positions_at
 from .transports import (
     KIND_GENERIC,
     KIND_LINEAR_CUSTOM,
     TransportAlongPaths,
     connection_transport,
 )
-
-SPHERE_POLE_MARGIN = 1e-3
 
 
 def _pade_coefficients(m: int) -> np.ndarray:
@@ -129,13 +127,10 @@ def flat_bundle(base_dim: int = 2, fibre_dim: int = 2) -> GeometryCatalogEntry:
     )
 
 
-def _sphere_chart(margin: float):
-    def inside(x):
-        x = np.asarray(x, dtype=float)
-        th = x[..., 0]
-        return bool(((th > margin) & (th < math.pi - margin)).all())
-
-    return inside
+def _sphere_chart(x) -> bool:
+    """Whether every chart point keeps ``SPHERE_POLE_MARGIN`` away from both poles."""
+    th = np.asarray(x, dtype=float)[..., 0]
+    return bool(((th > SPHERE_POLE_MARGIN) & (th < math.pi - SPHERE_POLE_MARGIN)).all())
 
 
 def sphere_levi_civita() -> GeometryCatalogEntry:
@@ -172,7 +167,7 @@ def sphere_levi_civita() -> GeometryCatalogEntry:
         base_dim=2,
         fibre_dim=2,
         coeffs3=coeffs,
-        chart_domain=_sphere_chart(SPHERE_POLE_MARGIN),
+        chart_domain=_sphere_chart,
         label="sphere",
         contract=contract,
     )
@@ -214,7 +209,7 @@ def sphere_orthonormal_frame() -> GeometryCatalogEntry:
         base_dim=2,
         fibre_dim=2,
         coeffs3=coeffs,
-        chart_domain=_sphere_chart(SPHERE_POLE_MARGIN),
+        chart_domain=_sphere_chart,
         label="sphere-orthonormal",
         contract=contract,
     )
@@ -274,18 +269,17 @@ def evolution_transport(hamiltonian: np.ndarray | None = None, hbar: float = 1.0
     )
 
 
-def nonlinear_fixture(base_dim: int = 2, fibre_dim: int = 2, alpha: float = 0.1) -> GeometryCatalogEntry:
+def nonlinear_fixture(alpha: float = 0.1) -> GeometryCatalogEntry:
     """Generic (nonlinear) transport used as the negative control for linearity.
 
-    The fibre flows along du/dw = alpha * u * u (componentwise) where the
-    flow weight is a fixed linear functional of the chart displacement,
-    w = c . (x(t) - x(s)).  The flow has the closed form
-    u -> u / (1 - alpha w u); weights add along compositions and depend only
-    on endpoint positions, so all groupoid and parametrization laws hold
-    exactly while the map is plainly nonlinear in u.
+    On a 2-d base with a 2-d fibre, the fibre flows along du/dw = alpha * u * u
+    (componentwise) where the flow weight is a fixed linear functional of the
+    chart displacement, w = c . (x(t) - x(s)) with c = (1, 1/2).  The flow has
+    the closed form u -> u / (1 - alpha w u); weights add along compositions
+    and depend only on endpoint positions, so all groupoid and parametrization
+    laws hold exactly while the map is plainly nonlinear in u.
     """
-    n, r = int(base_dim), int(fibre_dim)
-    c = 1.0 / np.arange(1.0, n + 1.0)
+    c = np.array([1.0, 0.5])
     a = float(alpha)
 
     def apply_many_fn(requests, step_) -> list[FibreVector]:
@@ -300,8 +294,8 @@ def nonlinear_fixture(base_dim: int = 2, fibre_dim: int = 2, alpha: float = 0.1)
 
     transport = TransportAlongPaths(
         kind=KIND_GENERIC,
-        base_dim=n,
-        fibre_dim=r,
+        base_dim=2,
+        fibre_dim=2,
         apply_many_fn=apply_many_fn,
         label="nonlinear",
     )
@@ -310,7 +304,7 @@ def nonlinear_fixture(base_dim: int = 2, fibre_dim: int = 2, alpha: float = 0.1)
         geometry=None,
         transport=transport,
         traits=Traits(factorizable=False, linear=False, flat=False, parallel=True),
-        chart_box=tuple((-2.0, 2.0) for _ in range(n)),
+        chart_box=((-2.0, 2.0), (-2.0, 2.0)),
         description=f"componentwise quadratic flow, alpha={a:g}",
     )
 
@@ -333,10 +327,9 @@ def get_entry(entry_id: str) -> GeometryCatalogEntry:
     return cat[entry_id]
 
 
-def entry_from_geometry(
-    geometry: BundleGeometry, *, entry_id: str = "", flat: bool | None = None
-) -> GeometryCatalogEntry:
-    """Wrap a coefficient-field geometry as a connection-backed catalog entry."""
+def entry_from_geometry(geometry: BundleGeometry, *, entry_id: str = "") -> GeometryCatalogEntry:
+    """Wrap a coefficient-field geometry as a connection-backed catalog entry; it
+    is declared flat when the coefficients vanish at the centre of its box."""
     if geometry.chart_box is not None:
         # Shrink towards the box center so probes and stencils stay inside.
         box = tuple(
@@ -344,14 +337,13 @@ def entry_from_geometry(
         )
     else:
         box = tuple((-1.0, 1.0) for _ in range(geometry.base_dim))
-    if flat is None:
-        center = np.array([0.5 * (a + b) for a, b in box])
-        flat = bool(np.all(np.abs(geometry.coeffs3(center)) == 0.0)) if geometry.contains(center) else False
+    center = np.array([0.5 * (a + b) for a, b in box])
+    flat = bool(np.all(np.abs(geometry.coeffs3(center)) == 0.0)) if geometry.contains(center) else False
     return GeometryCatalogEntry(
         id=entry_id or geometry.label or "custom",
         geometry=geometry,
         transport=connection_transport(geometry, label=entry_id or geometry.label),
-        traits=Traits(factorizable=True, linear=True, flat=bool(flat), parallel=True),
+        traits=Traits(factorizable=True, linear=True, flat=flat, parallel=True),
         chart_box=box,
         description=f"user geometry {geometry.label}",
     )
@@ -388,8 +380,8 @@ def load_geometry_spec(text: str, *, entry_id: str = "") -> GeometryCatalogEntry
     raise SpecFormatError(f"unknown geometry kind {kind!r}")
 
 
-def sample_paths(entry: GeometryCatalogEntry, rng: np.random.Generator, count: int, *, domain=(0.0, 1.0)):
-    """Random chart paths suitable for law checks against this entry."""
+def sample_paths(entry: GeometryCatalogEntry, rng: np.random.Generator, count: int):
+    """Random chart paths on [0, 1] suitable for law checks against this entry."""
     from .laws import random_paths
 
-    return random_paths(rng, count, dim=entry.transport.base_dim, box=entry.chart_box, domain=domain)
+    return random_paths(rng, count, dim=entry.transport.base_dim, box=entry.chart_box)

@@ -22,10 +22,11 @@ import numpy as np
 
 from .bundles import FibreVector
 from .catalog import GeometryCatalogEntry, get_entry, load_geometry_spec, sample_paths, standard_catalog
-from .engine import coefficients_along_path, connection_from_transport, factorization_test
+from .engine import FACTORIZATION_THRESHOLD, coefficients_along_path, connection_from_transport, factorization_test
 from .errors import NotFactorizableError, PathTransportError
 from .holonomy import holonomy, latitude_sweep
 from .laws import (
+    DEFAULT_TOLERANCE,
     check_linearity,
     check_parallel_axioms,
     check_smoothness_conditions,
@@ -68,7 +69,7 @@ def _build_parser(defaults: dict) -> argparse.ArgumentParser:
     common.add_argument("--out", help="output directory (default: $PATHTRANSPORT_OUTDIR or '.')")
     common.add_argument("--seed", type=int, default=0, help="random seed for all fixtures")
     common.add_argument("--step", type=float, default=1e-3, help="RK4 integration step")
-    common.add_argument("--tolerance", type=float, default=1e-6, help="law-check tolerance")
+    common.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE, help="law-check tolerance")
 
     parser = argparse.ArgumentParser(
         prog="pathtransport",
@@ -95,13 +96,13 @@ def _build_parser(defaults: dict) -> argparse.ArgumentParser:
     p = sub.add_parser("factorize", parents=[common], help="test the velocity-factorization criterion")
     subparsers.append(p)
     p.add_argument("--points", type=int, default=10, help="number of chart points to probe")
-    p.add_argument("--threshold", type=float, default=1e-4, help="factorizability threshold")
+    p.add_argument("--threshold", type=float, default=FACTORIZATION_THRESHOLD, help="factorizability threshold")
 
     p = sub.add_parser("roundtrip", parents=[common], help="transport<->parallel and connection round trips")
     subparsers.append(p)
     p.add_argument("--samples", type=int, default=200, help="random samples for the transport round trip")
     p.add_argument("--points", type=int, default=20, help="chart points for the connection round trip")
-    p.add_argument("--threshold", type=float, default=1e-4, help="factorizability threshold")
+    p.add_argument("--threshold", type=float, default=FACTORIZATION_THRESHOLD, help="factorizability threshold")
 
     p = sub.add_parser("holonomy", parents=[common], help="loop holonomy and latitude sweeps")
     subparsers.append(p)

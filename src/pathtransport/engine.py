@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import groupby
 from typing import Any, Callable, NamedTuple, Sequence
 
@@ -51,6 +51,12 @@ from .paths import Path, batch_eval, check_parameters, line_through, position_at
 
 #: Default number of RK4 steps when no absolute step size is given.
 DEFAULT_STEP_COUNT = 1000
+
+#: Central-difference width for coefficients recovered from a transport.
+FD_STEP = 1e-4
+
+#: Largest factorization residual that still counts as factorizable.
+FACTORIZATION_THRESHOLD = 1e-4
 
 #: Relative inward nudge for coefficient samples at breakpoints.
 _BREAK_NUDGE = 1e-9
@@ -131,7 +137,7 @@ class FactorizationVerdict:
     candidate3: np.ndarray
     residual: float
     threshold: float
-    factorizable: bool
+    factorizable: bool = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "point", np.array(self.point, dtype=float))
@@ -595,6 +601,7 @@ def horizontal_lift(
     path(s0); the grid and s0 are checked as transport parameters.
     """
     s0 = float(s0)
+    check_parameters(path, s0, s0)
     x0 = position_at(path, s0)
     if float(np.max(np.abs(np.asarray(u.base_point) - x0))) > BASE_POINT_TOL:
         raise ChartDomainError("starting fibre vector is not attached to path(s0)")
@@ -619,7 +626,7 @@ def horizontal_lift(
 
 
 def coefficients_from_transport(
-    transport_matrix_fn: Callable, s: float, *, h: float = 1e-4, path_id: str = ""
+    transport_matrix_fn: Callable, s: float, *, h: float = FD_STEP, path_id: str = ""
 ) -> TransportCoefficients:
     """Recover the coefficient matrix from a transport-matrix evaluator.
 
@@ -641,17 +648,15 @@ def coefficients_from_transport(
     return TransportCoefficients((plus - minus) / (2 * h), path_id=path_id, s=float(s))
 
 
-def _probe_coefficients(
-    transport, probes, *, half_width: float, fd_step: float, step: float | None
-) -> list[np.ndarray]:
-    """Coefficient matrices of a transport at x along the straight probe with
-    velocity v, for each ``(x, v)`` of ``probes``; one batch of transports."""
-    lines = [line_through(x, v, half_width) for x, v in probes]
-    mats = iter(transport.matrices([(p, 0.0, 0.0 + h) for p in lines for h in (fd_step, -fd_step)], step=step))
+def _probe_coefficients(transport, probes, step: float | None) -> list[np.ndarray]:
+    """Coefficient matrices of a transport at x along the straight probe
+    ``line_through(x, v)``, for each ``(x, v)`` of ``probes``; one batch of transports."""
+    lines = [line_through(x, v) for x, v in probes]
+    mats = iter(transport.matrices([(p, 0.0, 0.0 + h) for p in lines for h in (FD_STEP, -FD_STEP)], step=step))
     out = []
     for p in lines:
         plus, minus = next(mats), next(mats)
-        coeff = coefficients_from_transport(lambda a, b: plus if b > a else minus, 0.0, h=fd_step, path_id=p.label)
+        coeff = coefficients_from_transport(lambda a, b: plus if b > a else minus, 0.0, path_id=p.label)
         out.append(coeff.value)
     return out
 
@@ -660,56 +665,38 @@ def factorization_test(
     transport,
     x,
     probe_velocities=None,
-    random_velocities=None,
     *,
-    threshold: float = 1e-4,
-    half_width: float = 0.1,
-    fd_step: float = 1e-4,
+    threshold: float = FACTORIZATION_THRESHOLD,
     step: float | None = None,
     seed: int = 0,
-    n_random: int = 8,
 ) -> FactorizationVerdict:
     """Decide whether a linear transport's coefficients factor through velocity.
 
     A candidate 3-index field at x is extracted from straight probes along the
     ``probe_velocities`` (default: coordinate unit vectors, which must span the
     base).  The residual is the worst mismatch between the directly measured
-    coefficient matrix and the candidate contraction over ``random_velocities``
-    plus the zero velocity; the zero-velocity probe alone already exposes
-    transports with path-independent coefficients.
+    coefficient matrix and the candidate contraction over 8 velocities drawn
+    from ``seed`` plus the zero velocity; the zero-velocity probe alone already
+    exposes transports with path-independent coefficients.
     """
-    return _factorization_tests(
-        transport, [x], probe_velocities, random_velocities, threshold=threshold, half_width=half_width,
-        fd_step=fd_step, step=step, seed=seed, n_random=n_random,
-    )[0]
+    return _factorization_tests(transport, [x], probe_velocities, threshold=threshold, step=step, seed=seed)[0]
 
 
-def _factorization_tests(
-    transport, points, probe_velocities=None, random_velocities=None, *, threshold, half_width, fd_step, step, seed,
-    n_random=8,
-) -> list[FactorizationVerdict]:
+def _factorization_tests(transport, points, probes=None, *, threshold, step, seed) -> list[FactorizationVerdict]:
     """``factorization_test`` at each point, with the probes of all points in one batch."""
     if not getattr(transport, "is_linear", False):
         raise NotApplicableError("factorization test needs a linear transport with a matrix realization")
     points = [np.asarray(x, dtype=float) for x in points]
-    n = transport.base_dim
-    r = transport.fibre_dim
+    n, r = transport.base_dim, transport.fibre_dim
     for x in points:
         if transport.geometry is not None and not transport.geometry.contains(x):
             raise ChartDomainError(f"probe point {x.tolist()} lies outside the chart")
-    probes = np.eye(n) if probe_velocities is None else np.asarray(probe_velocities, dtype=float)
+    probes = np.eye(n) if probes is None else np.asarray(probes, dtype=float)
     if probes.ndim != 2 or probes.shape[1] != n or np.linalg.matrix_rank(probes) < n:
         raise DegenerateProbeError("probe velocities must span the base tangent space")
-    if random_velocities is None:
-        rng = np.random.default_rng(seed)
-        random_velocities = rng.standard_normal((n_random, n))
-    checks = list(np.asarray(random_velocities, dtype=float)) + [np.zeros(n)]
+    checks = list(np.random.default_rng(seed).standard_normal((8, n))) + [np.zeros(n)]
     velocities = list(probes) + checks
-    coeffs = iter(
-        _probe_coefficients(
-            transport, [(x, v) for x in points for v in velocities], half_width=half_width, fd_step=fd_step, step=step
-        )
-    )
+    coeffs = iter(_probe_coefficients(transport, [(x, v) for x in points for v in velocities], step))
     verdicts = []
     for x in points:
         measured = np.stack([next(coeffs) for _ in probes])
@@ -720,8 +707,7 @@ def _factorization_tests(
         for v in checks:
             predicted = np.einsum("abm,m->ab", candidate, v)
             residual = max(residual, float(np.max(np.abs(next(coeffs) - predicted))))
-        verdict = FactorizationVerdict(x, candidate, residual, threshold, factorizable=residual <= threshold)
-        verdicts.append(verdict)
+        verdicts.append(FactorizationVerdict(x, candidate, residual, threshold))
     return verdicts
 
 
@@ -729,9 +715,7 @@ def connection_from_transport(
     transport,
     sample_points,
     *,
-    threshold: float = 1e-4,
-    half_width: float = 0.1,
-    fd_step: float = 1e-4,
+    threshold: float = FACTORIZATION_THRESHOLD,
     step: float | None = None,
     seed: int = 0,
 ) -> BundleGeometry:
@@ -745,9 +729,7 @@ def connection_from_transport(
     the sample points).
     """
     pts = [np.asarray(p, dtype=float) for p in sample_points]
-    verdicts = _factorization_tests(
-        transport, pts, threshold=threshold, half_width=half_width, fd_step=fd_step, step=step, seed=seed
-    )
+    verdicts = _factorization_tests(transport, pts, threshold=threshold, step=step, seed=seed)
     failed = [v for v in verdicts if not v.factorizable]
     if failed:
         worst = max(v.residual for v in failed)
@@ -761,9 +743,7 @@ def connection_from_transport(
     def coeffs(x):
         x = np.asarray(x, dtype=float)
         rows = np.atleast_2d(x)
-        measured = _probe_coefficients(
-            transport, [(row, v) for row in rows for v in probes], half_width=half_width, fd_step=fd_step, step=step
-        )
+        measured = _probe_coefficients(transport, [(row, v) for row in rows for v in probes], step)
         out = np.stack(
             [np.moveaxis(np.stack(measured[i : i + n]).reshape(n, r, r), 0, -1) for i in range(0, len(measured), n)]
         )

@@ -45,18 +45,18 @@ class HolonomyReport:
         )
 
 
-def rotation_angle(m: np.ndarray, *, tol: float = ORTHOGONALITY_TOL) -> float:
+def rotation_angle(m: np.ndarray) -> float:
     """Angle of a proper 2x2 rotation, in (-pi, pi].
 
-    Raises NotARotationError unless the matrix is orthogonal within ``tol``
-    with positive determinant.
+    Raises NotARotationError unless the matrix is orthogonal within
+    ``ORTHOGONALITY_TOL`` with positive determinant.
     """
     m = np.asarray(m, dtype=float)
     if m.shape != (2, 2):
         raise NotARotationError(f"expected a 2x2 matrix, got shape {m.shape}")
     defect = float(np.max(np.abs(m.T @ m - np.eye(2))))
-    if defect > tol:
-        raise NotARotationError(f"matrix is not orthogonal within {tol:g} (defect {defect:.3e})")
+    if defect > ORTHOGONALITY_TOL:
+        raise NotARotationError(f"matrix is not orthogonal within {ORTHOGONALITY_TOL:g} (defect {defect:.3e})")
     if float(np.linalg.det(m)) <= 0:
         raise NotARotationError("matrix has non-positive determinant")
     return math.atan2(m[1, 0], m[0, 0])
@@ -68,15 +68,15 @@ def holonomy(
     *,
     base_vector: Optional[np.ndarray] = None,
     step: float | None = None,
-    fd_step: float = JACOBIAN_STEP,
 ) -> HolonomyReport:
     """Transport around a closed loop (endpoints equal within ``paths.JUNCTION_TOL``),
     summarized as a fibre matrix.
 
-    ``base_vector`` selects the linearization point for generic transports
-    (default: the zero fibre vector) and is ignored for linear ones.  The 2r
-    perturbed loop transports of a generic transport run as one batch, at
-    ``step`` as a linear transport's matrix does.
+    ``base_vector`` selects the linearization point (central differences of
+    width ``JACOBIAN_STEP``) for generic transports (default: the zero fibre
+    vector) and is ignored for linear ones.  The 2r perturbed loop transports
+    of a generic transport run as one batch, at ``step`` as a linear
+    transport's matrix does.
     """
     sigma, tau = loop.domain
     start = position_at(loop, sigma)
@@ -89,10 +89,10 @@ def holonomy(
         m = np.asarray(transport.matrix(loop, sigma, tau, step=step).value)
     else:
         u0 = np.zeros(r) if base_vector is None else np.asarray(base_vector, dtype=float)
-        e = fd_step * np.eye(r)
+        e = JACOBIAN_STEP * np.eye(r)
         requests = [(loop, sigma, tau, FibreVector(start, u0 + sign * e[j])) for j in range(r) for sign in (1, -1)]
         ends = np.array([v.components for v in transport.apply_many(requests, step=step)], dtype=float)
-        m = (ends[0::2] - ends[1::2]).T / (2 * fd_step)
+        m = (ends[0::2] - ends[1::2]).T / (2 * JACOBIAN_STEP)
     angle = None
     if r == 2:
         try:

@@ -33,7 +33,8 @@ DEFAULT_FD_FRACTION = 1e-5
 #: Junction tolerance for canonical products, in chart coordinates.
 JUNCTION_TOL = 1e-9
 
-_POLE_MARGIN = 1e-3
+#: Collar around each pole of the sphere chart (theta, phi), in radians.
+SPHERE_POLE_MARGIN = 1e-3
 
 
 @dataclass(frozen=True)
@@ -289,7 +290,7 @@ def _monotone_preimage(chi: Reparametrization, value: float) -> float:
 
 def reparametrize(path: Path, chi: Reparametrization) -> Path:
     """The composed path ``path o chi`` with the chain-rule velocity."""
-    if not all(a == b or abs(a - b) <= 1e-9 for a, b in zip(chi.target, path.domain)):
+    if not all(abs(a - b) <= _domain_eps(path) for a, b in zip(chi.target, path.domain)):
         raise IntervalError(f"reparametrization target {chi.target} is not the path domain {path.domain}")
 
     def pos(s):
@@ -505,18 +506,18 @@ def bulge_reparametrization(
     return Reparametrization((float(a), float(b)), (float(c), float(d)), chi, dchi)
 
 
-def validate_reparametrization(chi: Reparametrization, *, samples: int = 33, tol: float = 1e-9):
-    """Check endpoint mapping and derivative sign on an interior sample grid."""
+def validate_reparametrization(chi: Reparametrization):
+    """Check endpoint mapping (within 1e-9) and derivative sign on 31 interior samples."""
     a, b = chi.source
     c, d = chi.target
     fa, fb = float(chi.map(a)), float(chi.map(b))
     if chi.orientation == "preserving":
-        ok = abs(fa - c) <= tol and abs(fb - d) <= tol
+        ok = abs(fa - c) <= 1e-9 and abs(fb - d) <= 1e-9
     else:
-        ok = abs(fa - d) <= tol and abs(fb - c) <= tol
+        ok = abs(fa - d) <= 1e-9 and abs(fb - c) <= 1e-9
     if not ok:
         raise IntervalError("reparametrization endpoints do not map onto the target interval")
-    ss = np.linspace(a, b, samples)[1:-1]
+    ss = np.linspace(a, b, 33)[1:-1]
     der = np.asarray(chi.derivative(ss), dtype=float)
     if chi.orientation == "preserving" and np.any(der <= 0):
         raise IntervalError("derivative must stay positive for an orientation-preserving change")
@@ -608,18 +609,18 @@ def _wrap_angle(x):
     return np.mod(x, 2 * math.pi)
 
 
-def latitude(colatitude: float, turns: float = 1.0, phi0: float = 0.0, *, pole_margin: float = _POLE_MARGIN) -> Path:
+def latitude(colatitude: float, turns: float = 1.0, phi0: float = 0.0) -> Path:
     """Latitude circle on the sphere chart (theta, phi), unit angular speed.
 
     Runs phi from phi0 over ``turns`` full revolutions, domain [0, 2*pi*turns].
     The azimuth is reduced mod 2*pi so whole turns close up exactly in chart
     coordinates (the chart-level image jumps where the azimuth wraps; the
     velocity evaluator is analytic and unaffected).  Colatitudes within
-    ``pole_margin`` of a pole are rejected.
+    ``SPHERE_POLE_MARGIN`` of a pole are rejected.
     """
     th = float(colatitude)
     _require_finite("latitude colatitude, turns and phi0", th, float(turns), float(phi0))
-    if not (pole_margin < th < math.pi - pole_margin):
+    if not (SPHERE_POLE_MARGIN < th < math.pi - SPHERE_POLE_MARGIN):
         raise ChartDomainError(f"latitude colatitude {th:g} is too close to a coordinate pole")
     span = 2 * math.pi * float(turns)
     if span <= 0:
@@ -668,15 +669,14 @@ def great_circle(
     *,
     domain: tuple[float, float] | None = None,
     anchor: float | None = None,
-    pole_margin: float = _POLE_MARGIN,
 ) -> Path:
     """Great-circle arc on the sphere chart with prescribed chart velocity.
 
     ``point`` = (theta0, phi0); ``direction`` = chart velocity (dtheta, dphi)
     at the ``anchor`` parameter (default: the domain start).  The arc is
     computed in the ambient embedding and pulled back to the chart, so the
-    chart velocity at the anchor is exactly ``direction``.  Arcs that approach
-    a pole are rejected.
+    chart velocity at the anchor is exactly ``direction``.  Arcs that come
+    within ``SPHERE_POLE_MARGIN`` of a pole are rejected.
     """
     th0, ph0 = float(point[0]), float(point[1])
     a, b = (0.0, float(length)) if domain is None else (float(domain[0]), float(domain[1]))
@@ -711,7 +711,7 @@ def great_circle(
     ref_phi = np.unwrap(np.arctan2(ref_y, ref_x))
     ref_phi += ph0 - float(np.interp(s_anchor, ref_s, ref_phi))
     ref_theta = np.arccos(np.clip(ref_z, -1.0, 1.0))
-    if np.any(ref_theta < pole_margin) or np.any(ref_theta > math.pi - pole_margin):
+    if not np.all((ref_theta > SPHERE_POLE_MARGIN) & (ref_theta < math.pi - SPHERE_POLE_MARGIN)):
         raise ChartDomainError("great-circle arc passes too close to a coordinate pole")
 
     # Both chart evaluators fill (2, m) storage and return its (m, 2) view.

@@ -171,7 +171,7 @@ def parallel_from_transport(transport: TransportAlongPaths, *, step: float | Non
     )
 
 
-def transport_from_parallel(psi: ParallelTransport, *, label: str = "") -> TransportAlongPaths:
+def transport_from_parallel(psi: ParallelTransport) -> TransportAlongPaths:
     """The transport along paths acting through restrictions of a parallel transport.
 
     For s <= t it applies psi over the restriction to [s, t]; for s >= t it
@@ -233,5 +233,5 @@ def transport_from_parallel(psi: ParallelTransport, *, label: str = "") -> Trans
         fibre_dim=psi.fibre_dim,
         apply_many_fn=apply_many_fn,
         matrices_fn=matrices_fn,
-        label=label or (f"along:{psi.label}" if psi.label else "along-paths"),
+        label=f"along:{psi.label}" if psi.label else "along-paths",
     )

@@ -7,8 +7,9 @@ from scipy.linalg import expm
 import pathtransport as pt
 from pathtransport import catalog as catalog_module
 from pathtransport.bundles import coeffs3_at, coeffs3_batch
-from pathtransport.errors import SpecFormatError
+from pathtransport.errors import ChartDomainError, SpecFormatError
 from pathtransport.laws import random_paths
+from pathtransport.paths import SPHERE_POLE_MARGIN
 
 
 def test_standard_catalog_ids(catalog):
@@ -46,6 +47,30 @@ def test_flat_dimensions_are_configurable():
 
 
 # --- sphere (chart Christoffel symbols) ------------------------------------------
+
+
+@pytest.mark.parametrize("entry_id", ["sphere", "sphere-orthonormal"])
+def test_sphere_paths_reject_exactly_where_the_chart_ends(catalog, entry_id):
+    # One pole collar, paths.SPHERE_POLE_MARGIN, for the chart and both path
+    # families: a colatitude just inside it and one just outside, near each pole.
+    assert catalog_module.SPHERE_POLE_MARGIN is SPHERE_POLE_MARGIN
+    contains = catalog[entry_id].geometry.contains
+    m = SPHERE_POLE_MARGIN
+    for th in (m - 1e-9, m + 1e-9, math.pi - m - 1e-9, math.pi - m + 1e-9):
+        inside = m < th < math.pi - m
+        assert contains(np.array([th, 0.0])) == inside
+        # A meridian arc from colatitude 0.5 (or pi - 0.5) that ends at th.
+        start = 0.5 if th < 1.0 else math.pi - 0.5
+        families = (
+            lambda: pt.latitude(th),
+            lambda: pt.great_circle([start, 0.0], [math.copysign(1.0, th - start), 0.0], abs(th - start)),
+        )
+        for build in families:
+            if inside:
+                build()
+            else:
+                with pytest.raises(ChartDomainError):
+                    build()
 
 
 def test_sphere_christoffel_values(sphere_entry):

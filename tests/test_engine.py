@@ -370,6 +370,16 @@ def test_full_turn_latitude_matrix_richardson_consistency(sphere_entry):
     assert np.max(np.abs(coarse + np.eye(2))) <= 1e-6
 
 
+@pytest.mark.parametrize("grid", [[], [0.5]])
+def test_lift_rejects_a_start_outside_the_domain_for_any_grid(sphere_entry, grid):
+    # The vector sits at path(5.0), so only the domain rule can refuse s0;
+    # an empty grid makes no transport request that would check it.
+    seg = pt.segment([1.0, 0.0], [1.5, 0.5])
+    u = pt.FibreVector([3.5, 2.5], [1.0, 0.0])
+    with pytest.raises(IntervalError):
+        pt.horizontal_lift(sphere_entry.geometry, seg, 5.0, u, grid)
+
+
 def test_lift_rejects_detached_vectors(sphere_entry):
     lat = pt.latitude(1.0)
     u = pt.FibreVector([1.0, 0.5], [1.0, 0.0])  # not at lat(0)
@@ -429,6 +439,13 @@ def test_factorization_flat_candidate_is_zero(flat_entry):
     assert v.factorizable
     assert v.residual == 0.0
     assert np.all(v.candidate3 == 0.0)
+
+
+def test_factorization_verdict_derives_its_flag():
+    with pytest.raises(TypeError):
+        pt.FactorizationVerdict([0.0], np.zeros((1, 1, 1)), 1.0, 1e-4, factorizable=True)
+    assert not pt.FactorizationVerdict([0.0], np.zeros((1, 1, 1)), 1.0, 1e-4).factorizable
+    assert pt.FactorizationVerdict([0.0], np.zeros((1, 1, 1)), 1e-4, 1e-4).factorizable
 
 
 def test_factorization_rejects_evolution_transport(evolution_entry):

@@ -89,13 +89,15 @@ def test_reparametrize_domain_mismatch():
         pt.reparametrize(p, chi)
 
 
-def test_reparametrize_accepts_targets_within_1e_9_of_the_domain():
-    # The tolerance is 1e-9 absolute on each endpoint; the endpoints that move
-    # are 0, so the offsets are exact.
-    low, high = pt.segment([0.0], [1.0]), pt.segment([0.0], [1.0], domain=(-1.0, 0.0))
-    pt.reparametrize(low, pt.affine_reparametrization((0.0, 1.0), (1e-9, 1.0)))
-    pt.reparametrize(high, pt.affine_reparametrization((0.0, 1.0), (-1.0, -1e-9)))
-    for path, target in ((low, (1.1e-9, 1.0)), (high, (-1.0, 1.1e-9))):
+def test_reparametrize_accepts_targets_within_the_domain_tolerance():
+    # "Target equals the domain" follows the parameter rule,
+    # 1e-12 * max(1, |lo|, |hi|): what restrict accepts, reparametrize accepts.
+    long = pt.segment([0.0], [1.0], domain=(0.0, 1e4))
+    pt.restrict(long, (0.0, 1e4 + 5e-9))
+    pt.reparametrize(long, pt.affine_reparametrization((0.0, 1.0), (0.0, 1e4 + 5e-9)))
+    unit = pt.segment([0.0], [1.0])
+    pt.reparametrize(unit, pt.affine_reparametrization((0.0, 1.0), (-5e-13, 1.0 + 5e-13)))
+    for path, target in ((long, (0.0, 1e4 + 2e-8)), (unit, (0.0, 1.0 + 2e-12)), (unit, (-2e-12, 1.0))):
         with pytest.raises(IntervalError):
             pt.reparametrize(path, pt.affine_reparametrization((0.0, 1.0), target))
 

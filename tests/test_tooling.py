@@ -59,6 +59,26 @@ def test_output_digest_quick_is_well_formed_and_repeatable():
     assert {"list-geometries:stdout", "check-laws:sphere:seed1:law_reports.csv", "matrix:triangle:sphere:1e-02"} <= names
 
 
+def test_knob_count_is_well_formed():
+    import re
+    import subprocess
+    import sys
+
+    root = Path(__file__).resolve().parent.parent
+    argv = [sys.executable, str(root / "tools" / "knob_count.py"), "--src", str(root / "src")]
+    *rows, total = subprocess.run(argv, capture_output=True, text=True, timeout=60, check=True).stdout.splitlines()
+    counts = {}
+    for row in rows:
+        match = re.fullmatch(r"(\w+) (\d+)(?: (\w+(?:,\w+)*))?", row)
+        assert match, row
+        name, count, params = match.groups()
+        assert int(count) == len(params.split(",") if params else [])
+        counts[name] = int(count)
+    assert list(counts) == sorted(counts)
+    assert {"factorization_test", "holonomy", "Path"} <= set(counts)
+    assert total == f"total {sum(counts.values())}"
+
+
 def test_tracer_records_the_coefficient_dump_as_field_calls(tmp_path):
     # The transport command's coefficient dump samples the integrators'
     # field, so the tracer's engine.field span sees it.
