@@ -36,6 +36,13 @@ class BundleGeometry:
     v^mu``, contiguous over the samples, and equals that contraction bit for
     bit up to the sign of exact zeros.  It lets a geometry write only its
     structural non-zeros; ``coeffs3`` stays the definition and the fallback.
+
+    ``reads`` lists the base coordinates that ``coeffs3``, ``contract`` and
+    ``chart_domain`` read; ``None`` means all of them.  The velocity is always
+    read.  The integrators contract one sample for a one-chunk pass whose
+    read coordinates and velocities all equal the first sample's, so a
+    declaration that omits a coordinate the field depends on silently gives
+    wrong matrices.
     """
 
     base_dim: int
@@ -47,6 +54,7 @@ class BundleGeometry:
     #: fixture sampling; not a substitute for chart_domain).
     chart_box: Optional[tuple[tuple[float, float], ...]] = None
     contract: Optional[Callable] = None
+    reads: Optional[tuple[int, ...]] = None
 
     def contains(self, x) -> bool:
         if self.chart_domain is None:

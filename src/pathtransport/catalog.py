@@ -116,7 +116,7 @@ def flat_bundle(base_dim: int = 2, fibre_dim: int = 2) -> GeometryCatalogEntry:
         return np.zeros((r, r, n, x.shape[0])).transpose(3, 0, 1, 2)
 
     contract = lambda xs, vs: np.zeros((r, r, len(xs)))  # noqa: E731
-    geometry = BundleGeometry(base_dim=n, fibre_dim=r, coeffs3=coeffs, label="flat", contract=contract)
+    geometry = BundleGeometry(base_dim=n, fibre_dim=r, coeffs3=coeffs, label="flat", contract=contract, reads=())
     return GeometryCatalogEntry(
         id="flat",
         geometry=geometry,
@@ -170,6 +170,7 @@ def sphere_levi_civita() -> GeometryCatalogEntry:
         chart_domain=_sphere_chart,
         label="sphere",
         contract=contract,
+        reads=(0,),
     )
     return GeometryCatalogEntry(
         id="sphere",
@@ -212,6 +213,7 @@ def sphere_orthonormal_frame() -> GeometryCatalogEntry:
         chart_domain=_sphere_chart,
         label="sphere-orthonormal",
         contract=contract,
+        reads=(0,),
     )
     return GeometryCatalogEntry(
         id="sphere-orthonormal",

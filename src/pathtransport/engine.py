@@ -234,7 +234,8 @@ def _rk4_transitions(g: np.ndarray, h, lengths: np.ndarray, n_steps: int, *, tab
     n_steps equal transitions: it forms one and reduces it by
     ``_uniform_product``.  Its result depends on h, n_steps and the first
     sample alone, so with a ``table`` it is looked up under those bits, or
-    computed, made read-only and stored there.
+    computed, made read-only and stored there.  Its ``g`` may also be that
+    first sample alone, (r, r, 1).
     """
     uniform = np.ndim(h) == 0 and bool((g == g[..., :1]).all())
     # NaN never equals itself, so a uniform field is finite when its first sample is.
@@ -487,8 +488,10 @@ def _samples_last(arrays: list) -> np.ndarray:
 
 def _geometry_sampler(geometry: BundleGeometry) -> Callable:
     """``sample(chunks, pts)`` for chunks whose sources are path pieces: one
-    jet call per run of consecutive chunks with one key, then one coefficient
-    evaluation and one contraction over the whole pass."""
+    jet call per run of consecutive chunks with one key, one chart check over
+    the whole pass, then one contraction over it; a one-chunk pass whose
+    ``geometry.reads`` coordinates and velocities all equal the first
+    sample's contracts that sample alone, an (r, r, 1) field."""
 
     def sample(chunks, pts):
         runs, start = [], 0
@@ -507,7 +510,13 @@ def _geometry_sampler(geometry: BundleGeometry) -> Callable:
                 _check_chart(geometry, xs[start : start + 2 * c.n + 1], c.source.path)
                 start += 2 * c.n + 1
             raise
-        return _contract(geometry, xs, _samples_last([v for _, v in runs]))
+        vs = _samples_last([v for _, v in runs])
+        if len(chunks) == 1 and geometry.reads is not None:
+            # The field reads nothing that varies: one column, which the kernel's uniform branch takes.
+            rows = xs.T
+            if all((rows[mu] == rows[mu, 0]).all() for mu in geometry.reads) and (vs.T == vs.T[:, :1]).all():
+                return _contract(geometry, xs[:1], vs[:1])
+        return _contract(geometry, xs, vs)
 
     return sample
 

@@ -707,11 +707,18 @@ def great_circle(
 
     # Unwrapped azimuth reference, so phi stays continuous across +-pi.
     ref_s = np.linspace(a, b, 4097)
-    *_, (ref_x, ref_y, ref_z) = embed(ref_s)
+    *_, (ref_x, ref_y, _) = embed(ref_s)
     ref_phi = np.unwrap(np.arctan2(ref_y, ref_x))
     ref_phi += ph0 - float(np.interp(s_anchor, ref_s, ref_phi))
-    ref_theta = np.arccos(np.clip(ref_z, -1.0, 1.0))
-    if not np.all((ref_theta > SPHERE_POLE_MARGIN) & (ref_theta < math.pi - SPHERE_POLE_MARGIN)):
+    # The height z = cos(u) p3_z + sin(u) q3_z at arc angle u is extreme at
+    # u = atan2(q3_z, p3_z) + k pi, so the arc comes closest to each pole
+    # there, where that lies inside the arc, or at an end.
+    lo, hi = speed * (a - s_anchor), speed * (b - s_anchor)
+    alpha = math.atan2(q3[2], p3[2])
+    first = alpha + math.pi * math.ceil((lo - alpha) / math.pi)
+    u = np.array([lo, hi] + [x for x in (first, first + math.pi) if x <= hi])
+    theta = np.arccos(np.clip(np.cos(u) * p3[2] + np.sin(u) * q3[2], -1.0, 1.0))
+    if not np.all((theta > SPHERE_POLE_MARGIN) & (theta < math.pi - SPHERE_POLE_MARGIN)):
         raise ChartDomainError("great-circle arc passes too close to a coordinate pole")
 
     # Both chart evaluators fill (2, m) storage and return its (m, 2) view.

@@ -73,6 +73,27 @@ def test_sphere_paths_reject_exactly_where_the_chart_ends(catalog, entry_id):
                     build()
 
 
+@pytest.mark.parametrize("pole", ["north", "south"])
+@pytest.mark.parametrize("offset", [-1e-9, 1e-9, -5e-5])
+def test_great_circle_checks_its_closest_approach_to_each_pole(catalog, pole, offset):
+    # An arc at unit speed whose closest approach to the pole, at s = 0,
+    # lies halfway between two of its 4097 reference samples.
+    h = 3 / 4096
+    closest = SPHERE_POLE_MARGIN + offset
+    th0 = closest if pole == "north" else math.pi - closest
+    build = lambda: pt.great_circle(  # noqa: E731
+        [th0, 0.0], [0.0, 1 / math.sin(th0)], domain=(-1.5 - h / 2, 1.5 - h / 2), anchor=0.0
+    )
+    geometry = catalog["sphere"].geometry
+    assert geometry.contains(np.array([th0, 0.0])) == (offset > 0)
+    if offset > 0:
+        arc = build()
+        catalog["sphere"].transport.matrix(arc, -1.5 - h / 2, 1.5 - h / 2)
+    else:
+        with pytest.raises(ChartDomainError):
+            build()
+
+
 def test_sphere_christoffel_values(sphere_entry):
     g = sphere_entry.geometry
     at_equator = coeffs3_at(g, np.array([math.pi / 2, 0.0]))

@@ -2,9 +2,12 @@
 
 A pass of one chunk whose field samples all equal the first is reduced from
 one transition by ``engine._uniform_product``, once per integration for each
-distinct (h, n, field value); every test here compares bit for bit against
-the general kernel formulas, built from ``_matmul`` and ``_ordered_product``,
-or against the kernel run pass by pass without a table.
+distinct (h, n, field value); the kernel tests here compare bit for bit
+against the general kernel formulas, built from ``_matmul`` and
+``_ordered_product``, or against the kernel run pass by pass without a
+table.  A geometry that declares the coordinates it reads lets such a pass
+contract one sample; those tests compare against the same run on a geometry
+that declares nothing.
 """
 
 import dataclasses
@@ -12,11 +15,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pathtransport as pt
 from pathtransport import engine
 from pathtransport.bundles import coeffs3_batch
+from pathtransport.catalog import standard_catalog
 from pathtransport.errors import SingularCoefficientError
+from pathtransport.paths import SPHERE_POLE_MARGIN
 
 
 def general_kernel(g, h, n):
@@ -96,11 +103,13 @@ def test_uniform_chunk_takes_logarithmically_many_products(rng, monkeypatch):
 
 def test_latitude_transport_equals_the_general_kernel(sphere_entry, monkeypatch):
     # A latitude has a constant field: every one-chunk pass is uniform.  An
-    # array of equal steps makes the kernel take its general path instead.
+    # array of equal steps makes the kernel take its general path instead,
+    # over every node: the reference runs on a geometry that declares no reads.
     loop, geo = pt.latitude(1.1), sphere_entry.geometry
     fast = pt.transport_matrix_over_path(geo, loop, 0.0, 2.0, step=1e-3).value
     rk4 = engine._rk4_transitions
     monkeypatch.setattr(engine, "_rk4_transitions", lambda g, h, lengths, n, **kw: rk4(g, np.full(n, h), lengths, n))
+    geo = dataclasses.replace(geo, reads=None)
     assert np.array_equal(fast, pt.transport_matrix_over_path(geo, loop, 0.0, 2.0, step=1e-3).value)
 
 
@@ -236,3 +245,104 @@ def test_engine_contracts_through_coeffs3_without_an_evaluator(sphere_entry, rng
     xs = np.column_stack([rng.uniform(0.5, 2.5, 40), rng.uniform(-1.0, 1.0, 40)])
     vs = rng.standard_normal((40, 2))
     assert np.array_equal(engine._contract(plain, xs, vs), engine._contract(geometry, xs, vs))
+
+
+# --- declared reads -------------------------------------------------------------
+
+READING = [k for k, e in standard_catalog().items() if e.geometry is not None and e.geometry.reads is not None]
+EDGES = [SPHERE_POLE_MARGIN, math.pi - SPHERE_POLE_MARGIN, 0.0, -0.0, math.pi]
+COORDINATES = st.one_of(
+    st.floats(-4.0, 4.0), st.sampled_from(EDGES + [np.nextafter(x, s) for x in EDGES for s in (-9.0, 9.0)])
+)
+
+
+def test_the_catalog_declares_what_its_fields_read():
+    assert READING == ["flat", "sphere", "sphere-orthonormal"]
+    assert [standard_catalog()[k].geometry.reads for k in READING] == [(), (0,), (0,)]
+
+
+@pytest.mark.parametrize("entry_id", READING)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_undeclared_coordinates_change_no_bit(entry_id, data):
+    geometry = standard_catalog()[entry_id].geometry
+    n, m = geometry.base_dim, 6
+    xs = np.array(data.draw(st.lists(COORDINATES, min_size=n * m, max_size=n * m))).reshape(m, n)
+    vs = np.array(data.draw(st.lists(st.floats(-3.0, 3.0), min_size=n * m, max_size=n * m))).reshape(m, n)
+    moved = xs.copy()
+    for mu in sorted(set(range(n)) - set(geometry.reads)):
+        moved[:, mu] = data.draw(st.lists(COORDINATES, min_size=m, max_size=m))
+    with np.errstate(all="ignore"):
+        assert coeffs3_batch(geometry, xs).tobytes() == coeffs3_batch(geometry, moved).tobytes()
+        for x, y in [(xs, moved)] + list(zip(xs, moved)):
+            assert np.asarray(geometry.coeffs3(x)).tobytes() == np.asarray(geometry.coeffs3(y)).tobytes()
+            assert geometry.contains(x) == geometry.contains(y)
+        assert geometry.contract(xs, vs).tobytes() == geometry.contract(moved, vs).tobytes()
+
+
+@pytest.mark.parametrize("entry_id", READING)
+@settings(max_examples=20, deadline=None)
+@given(v=st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)), seed=st.integers(0, 2**32 - 1))
+def test_one_column_contract_equals_every_column(entry_id, v, seed):
+    # The columns share the declared coordinates and the velocity, as the
+    # samples of a latitude do; the rest vary.  Both are (m, n) views of
+    # (n, m) storage, as the integrators pass them.
+    entry = standard_catalog()[entry_id]
+    geometry, m = entry.geometry, 2 * engine._CHUNK_STEPS + 1
+    rng = np.random.default_rng(seed)
+    xs = rng.uniform(-4.0, 4.0, (2, m))
+    read = list(geometry.reads)
+    xs[read] = np.array([rng.uniform(lo, hi) for lo, hi in entry.chart_box])[read, None]
+    vs = np.repeat(np.array(v)[:, None], m, axis=1)
+    one = geometry.contract(xs.T[:1], vs.T[:1])
+    full = geometry.contract(xs.T, vs.T)
+    assert one.shape == (2, 2, 1)
+    assert all(full[..., k].tobytes() == one[..., 0].tobytes() for k in range(m))
+
+
+# --- the one-sample shortcut in the sampler ------------------------------------
+
+
+def counting(monkeypatch, name) -> list:
+    """Record the sample count of every ``engine.<name>(geometry, xs, ...)`` call."""
+    calls, original = [], getattr(engine, name)
+    monkeypatch.setattr(engine, name, lambda geometry, xs, *rest: calls.append(len(xs)) or original(geometry, xs, *rest))
+    return calls
+
+
+@pytest.mark.parametrize("entry_id", ["sphere", "sphere-orthonormal"])
+@pytest.mark.parametrize("span", [(0.0, 2 * math.pi), (2 * math.pi, 0.0)])
+def test_latitude_passes_contract_one_sample(entry_id, span, catalog, monkeypatch):
+    geometry, loop = catalog[entry_id].geometry, pt.latitude(1.1)
+    contracted, checked = counting(monkeypatch, "_contract"), counting(monkeypatch, "_check_chart")
+    got = pt.transport_matrix_over_path(geometry, loop, *span, step=1e-5).value
+    n = math.ceil(2 * math.pi / 1e-5)
+    passes = math.ceil(n / engine._CHUNK_STEPS)
+    assert contracted == [1] * passes
+    # The chart check still sees every node.
+    assert sum(checked) == 2 * n + passes
+    contracted.clear()
+    full = pt.transport_matrix_over_path(dataclasses.replace(geometry, reads=None), loop, *span, step=1e-5).value
+    assert sum(contracted) == 2 * n + passes
+    assert got.tobytes() == full.tobytes()
+
+
+@pytest.mark.parametrize("entry_id", ["sphere", "sphere-orthonormal"])
+def test_great_circle_passes_contract_every_node(entry_id, catalog, monkeypatch):
+    geometry = catalog[entry_id].geometry
+    arc = pt.great_circle([1.0, 0.3], [0.4, 0.9], 1.0)
+    contracted = counting(monkeypatch, "_contract")
+    got = pt.transport_matrix_over_path(geometry, arc, 0.0, 1.0, step=1e-5).value
+    n = math.ceil(1.0 / 1e-5)
+    assert min(contracted) > 1 and sum(contracted) == 2 * n + len(contracted)
+    full = pt.transport_matrix_over_path(dataclasses.replace(geometry, reads=None), arc, 0.0, 1.0, step=1e-5).value
+    assert got.tobytes() == full.tobytes()
+
+
+def test_a_constant_nan_field_raises_from_one_sample(sphere_entry, monkeypatch):
+    nan_field = lambda xs, vs: np.full((2, 2, len(xs)), math.nan)  # noqa: E731
+    geometry = dataclasses.replace(sphere_entry.geometry, contract=nan_field)
+    contracted = counting(monkeypatch, "_contract")
+    with pytest.raises(SingularCoefficientError):
+        pt.transport_matrix_over_path(geometry, pt.latitude(1.1), 0.0, 2.0, step=1e-3)
+    assert contracted == [1]

@@ -1,0 +1,137 @@
+"""Per-job-kind split of ``holonomy-fine`` integration passes into their parts.
+
+    python3 tools/pass_split.py [--src DIR] [--seed N]
+
+The process is laid out like ``benchmarks/worker.py``: ``pathtransport``
+from ``DIR`` (default: this checkout's ``src``), then scipy, then the
+reference cycle as warm-up.  It then wraps ``engine._pass``,
+``engine._contract``, ``engine._check_chart`` and
+``engine._rk4_transitions`` in ``perf_counter`` timers and runs
+``CYCLES`` whole cycles of the seeded ``holonomy-fine`` jobs.  One line per
+job kind gives the passes per job and the microseconds per pass spent in
+the contraction, the chart check, the RK4 kernel and the rest of the pass
+(path jet and nodes), and in the whole pass.  Uses the standard library
+and numpy only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import statistics
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+WORKLOAD = "holonomy-fine"
+CYCLES = 3
+PARTS = ("_contract", "_check_chart", "_rk4_transitions")
+
+
+def summarize(records: list[tuple[str, int, dict]]) -> list[dict]:
+    """Per job kind, in order of first appearance: job count, median passes
+    per job and mean microseconds per pass of each part.
+
+    ``records`` holds ``(kind, passes, seconds)`` per job, where ``seconds``
+    maps ``_pass`` and each name of ``PARTS`` to the job's total time in it;
+    ``rest`` is the pass time the parts do not cover.
+    """
+    kinds: dict[str, list] = {}
+    for record in records:
+        kinds.setdefault(record[0], []).append(record)
+    rows = []
+    for kind, jobs in kinds.items():
+        passes = sum(p for _, p, _ in jobs)
+        per_pass = {name: 1e6 * sum(s[name] for *_, s in jobs) / max(passes, 1) for name in ("_pass",) + PARTS}
+        rows.append(
+            {
+                "kind": kind,
+                "jobs": len(jobs),
+                "passes": statistics.median(p for _, p, _ in jobs),
+                "contract_us": per_pass["_contract"],
+                "chart_us": per_pass["_check_chart"],
+                "kernel_us": per_pass["_rk4_transitions"],
+                "rest_us": per_pass["_pass"] - sum(per_pass[name] for name in PARTS),
+                "pass_us": per_pass["_pass"],
+            }
+        )
+    return rows
+
+
+def timed(engine, seconds: dict, counts: dict) -> dict:
+    """Wrap ``engine._pass`` and the ``PARTS`` so each call adds its wall
+    time to ``seconds[name]`` and one to ``counts[name]``; returns the originals."""
+    originals = {name: getattr(engine, name) for name in ("_pass",) + PARTS}
+
+    def wrap(name, original):
+        def wrapper(*args, **kwargs):
+            t0 = time.perf_counter()
+            try:
+                return original(*args, **kwargs)
+            finally:
+                seconds[name] += time.perf_counter() - t0
+                counts[name] += 1
+
+        return wrapper
+
+    for name, original in originals.items():
+        setattr(engine, name, wrap(name, original))
+    return originals
+
+
+def run_cycle(wl, seed: int, index: int, outdir: Path, seconds: dict, counts: dict) -> list:
+    """One cycle's jobs as ``(kind, passes, seconds)``."""
+    records = []
+    for job in wl.cycle(WORKLOAD, seed, index, outdir):
+        for name in seconds:
+            seconds[name] = 0.0
+            counts[name] = 0
+        verdict = job.check(job.run())
+        if not verdict.ok:
+            raise SystemExit(f"error: {job.kind} {job.params} failed its check: {verdict.detail}")
+        records.append((job.kind, counts["_pass"], dict(seconds)))
+    return records
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--src", type=Path, default=ROOT / "src", help="directory holding the pathtransport package")
+    parser.add_argument("--seed", type=int, default=1, help="benchmark seed of the timed cycles")
+    args = parser.parse_args(argv)
+    sys.path.insert(0, str(args.src))
+    from pathtransport import engine
+
+    if Path(engine.__file__).resolve().parent != (args.src / "pathtransport").resolve():
+        raise SystemExit(f"error: imported pathtransport from {engine.__file__}, not {args.src}")
+    sys.path.insert(1, str(ROOT / "benchmarks"))
+    import scipy  # noqa: F401  (the benchmark worker's import, which shapes the heap)
+    import workloads as wl
+
+    seconds = dict.fromkeys(("_pass",) + PARTS, 0.0)
+    counts = dict.fromkeys(seconds, 0)
+    with tempfile.TemporaryDirectory() as tmp:
+        outdir = Path(tmp)
+        originals = timed(engine, seconds, counts)
+        try:
+            run_cycle(wl, wl.REFERENCE_SEED, 0, outdir, seconds, counts)
+            records = []
+            for index in range(CYCLES):
+                records += run_cycle(wl, args.seed, index, outdir, seconds, counts)
+        finally:
+            for name, original in originals.items():
+                setattr(engine, name, original)
+    print(
+        f"{'kind':<30} {'jobs':>4} {'passes':>6} {'contract_us':>11} {'chart_us':>8}"
+        f" {'kernel_us':>9} {'rest_us':>7} {'pass_us':>7}"
+    )
+    for row in summarize(records):
+        print(
+            f"{row['kind']:<30} {row['jobs']:>4} {row['passes']:>6g} {row['contract_us']:>11.1f}"
+            f" {row['chart_us']:>8.1f} {row['kernel_us']:>9.1f} {row['rest_us']:>7.1f} {row['pass_us']:>7.1f}"
+        )
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
