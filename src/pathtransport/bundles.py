@@ -35,7 +35,8 @@ class BundleGeometry:
     points and velocities to the (r, r, m) field ``G[a, b] = coeffs3[a, b, mu]
     v^mu``, contiguous over the samples, and equals that contraction bit for
     bit up to the sign of exact zeros.  It lets a geometry write only its
-    structural non-zeros; ``coeffs3`` stays the definition and the fallback.
+    structural non-zeros; ``coeffs3`` stays the fallback, and the shipped
+    geometries read it off ``contract``.
 
     ``reads`` lists the base coordinates that ``coeffs3``, ``contract`` and
     ``chart_domain`` read; ``None`` means all of them.  The velocity is always

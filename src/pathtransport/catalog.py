@@ -103,20 +103,32 @@ class GeometryCatalogEntry:
     description: str = ""
 
 
+def _coeffs3_of(contract, n: int):
+    """``coeffs3`` read off ``contract``: ``G[..., mu] = contract(x, e_mu)``, one
+    call on every point paired with every base direction; exact zeros may
+    come out signed."""
+    eye = np.eye(n)
+
+    def coeffs(x):
+        x = np.asarray(x, dtype=float)
+        pts = np.atleast_2d(x)
+        m = len(pts)
+        g = contract(np.tile(pts, (n, 1)), np.repeat(eye, m, axis=0))
+        g = g.reshape(g.shape[:2] + (n, m))
+        return g[..., 0] if x.ndim == 1 else g.transpose(3, 0, 1, 2)
+
+    return coeffs
+
+
 def flat_bundle(base_dim: int = 2, fibre_dim: int = 2) -> GeometryCatalogEntry:
     """The zero-coefficient baseline; every transport is the identity on components."""
     n, r = int(base_dim), int(fibre_dim)
     if n < 1 or r < 1:
         raise SpecFormatError("flat bundle needs positive dimensions")
-
-    def coeffs(x):
-        x = np.asarray(x, dtype=float)
-        if x.ndim == 1:
-            return np.zeros((r, r, n))
-        return np.zeros((r, r, n, x.shape[0])).transpose(3, 0, 1, 2)
-
     contract = lambda xs, vs: np.zeros((r, r, len(xs)))  # noqa: E731
-    geometry = BundleGeometry(base_dim=n, fibre_dim=r, coeffs3=coeffs, label="flat", contract=contract, reads=())
+    geometry = BundleGeometry(
+        base_dim=n, fibre_dim=r, coeffs3=_coeffs3_of(contract, n), label="flat", contract=contract, reads=()
+    )
     return GeometryCatalogEntry(
         id="flat",
         geometry=geometry,
@@ -133,26 +145,36 @@ def _sphere_chart(x) -> bool:
     return bool(((th > SPHERE_POLE_MARGIN) & (th < math.pi - SPHERE_POLE_MARGIN)).all())
 
 
+def _sphere_entry(entry_id: str, contract, description: str) -> GeometryCatalogEntry:
+    """A round-sphere connection in the (theta, phi) chart, given by its contraction
+    with the velocity: the field reads theta only, and the chart excludes a
+    small collar around each pole."""
+    geometry = BundleGeometry(
+        base_dim=2,
+        fibre_dim=2,
+        coeffs3=_coeffs3_of(contract, 2),
+        chart_domain=_sphere_chart,
+        label=entry_id,
+        contract=contract,
+        reads=(0,),
+    )
+    return GeometryCatalogEntry(
+        id=entry_id,
+        geometry=geometry,
+        transport=connection_transport(geometry, label=entry_id),
+        traits=Traits(factorizable=True, linear=True, flat=False, parallel=True),
+        chart_box=((0.35, math.pi - 0.35), (-2.5, 2.5)),
+        description=description,
+    )
+
+
 def sphere_levi_civita() -> GeometryCatalogEntry:
     """Tangent bundle of the round 2-sphere in the (theta, phi) chart.
 
     Coefficients are the Christoffel symbols of the round metric:
     G^theta_{phi,phi} = -sin(theta) cos(theta),
     G^phi_{theta,phi} = G^phi_{phi,theta} = cot(theta), all others zero.
-    The chart excludes a small collar around each pole.
     """
-
-    def coeffs(x):
-        x = np.asarray(x, dtype=float)
-        pts = np.atleast_2d(x)
-        th = pts[:, 0]
-        g = np.zeros((2, 2, 2, pts.shape[0]))
-        sin, cos = np.sin(th), np.cos(th)
-        g[0, 1, 1] = -sin * cos
-        cot = cos / sin
-        g[1, 0, 1] = cot
-        g[1, 1, 0] = cot
-        return g[..., 0] if x.ndim == 1 else g.transpose(3, 0, 1, 2)
 
     def contract(xs, vs):
         sin, cos = np.sin(xs[:, 0]), np.cos(xs[:, 0])
@@ -163,42 +185,17 @@ def sphere_levi_civita() -> GeometryCatalogEntry:
         np.multiply(cot, vs[:, 0], out=out[1, 1])
         return out
 
-    geometry = BundleGeometry(
-        base_dim=2,
-        fibre_dim=2,
-        coeffs3=coeffs,
-        chart_domain=_sphere_chart,
-        label="sphere",
-        contract=contract,
-        reads=(0,),
-    )
-    return GeometryCatalogEntry(
-        id="sphere",
-        geometry=geometry,
-        transport=connection_transport(geometry, label="sphere"),
-        traits=Traits(factorizable=True, linear=True, flat=False, parallel=True),
-        chart_box=((0.35, math.pi - 0.35), (-2.5, 2.5)),
-        description="round-sphere chart Christoffel symbols (coordinate frame)",
-    )
+    return _sphere_entry("sphere", contract, "round-sphere chart Christoffel symbols (coordinate frame)")
 
 
 def sphere_orthonormal_frame() -> GeometryCatalogEntry:
     """Round-sphere connection in the orthonormal frame.
 
     With e_1 = d/dtheta, e_2 = (1/sin theta) d/dphi the coefficient matrices
-    are antisymmetric, so transports and holonomies are plane rotations whose
-    angles are comparable across base points.
+    are antisymmetric, G[0, 1, phi] = -cos(theta) = -G[1, 0, phi], so
+    transports and holonomies are plane rotations whose angles are
+    comparable across base points.
     """
-
-    def coeffs(x):
-        x = np.asarray(x, dtype=float)
-        pts = np.atleast_2d(x)
-        th = pts[:, 0]
-        g = np.zeros((2, 2, 2, pts.shape[0]))
-        cos = np.cos(th)
-        g[0, 1, 1] = -cos
-        g[1, 0, 1] = cos
-        return g[..., 0] if x.ndim == 1 else g.transpose(3, 0, 1, 2)
 
     def contract(xs, vs):
         out = np.zeros((2, 2, len(xs)))
@@ -206,23 +203,7 @@ def sphere_orthonormal_frame() -> GeometryCatalogEntry:
         np.negative(out[1, 0], out=out[0, 1])
         return out
 
-    geometry = BundleGeometry(
-        base_dim=2,
-        fibre_dim=2,
-        coeffs3=coeffs,
-        chart_domain=_sphere_chart,
-        label="sphere-orthonormal",
-        contract=contract,
-        reads=(0,),
-    )
-    return GeometryCatalogEntry(
-        id="sphere-orthonormal",
-        geometry=geometry,
-        transport=connection_transport(geometry, label="sphere-orthonormal"),
-        traits=Traits(factorizable=True, linear=True, flat=False, parallel=True),
-        chart_box=((0.35, math.pi - 0.35), (-2.5, 2.5)),
-        description="round-sphere connection in the orthonormal frame",
-    )
+    return _sphere_entry("sphere-orthonormal", contract, "round-sphere connection in the orthonormal frame")
 
 
 def evolution_transport(hamiltonian: np.ndarray | None = None, hbar: float = 1.0) -> GeometryCatalogEntry:

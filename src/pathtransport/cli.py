@@ -43,26 +43,27 @@ from .transports import KIND_GENERIC, parallel_from_transport, transport_from_pa
 
 OUTDIR_ENV = "PATHTRANSPORT_OUTDIR"
 
-_CONFIG_TYPES = {
-    "seed": int,
-    "samples": int,
-    "points": int,
-    "fixtures": int,
-    "step": float,
-    "tolerance": float,
-    "threshold": float,
-    "turns": float,
-    "from_param": float,
-    "to_param": float,
-}
-
-
-def _load_config(filename: str) -> dict:
+def _apply_config(filename: str, parsers: list[argparse.ArgumentParser]) -> None:
+    """Make each ``key = value`` line of a config file the default of the flag whose
+    dest is the key (dashes read as underscores), converted by that flag's ``type``,
+    in every parser; a key that names no flag is an error."""
     fields = parse_key_values(FsPath(filename).read_text(), "config", key=lambda k: k.replace("-", "_"))
-    return {key: _CONFIG_TYPES.get(key, str)(val) for key, val in fields.items()}
+    flags = [a for p in parsers for a in p._actions if a.option_strings and a.default != argparse.SUPPRESS]
+    types = {a.dest: a.type or str for a in flags}
+    defaults = {}
+    for key, text in fields.items():
+        if key not in types:
+            raise PathTransportError(f"unknown config key {key!r}")
+        try:
+            defaults[key] = types[key](text)
+        except ValueError:
+            raise PathTransportError(f"config key {key!r}: {text!r} is not a valid {types[key].__name__}") from None
+    for p in parsers:
+        p.set_defaults(**defaults)
 
 
-def _build_parser(defaults: dict) -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, list[argparse.ArgumentParser]]:
+    """The parser and every parser a config file sets defaults in (it and its subparsers)."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--geometry", help="catalog geometry id (see list-geometries)")
     common.add_argument("--geometry-file", help="key-value geometry spec file")
@@ -110,10 +111,7 @@ def _build_parser(defaults: dict) -> argparse.ArgumentParser:
     p.add_argument("--sweep", help="colatitude sweep 'start:stop:count', e.g. 0.3:1.4:10")
     p.add_argument("--turns", type=float, default=1.0, help="number of revolutions for sweep loops")
 
-    parser.set_defaults(**defaults)
-    for sp in subparsers:
-        sp.set_defaults(**defaults)
-    return parser
+    return parser, [parser, *subparsers]
 
 
 def _resolve_entry(args) -> GeometryCatalogEntry:
@@ -283,10 +281,19 @@ def _cmd_roundtrip(args) -> int:
     return _emit_reports(args, reports, "roundtrip")
 
 
+def _sweep_colatitudes(spec: str) -> np.ndarray:
+    """The colatitudes of a ``start:stop:count`` sweep; the count is an integer >= 1."""
+    parts = spec.split(":")
+    if len(parts) != 3 or not parts[2].isdecimal() or int(parts[2]) < 1:
+        raise PathTransportError(f"--sweep expects start:stop:count with an integer count >= 1, got {spec!r}")
+    return np.linspace(parse_scalar(parts[0]), parse_scalar(parts[1]), int(parts[2]))
+
+
 def _cmd_holonomy(args) -> int:
     entry = _resolve_entry(args)
     if not args.loop and not args.sweep:
         raise PathTransportError("holonomy needs --loop SPEC and/or --sweep start:stop:count")
+    colatitudes = _sweep_colatitudes(args.sweep) if args.sweep else ()
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(["loop_param", "angle", "distance_to_identity"])
@@ -300,13 +307,8 @@ def _cmd_holonomy(args) -> int:
     if args.loop:
         loop = parse_path_spec(args.loop)
         row(args.loop, holonomy(entry.transport, loop, step=args.step))
-    if args.sweep:
-        parts = args.sweep.split(":")
-        if len(parts) != 3:
-            raise PathTransportError("--sweep expects start:stop:count")
-        start, stop, count = parse_scalar(parts[0]), parse_scalar(parts[1]), int(parts[2])
-        for th, report in latitude_sweep(entry.transport, np.linspace(start, stop, count), turns=args.turns, step=args.step):
-            row(format_float(th), report)
+    for th, report in latitude_sweep(entry.transport, colatitudes, turns=args.turns, step=args.step):
+        row(format_float(th), report)
     _write(_outdir(args), "holonomy.csv", buf.getvalue())
     return 0
 
@@ -326,14 +328,13 @@ def main(argv=None) -> int:
     pre = argparse.ArgumentParser(add_help=False)
     pre.add_argument("--config")
     known, _ = pre.parse_known_args(argv)
-    defaults = {}
+    parser, parsers = _build_parser()
     if known.config:
         try:
-            defaults = _load_config(known.config)
+            _apply_config(known.config, parsers)
         except (OSError, ValueError, PathTransportError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-    parser = _build_parser(defaults)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
@@ -343,6 +344,10 @@ def main(argv=None) -> int:
             value = getattr(args, flag, 1.0)
             if not (math.isfinite(value) and value > 0):
                 raise PathTransportError(f"--{flag} must be positive and finite, got {value}")
+        for flag in ("samples", "fixtures", "points"):
+            value = getattr(args, flag, 1)
+            if value < 1:
+                raise PathTransportError(f"--{flag} must be an integer >= 1, got {value}")
         return _COMMANDS[args.command](args)
     except (PathTransportError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

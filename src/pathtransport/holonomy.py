@@ -8,7 +8,7 @@ loop map at a chosen fibre point (a linearization, reported as such).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -26,6 +26,7 @@ JACOBIAN_STEP = 1e-5
 class HolonomyReport:
     """Loop transport summary.
 
+    ``angle`` and ``distance_to_identity`` are derived from ``matrix``.
     ``angle`` is the loop's rotation angle normalized to [0, 2*pi), present
     only for 2-d fibres whose holonomy matrix is orthogonal within tolerance;
     ``distance_to_identity`` is the max-norm of (matrix - identity).
@@ -33,13 +34,18 @@ class HolonomyReport:
 
     loop_id: str
     matrix: np.ndarray
-    angle: Optional[float]
-    distance_to_identity: float
+    angle: Optional[float] = field(init=False)
+    distance_to_identity: float = field(init=False)
 
     def __post_init__(self):
         m = np.array(self.matrix, dtype=float)
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
+        try:
+            angle = rotation_angle(m) % (2 * math.pi)
+        except NotARotationError:
+            angle = None
+        object.__setattr__(self, "angle", angle)
         object.__setattr__(
             self, "distance_to_identity", float(np.max(np.abs(m - np.eye(m.shape[0]))))
         )
@@ -93,18 +99,7 @@ def holonomy(
         requests = [(loop, sigma, tau, FibreVector(start, u0 + sign * e[j])) for j in range(r) for sign in (1, -1)]
         ends = np.array([v.components for v in transport.apply_many(requests, step=step)], dtype=float)
         m = (ends[0::2] - ends[1::2]).T / (2 * JACOBIAN_STEP)
-    angle = None
-    if r == 2:
-        try:
-            angle = rotation_angle(m) % (2 * math.pi)
-        except NotARotationError:
-            angle = None
-    return HolonomyReport(
-        loop_id=loop.label or "loop",
-        matrix=m,
-        angle=angle,
-        distance_to_identity=0.0,  # recomputed in __post_init__
-    )
+    return HolonomyReport(loop.label or "loop", m)
 
 
 def latitude_sweep(

@@ -14,7 +14,7 @@ from __future__ import annotations
 import csv
 import math
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -94,17 +94,21 @@ class Path:
 
 @dataclass(frozen=True)
 class Reparametrization:
-    """A C1 parameter change chi: source -> target with known derivative."""
+    """A C1 parameter change chi: source -> target with known derivative.
+
+    ``orientation`` is derived from the map: "reversing" when it takes the
+    end of ``source`` below the image of its start, else "preserving".
+    """
 
     source: tuple[float, float]
     target: tuple[float, float]
     map: Callable
     derivative: Callable
-    orientation: str = "preserving"  # or "reversing"
+    orientation: str = field(init=False)
 
     def __post_init__(self):
-        if self.orientation not in ("preserving", "reversing"):
-            raise IntervalError(f"bad orientation {self.orientation!r}")
+        reversing = float(self.map(self.source[1])) < float(self.map(self.source[0]))
+        object.__setattr__(self, "orientation", "reversing" if reversing else "preserving")
 
     def __call__(self, s):
         return self.map(s)
@@ -476,7 +480,6 @@ def affine_reparametrization(
         (float(c), float(d)),
         lambda s: off + slope * np.asarray(s, dtype=float),
         lambda s: np.full_like(np.asarray(s, dtype=float), slope),
-        orientation="reversing" if reversing else "preserving",
     )
 
 
@@ -509,20 +512,14 @@ def bulge_reparametrization(
 def validate_reparametrization(chi: Reparametrization):
     """Check endpoint mapping (within 1e-9) and derivative sign on 31 interior samples."""
     a, b = chi.source
-    c, d = chi.target
-    fa, fb = float(chi.map(a)), float(chi.map(b))
-    if chi.orientation == "preserving":
-        ok = abs(fa - c) <= 1e-9 and abs(fb - d) <= 1e-9
-    else:
-        ok = abs(fa - d) <= 1e-9 and abs(fb - c) <= 1e-9
-    if not ok:
+    preserving = chi.orientation == "preserving"
+    c, d = chi.target if preserving else chi.target[::-1]
+    if abs(float(chi.map(a)) - c) > 1e-9 or abs(float(chi.map(b)) - d) > 1e-9:
         raise IntervalError("reparametrization endpoints do not map onto the target interval")
-    ss = np.linspace(a, b, 33)[1:-1]
-    der = np.asarray(chi.derivative(ss), dtype=float)
-    if chi.orientation == "preserving" and np.any(der <= 0):
-        raise IntervalError("derivative must stay positive for an orientation-preserving change")
-    if chi.orientation == "reversing" and np.any(der >= 0):
-        raise IntervalError("derivative must stay negative for an orientation-reversing change")
+    der = np.asarray(chi.derivative(np.linspace(a, b, 33)[1:-1]), dtype=float)
+    if np.any(der <= 0 if preserving else der >= 0):
+        sign = "positive" if preserving else "negative"
+        raise IntervalError(f"derivative must stay {sign} for an orientation-{chi.orientation} change")
 
 
 # ---------------------------------------------------------------------------

@@ -197,6 +197,19 @@ def test_config_errors_exit_two(tmp_path, capsys):
     assert main(["check-laws", "--geometry", "flat", "--step", "-1"]) == 2
     capsys.readouterr()
     assert main(["check-laws", "--geometry", "flat", "--tolerance", "0"]) == 2
+    capsys.readouterr()
+    # A config key names a flag's dest and is typed like that flag; a key that
+    # names no flag, a value of the wrong type or a count below 1 exits 2.
+    config = tmp_path / "run.cfg"
+    for text, named in (("stpe = 0.5", "'stpe'"), ("seed = 1.5", "'seed'"), ("samples = 0", "--samples")):
+        config.write_text(f"geometry = flat\n{text}\n")
+        assert main(["--config", str(config), "check-laws", "--out", str(tmp_path / "bad")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and named in err
+    # One config serves several subcommands: holonomy ignores check-laws' samples.
+    config.write_text("geometry = sphere-orthonormal\nsamples = 3\nloop = latitude:1.0\nstep = 1e-2\n")
+    assert main(["--config", str(config), "holonomy", "--out", str(tmp_path / "shared")]) == 0
+    assert (tmp_path / "shared" / "holonomy.csv").exists()
 
 
 @pytest.mark.parametrize(
@@ -229,6 +242,14 @@ def test_malformed_numbers_in_a_geometry_file_exit_two(tmp_path, capsys, spec_di
         ["factorize", "--geometry", "sphere", "--threshold", "nan"],
         ["factorize", "--geometry", "sphere", "--threshold", "-1"],
         ["roundtrip", "--geometry", "flat", "--threshold", "0"],
+        ["check-laws", "--geometry", "flat", "--samples", "0"],
+        ["check-laws", "--geometry", "flat", "--samples", "-1"],
+        ["check-laws", "--geometry", "flat", "--fixtures", "0"],
+        ["roundtrip", "--geometry", "flat", "--samples", "0"],
+        ["factorize", "--geometry", "flat", "--points", "0"],
+        ["holonomy", "--geometry", "sphere", "--sweep", "0.3:1.4:x"],
+        ["holonomy", "--geometry", "sphere", "--sweep", "0.3:1.4:-2"],
+        ["holonomy", "--geometry", "sphere", "--sweep", "0.3:1.4:0"],
     ],
 )
 def test_non_finite_or_non_positive_numeric_flags_exit_two(tmp_path, capsys, argv):

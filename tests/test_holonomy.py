@@ -29,18 +29,23 @@ def test_rotation_angle_quarter_turn():
 
 
 def test_rotation_angle_rejects_non_rotations():
-    with pytest.raises(NotARotationError):
-        pt.rotation_angle(np.array([[1.0, 0.5], [0.0, 1.0]]))
-    with pytest.raises(NotARotationError):
-        pt.rotation_angle(np.array([[1.0, 0.0], [0.0, -1.0]]))  # reflection
-    with pytest.raises(NotARotationError):
-        pt.rotation_angle(np.eye(3))
+    # A shear, a reflection and a 3 x 3 matrix.
+    for m in (np.array([[1.0, 0.5], [0.0, 1.0]]), np.array([[1.0, 0.0], [0.0, -1.0]]), np.eye(3)):
+        with pytest.raises(NotARotationError):
+            pt.rotation_angle(m)
+        # A report on such a matrix derives no angle, only the distance to I.
+        report = pt.HolonomyReport("r", m)
+        assert report.angle is None
+        assert report.distance_to_identity == float(np.max(np.abs(m - np.eye(len(m)))))
 
 
-@pytest.mark.parametrize("angle", [-2.5, -0.3, 0.0, 0.7, 3.0])
+@pytest.mark.parametrize("angle", [-2.5, -0.3, 0.0, 0.3, 0.7, 3.0])
 def test_rotation_angle_roundtrip(angle):
     m = np.array([[math.cos(angle), -math.sin(angle)], [math.sin(angle), math.cos(angle)]])
     assert pt.rotation_angle(m) == pytest.approx(angle)
+    report = pt.HolonomyReport("r", m)
+    assert report.angle == pytest.approx(angle % (2 * math.pi))
+    assert report.distance_to_identity == float(np.max(np.abs(m - np.eye(2))))
 
 
 # --- holonomy reports -----------------------------------------------------------

@@ -6,8 +6,9 @@
 example ``src`` of a checkout).  The script runs CLI subcommands in-process,
 each into a fresh output directory, and digests their stdout, stderr, exit
 code and every report file.  It also digests the bytes of holonomy matrices
-of a fixed latitude and a fixed geodesic triangle at several steps, and
-three CLI runs on a small grid geometry read through ``--geometry-file``.  Each
+of a fixed latitude and a fixed geodesic triangle at several steps, three
+CLI runs on a small grid geometry read through ``--geometry-file`` and one
+``check-laws`` run whose seed, step and samples come from ``--config``.  Each
 line reads ``<sha256>  <name>``, sorted by name, so two checkouts produce
 byte-identical outputs exactly when ``diff`` of their two listings is empty.
 ``--quick`` runs a small subset.
@@ -73,6 +74,9 @@ GRID_RUNS = (
     ("factorize:grid", ["factorize", "--points", "3"]),
     ("roundtrip:grid", ["roundtrip", "--samples", "20", "--points", "3"]),
 )
+
+#: The ``check-laws`` run configured by a file: (name, argv before ``--config FILE``, file text).
+CONFIG_RUN = ("check-laws:sphere:config", ["check-laws", "--geometry", "sphere"], "seed = 4\nstep = 2e-3\nsamples = 7\n")
 
 QUICK_RUNS = (
     ("check-laws:sphere:seed1", ["check-laws", "--geometry", "sphere", "--seed", "1", "--samples", "4"]),
@@ -179,6 +183,10 @@ def all_outputs(pt, quick: bool) -> dict[str, bytes]:
             spec = write_grid_spec(Path(tmp))
             for name, argv in GRID_RUNS:
                 outputs.update(cli_outputs(pt, name, argv + ["--geometry-file", str(spec)]))
+            name, argv, text = CONFIG_RUN
+            config = Path(tmp) / "run.cfg"
+            config.write_text(text)
+            outputs.update(cli_outputs(pt, name, ["--config", str(config)] + argv))
     outputs.update(holonomy_outputs(pt, HOLONOMY_STEPS[:1] if quick else HOLONOMY_STEPS))
     return outputs
 
