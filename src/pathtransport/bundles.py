@@ -72,13 +72,23 @@ class FibreVector:
 
     def __post_init__(self):
         bp = np.array(self.base_point, dtype=float)
-        if not all(map(math.isfinite, bp.flat)):
-            raise ChartDomainError(f"base point {bp.tolist()} is not finite")
         comps = np.array(self.components, dtype=float)
+        for what, values in (("base point", bp), ("components", comps)):
+            if not all(map(math.isfinite, values.flat)):
+                raise ChartDomainError(f"{what} {values.tolist()} not finite")
         bp.setflags(write=False)
         comps.setflags(write=False)
         object.__setattr__(self, "base_point", bp)
         object.__setattr__(self, "components", comps)
+
+
+def require_attached(u: FibreVector, x: np.ndarray, fibre_dim: int) -> None:
+    """The attachment rule: u sits within ``BASE_POINT_TOL`` of the chart point
+    x in every coordinate, and has ``fibre_dim`` components."""
+    if u.base_point.shape != x.shape or float(np.max(np.abs(u.base_point - x))) > BASE_POINT_TOL:
+        raise ChartDomainError(f"fibre vector at {u.base_point.tolist()} is not attached to the path point {x.tolist()}")
+    if u.components.shape != (fibre_dim,):
+        raise ChartDomainError(f"components of shape {u.components.shape} do not match fibre dimension {fibre_dim}")
 
 
 def require_in_chart(geometry: BundleGeometry, x) -> np.ndarray:

@@ -37,7 +37,7 @@ from typing import Any, Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .bundles import BASE_POINT_TOL, BundleGeometry, FibreVector, coeffs3_batch
+from .bundles import BundleGeometry, FibreVector, coeffs3_batch, require_attached
 from .errors import (
     ChartDomainError,
     DegenerateProbeError,
@@ -606,14 +606,13 @@ def horizontal_lift(
     """Sampled horizontal lift of the path through a starting fibre vector.
 
     Returns parameters (sorted), base points and transported components
-    ``L(t, s0) u`` over the grid.  u must sit within ``BASE_POINT_TOL`` of
-    path(s0); the grid and s0 are checked as transport parameters.
+    ``L(t, s0) u`` over the grid.  u must be attached to path(s0)
+    (``require_attached``); the grid and s0 are checked as transport parameters.
     """
     s0 = float(s0)
     check_parameters(path, s0, s0)
     x0 = position_at(path, s0)
-    if float(np.max(np.abs(np.asarray(u.base_point) - x0))) > BASE_POINT_TOL:
-        raise ChartDomainError("starting fibre vector is not attached to path(s0)")
+    require_attached(u, x0, geometry.fibre_dim)
     ts = np.sort(np.asarray(grid, dtype=float))
     comps = np.empty((ts.size, geometry.fibre_dim))
     # March outward from s0 in both directions, reusing partial products.

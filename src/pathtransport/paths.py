@@ -283,6 +283,8 @@ def _monotone_preimage(chi: Reparametrization, value: float) -> float:
     for _ in range(200):
         mid = 0.5 * (a + b)
         fm = float(f(mid))
+        if fm == value:
+            return mid
         if (fm < value) == increasing:
             a = mid
         else:

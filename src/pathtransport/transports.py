@@ -15,9 +15,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .bundles import BASE_POINT_TOL, BundleGeometry, FibreVector
+from .bundles import BundleGeometry, FibreVector, require_attached
 from .engine import TransportMatrix, transport_matrices
-from .errors import ChartDomainError, InverseUnavailableError, NotApplicableError
+from .errors import InverseUnavailableError, NotApplicableError
 from .paths import Path, positions_at, restrict
 
 KIND_FROM_CONNECTION = "linear-from-connection"
@@ -26,14 +26,13 @@ KIND_GENERIC = "generic"
 
 
 class TransportAlongPaths:
-    """A transport along paths, realized by batched callbacks.
+    """A transport along paths, realized by one batched callback.
 
-    ``apply_many_fn(requests, step)`` carries the fibre vectors of a list of
-    ``(path, s, t, u)`` requests; ``matrices_fn(requests, step)`` returns the
-    matrices L(t, s) of a list of ``(path, s, t)`` requests.  Both return one
-    result per request.  A transport needs at least one of them; one with
-    ``matrices_fn`` is linear, and without ``apply_many_fn`` it acts through
-    its matrices.
+    Either ``apply_many_fn(requests, step)`` carries the fibre vectors of a
+    list of ``(path, s, t, u)`` requests, or ``matrices_fn(requests, step)``
+    returns the matrices L(t, s) of a list of ``(path, s, t)`` requests; each
+    returns one result per request.  A transport takes exactly one of them.
+    One with ``matrices_fn`` is linear and acts through its matrices.
     """
 
     def __init__(
@@ -49,8 +48,8 @@ class TransportAlongPaths:
     ):
         if kind not in (KIND_FROM_CONNECTION, KIND_LINEAR_CUSTOM, KIND_GENERIC):
             raise ValueError(f"unknown transport kind {kind!r}")
-        if apply_many_fn is None and matrices_fn is None:
-            raise ValueError("a transport needs apply_many_fn or matrices_fn")
+        if (apply_many_fn is None) == (matrices_fn is None):
+            raise ValueError("a transport takes exactly one of apply_many_fn and matrices_fn")
         self.kind = kind
         self.geometry = geometry
         self.base_dim = base_dim if base_dim is not None else (geometry.base_dim if geometry else None)
@@ -78,13 +77,12 @@ class TransportAlongPaths:
         """Carry each fibre vector u of many ``(path, s, t, u)`` requests from path(s) to path(t)."""
         requests = [(path, float(s), float(t), u) for path, s, t, u in requests]
         for (*_, u), x_s in zip(requests, positions_at([(path, s) for path, s, _, _ in requests])):
-            if float(np.max(np.abs(np.asarray(u.base_point) - x_s))) > BASE_POINT_TOL:
-                raise ChartDomainError("fibre vector is not attached to path(s)")
+            require_attached(u, x_s, self.fibre_dim)
         if self._apply_many_fn is not None:
             return self._apply_many_fn(requests, step)
         mats = self.matrices([request[:3] for request in requests], step=step)
         ends = positions_at([(path, t) for path, _, t, _ in requests])
-        return [FibreVector(x_t, m.value @ np.asarray(u.components)) for (*_, u), m, x_t in zip(requests, mats, ends)]
+        return [FibreVector(x_t, m.value @ u.components) for (*_, u), m, x_t in zip(requests, mats, ends)]
 
     def apply(self, path: Path, s: float, t: float, u: FibreVector, *, step: float | None = None) -> FibreVector:
         """Carry the fibre vector u from path(s) to path(t)."""
@@ -92,47 +90,29 @@ class TransportAlongPaths:
 
 
 class ParallelTransport:
-    """A map sending a closed-interval path to its start-to-end fibre map.
+    """The full-domain view of a transport along paths: each closed-interval
+    path goes to the transport's map from its start to its end, run at
+    ``step`` (see ``TransportAlongPaths.matrices``).  It is linear when the
+    transport is."""
 
-    ``apply_many_fn(requests)`` carries the fibre vectors of a list of
-    ``(path, u)`` requests, each over its path's whole domain;
-    ``matrices_fn(paths)``, when given, returns the matrices of a list of
-    paths and makes the parallel transport linear.  Both return one result
-    per request.
-    """
-
-    def __init__(
-        self,
-        *,
-        apply_many_fn: Callable,
-        matrices_fn: Optional[Callable] = None,
-        base_dim: int,
-        fibre_dim: int,
-        geometry: Optional[BundleGeometry] = None,
-        label: str = "",
-    ):
-        self._apply_many_fn = apply_many_fn
-        self._matrices_fn = matrices_fn
-        self.base_dim = base_dim
-        self.fibre_dim = fibre_dim
-        self.geometry = geometry
-        self.label = label
-
-    @property
-    def is_linear(self) -> bool:
-        return self._matrices_fn is not None
+    def __init__(self, transport: TransportAlongPaths, *, step: float | None = None):
+        self.transport = transport
+        self.step = step
+        self.base_dim = transport.base_dim
+        self.fibre_dim = transport.fibre_dim
+        self.geometry = transport.geometry
+        self.is_linear = transport.is_linear
+        self.label = f"parallel:{transport.label}" if transport.label else "parallel"
 
     def apply_many(self, requests) -> list[FibreVector]:
         """The fibre maps of many ``(path, u)`` requests, integrated together where the realization allows."""
-        return self._apply_many_fn(list(requests))
+        return self.transport.apply_many([(path, *path.domain, u) for path, u in requests], step=self.step)
 
     def apply(self, path: Path, u: FibreVector) -> FibreVector:
         return self.apply_many([(path, u)])[0]
 
     def matrices(self, paths) -> list[TransportMatrix]:
-        if self._matrices_fn is None:
-            raise NotApplicableError(f"parallel transport {self.label} has no matrix realization")
-        return self._matrices_fn(list(paths))
+        return self.transport.matrices([(path, *path.domain) for path in paths], step=self.step)
 
     def matrix(self, path: Path) -> TransportMatrix:
         return self.matrices([path])[0]
@@ -148,37 +128,18 @@ def connection_transport(geometry: BundleGeometry, *, label: str = "") -> Transp
     )
 
 
-def parallel_from_transport(transport: TransportAlongPaths, *, step: float | None = None) -> ParallelTransport:
-    """The parallel transport acting over each path's full parameter interval;
-    its transports run at ``step`` (see ``TransportAlongPaths.matrices``)."""
-
-    def apply_many_fn(requests):
-        return transport.apply_many([(path, *path.domain, u) for path, u in requests], step=step)
-
-    matrices_fn = None
-    if transport.is_linear:
-
-        def matrices_fn(paths):  # noqa: F811
-            return transport.matrices([(path, *path.domain) for path in paths], step=step)
-
-    return ParallelTransport(
-        apply_many_fn=apply_many_fn,
-        matrices_fn=matrices_fn,
-        base_dim=transport.base_dim,
-        fibre_dim=transport.fibre_dim,
-        geometry=transport.geometry,
-        label=f"parallel:{transport.label}" if transport.label else "parallel",
-    )
+#: The parallel transport of a transport is its full-domain view.
+parallel_from_transport = ParallelTransport
 
 
 def transport_from_parallel(psi: ParallelTransport) -> TransportAlongPaths:
     """The transport along paths acting through restrictions of a parallel transport.
 
-    For s <= t it applies psi over the restriction to [s, t]; for s >= t it
-    inverts psi over [t, s], which needs a matrix realization
-    (InverseUnavailableError otherwise).  The s == t branch returns its input
-    unchanged.  The requests of one batch reach psi as one batch per
-    direction.
+    For s < t it runs psi over the restriction to [s, t].  A linear psi gives
+    a linear transport whose s > t matrices invert psi's over [t, s] and whose
+    s == t matrices are the identity.  A generic psi has no inverse: its
+    transport raises InverseUnavailableError on s > t and returns its input
+    for s == t.  The requests of one batch reach psi as one batch per direction.
     """
 
     def split(requests):
@@ -187,51 +148,38 @@ def transport_from_parallel(psi: ParallelTransport) -> TransportAlongPaths:
         backward = [(i, restrict(req[0], (req[2], req[1]))) for i, req in enumerate(requests) if req[1] > req[2]]
         return forward, backward
 
-    def apply_many_fn(requests, step_):
-        out = [u for *_, u in requests]
+    def matrices_fn(requests, step_):
+        out = [TransportMatrix(np.eye(psi.fibre_dim), path_id=p.label, s=s, t=t, step=0.0) for p, s, t in requests]
         forward, backward = split(requests)
-        if backward and not psi.is_linear:
+        for (i, _), inner in zip(forward, psi.matrices([piece for _, piece in forward])):
+            path, s, t = requests[i]
+            out[i] = TransportMatrix(inner.value, path_id=path.label, s=s, t=t, step=inner.step)
+        for (i, _), inner in zip(backward, psi.matrices([piece for _, piece in backward])):
+            path, s, t = requests[i]
+            try:
+                inv = np.linalg.inv(inner.value)
+            except np.linalg.LinAlgError as exc:
+                raise InverseUnavailableError("parallel transport matrix is singular") from exc
+            out[i] = TransportMatrix(inv, path_id=path.label, s=s, t=t, step=inner.step)
+        return out
+
+    def apply_many_fn(requests, step_):
+        forward, backward = split(requests)
+        if backward:
             raise InverseUnavailableError(
                 "cannot run a generic parallel transport backward; no numerical inverse is available"
             )
+        out = [u for *_, u in requests]
         for (i, _), v in zip(forward, psi.apply_many([(piece, requests[i][3]) for i, piece in forward])):
             out[i] = v
-        if not backward:
-            return out
-        ends = positions_at([(requests[i][0], requests[i][2]) for i, _ in backward])
-        for (i, _), m, x_t in zip(backward, psi.matrices([piece for _, piece in backward]), ends):
-            try:
-                comps = np.linalg.solve(m.value, np.asarray(requests[i][3].components))
-            except np.linalg.LinAlgError as exc:
-                raise InverseUnavailableError("parallel transport matrix is singular") from exc
-            out[i] = FibreVector(x_t, comps)
         return out
 
-    matrices_fn = None
-    if psi.is_linear:
-
-        def matrices_fn(requests, step_):  # noqa: F811
-            out = [TransportMatrix(np.eye(psi.fibre_dim), path_id=p.label, s=s, t=t, step=0.0) for p, s, t in requests]
-            forward, backward = split(requests)
-            for (i, _), inner in zip(forward, psi.matrices([piece for _, piece in forward])):
-                path, s, t = requests[i]
-                out[i] = TransportMatrix(inner.value, path_id=path.label, s=s, t=t, step=inner.step)
-            for (i, _), inner in zip(backward, psi.matrices([piece for _, piece in backward])):
-                path, s, t = requests[i]
-                try:
-                    inv = np.linalg.inv(inner.value)
-                except np.linalg.LinAlgError as exc:
-                    raise InverseUnavailableError("parallel transport matrix is singular") from exc
-                out[i] = TransportMatrix(inv, path_id=path.label, s=s, t=t, step=inner.step)
-            return out
-
-    kind = KIND_LINEAR_CUSTOM if psi.is_linear else KIND_GENERIC
     return TransportAlongPaths(
-        kind=kind,
+        kind=KIND_LINEAR_CUSTOM if psi.is_linear else KIND_GENERIC,
         geometry=psi.geometry,
         base_dim=psi.base_dim,
         fibre_dim=psi.fibre_dim,
-        apply_many_fn=apply_many_fn,
-        matrices_fn=matrices_fn,
-        label=f"along:{psi.label}" if psi.label else "along-paths",
+        apply_many_fn=None if psi.is_linear else apply_many_fn,
+        matrices_fn=matrices_fn if psi.is_linear else None,
+        label=f"along:{psi.label}",
     )

@@ -188,3 +188,9 @@ def test_fibre_vector_rejects_non_finite_base_points(bad):
         pt.FibreVector([1.0, bad], [1.0, 0.0])
     with pytest.raises(ChartDomainError):
         pt.FibreVector(bad, [1.0])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_fibre_vector_rejects_non_finite_components(bad):
+    with pytest.raises(ChartDomainError):
+        pt.FibreVector([1.0, 0.0], [1.0, bad])

@@ -250,6 +250,9 @@ def test_malformed_numbers_in_a_geometry_file_exit_two(tmp_path, capsys, spec_di
         ["holonomy", "--geometry", "sphere", "--sweep", "0.3:1.4:x"],
         ["holonomy", "--geometry", "sphere", "--sweep", "0.3:1.4:-2"],
         ["holonomy", "--geometry", "sphere", "--sweep", "0.3:1.4:0"],
+        ["transport", "--geometry", "sphere", "--path", "latitude:pi/3", "--vector", "1,0,0"],
+        ["transport", "--geometry", "sphere", "--path", "latitude:pi/3", "--vector", "1,nan"],
+        ["transport", "--geometry", "nonlinear", "--path", "segment:from=0,0;to=0.5,0.5", "--vector", "0.1,0.2,0.3"],
     ],
 )
 def test_non_finite_or_non_positive_numeric_flags_exit_two(tmp_path, capsys, argv):

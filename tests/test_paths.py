@@ -121,15 +121,17 @@ def test_reparametrization_validation():
 
 def test_orientation_is_read_off_the_map(sphere_entry):
     # 1 - s reverses without being told so: the kink of a two-segment path
-    # comes back at 0.5, and the transport matches the affine reversal's.
+    # comes back at exactly 0.5, and the transport matches the affine reversal's.
     path = pt.product_canonical(pt.segment([1.0, 0.0], [1.3, 0.4]), pt.segment([1.3, 0.4], [1.1, 0.9]))
     chi = pt.Reparametrization(
         (0.0, 1.0), (0.0, 1.0), lambda s: 1.0 - np.asarray(s, dtype=float), lambda s: np.full_like(s, -1.0, dtype=float)
     )
     reversed_path = pt.reparametrize(path, chi)
-    assert reversed_path.breakpoints == (pytest.approx(0.5, abs=1e-12),)
+    assert reversed_path.breakpoints == (0.5,)
     pt.validate_reparametrization(chi)
     affine = pt.reparametrize(path, pt.affine_reparametrization((0.0, 1.0), (0.0, 1.0), reversing=True))
+    assert affine.breakpoints == (0.5,)
+    assert pt.reparametrize(path, pt.affine_reparametrization((-2.0, 3.0), (0.0, 1.0))).breakpoints == (0.5,)
     got, want = (sphere_entry.transport.matrix(p, 0.0, 1.0, step=0.3).value for p in (reversed_path, affine))
     assert got.tobytes() == want.tobytes()
     assert chi.orientation == "reversing"
