@@ -83,11 +83,13 @@ class _Chunk(NamedTuple):
 
 class _Source(NamedTuple):
     """The field along one smooth piece of a path: ``jet`` evaluates it;
-    pieces with equal keys have the same jet."""
+    pieces with equal keys have the same jet.  ``steady`` says that the
+    velocity and every coordinate the geometry reads are constant."""
 
     key: tuple
     jet: Callable
     path: Path
+    steady: bool
 
 
 @dataclass(frozen=True)
@@ -328,12 +330,15 @@ def _pass(chunks: list[_Chunk], sample: Callable, *, table: dict | None = None) 
     h = (b - a) / n: at its n + 1 step ends (k even), then at its n
     midpoints (k odd); its first and last end move inward by its nudges.
     A one-chunk pass looks its matrix up in ``table`` when its field is
-    constant (see ``_rk4_transitions``).
+    constant (see ``_rk4_transitions``); over a steady source it samples
+    its first node alone, whose field is the whole chunk's.
     """
     if len(chunks) == 1:
         # Kept apart: one-chunk passes through the packed gather below cost 35-65% more on triangle holonomy jobs.
-        _, a, b, n, lo, hi = chunks[0]
+        source, a, b, n, lo, hi = chunks[0]
         h = (b - a) / n
+        if source is not None and source.steady:
+            return _rk4_transitions(sample(chunks, np.array([a + lo])), h, np.array([n]), n, table=table)
         k = np.arange(2 * n + 1)
         pts = a + 0.5 * h * np.concatenate((k[::2], k[1::2]))
         pts[0], pts[n] = a + lo, b - hi
@@ -403,12 +408,14 @@ def integrate_transport_matrix(coeff_field: Callable, s: float, t: float, step: 
     return TransportMatrix(_chain(mats), s=s, t=t, step=abs(t - s) / n_steps)
 
 
-def _piece_jet(path: Path, piece: tuple[float, float] | None) -> _Source:
+def _piece_jet(path: Path, piece: tuple[float, float] | None, reads: tuple[int, ...] | None) -> _Source:
     """The source of one smooth piece of a path: its ``jet(ts)`` gives the
     positions and velocities at parameters of the piece, evaluated on the
     smooth factor that the piece runs on (``paths.smooth_part``), through its
-    ``jet`` when it has one; the values equal the path's own evaluation bit
-    for bit."""
+    ``jet`` when it has one; the velocities and the ``reads`` coordinates
+    equal the path's own evaluation bit for bit.  The source is steady when
+    the factor states that its velocity and every coordinate in ``reads``
+    (all of them for None) are constant."""
     factor, maps = (path, ()) if piece is None else smooth_part(path, *piece)
     scale = math.prod(slope for slope, _ in maps)
 
@@ -416,18 +423,15 @@ def _piece_jet(path: Path, piece: tuple[float, float] | None) -> _Source:
         for slope, offset in maps:
             u = slope * u + offset if offset else slope * u
         if factor.jet is not None:
-            xs, vs = factor.jet(u)
+            xs, vs = factor.jet(u, reads)
         else:
-            # Only an undescended path can lack an analytic velocity, so the
-            # piece's finite-difference stencil is in this path's parameter.
-            xs, vs = position_at(factor, u), velocity_at(factor, u, piece=piece)
+            xs, vs = position_at(factor, u), velocity_at(factor, u)
         return xs, (scale * vs if maps else vs)
 
-    if factor.jet is not None:
-        key = (id(factor.jet), maps)  # restrictions share their path's jet
-    else:
-        key = (id(factor), maps) if factor.velocity is not None else (id(factor), maps, piece)
-    return _Source(key, jet, path)
+    # Restrictions share their path's jet.
+    key = (id(factor.jet) if factor.jet is not None else id(factor), maps)
+    read = range(path.dim) if reads is None else reads
+    return _Source(key, jet, path, factor.steady is not None and set(read) <= set(factor.steady))
 
 
 def _check_chart(geometry: BundleGeometry, xs: np.ndarray, path: Path):
@@ -471,7 +475,7 @@ def path_coefficient_field(geometry: BundleGeometry, path: Path, *, piece: tuple
     through its ``jet`` when it has one; the values equal the path's own
     evaluation bit for bit.
     """
-    jet = _piece_jet(path, piece).jet
+    jet = _piece_jet(path, piece, geometry.reads).jet
 
     def field(ts):
         xs, vs = jet(np.atleast_1d(np.asarray(ts, dtype=float)))
@@ -489,9 +493,16 @@ def _samples_last(arrays: list) -> np.ndarray:
 def _geometry_sampler(geometry: BundleGeometry) -> Callable:
     """``sample(chunks, pts)`` for chunks whose sources are path pieces: one
     jet call per run of consecutive chunks with one key, one chart check over
-    the whole pass, then one contraction over it; a one-chunk pass whose
+    the whole pass, then one contraction over it.  A one-chunk pass whose
     ``geometry.reads`` coordinates and velocities all equal the first
-    sample's contracts that sample alone, an (r, r, 1) field."""
+    sample's contracts that sample alone, an (r, r, 1) field, which the
+    kernel's uniform branch takes.
+
+    A one-chunk pass over a steady source comes with its first node alone
+    (``_pass``), so it skips the equality scan too.  The chart check on that
+    node gives the verdict for the whole pass: ``reads`` covers
+    ``chart_domain``, and the source states that every coordinate in
+    ``reads`` is constant."""
 
     def sample(chunks, pts):
         runs, start = [], 0
@@ -511,8 +522,8 @@ def _geometry_sampler(geometry: BundleGeometry) -> Callable:
                 start += 2 * c.n + 1
             raise
         vs = _samples_last([v for _, v in runs])
-        if len(chunks) == 1 and geometry.reads is not None:
-            # The field reads nothing that varies: one column, which the kernel's uniform branch takes.
+        if len(chunks) == 1 and geometry.reads is not None and not chunks[0].source.steady:
+            # A constant field the path does not state, such as a reparametrized latitude's.
             rows = xs.T
             if all((rows[mu] == rows[mu, 0]).all() for mu in geometry.reads) and (vs.T == vs.T[:, :1]).all():
                 return _contract(geometry, xs[:1], vs[:1])
@@ -555,7 +566,8 @@ def transport_matrices(
             for a, b in zip(nodes[:-1], nodes[1:]):
                 n_steps = _step_count(abs(b - a), step, (abs(a - s) / abs(t - s), abs(b - s) / abs(t - s)))
                 used = max(used, abs(b - a) / n_steps)
-                chunks += _split(a, b, n_steps, (a in bps, b in bps), _piece_jet(path, (min(a, b), max(a, b))))
+                source = _piece_jet(path, (min(a, b), max(a, b)), geometry.reads)
+                chunks += _split(a, b, n_steps, (a in bps, b in bps), source)
         plans[id(path), s, t] = (path, s, t, chunks, used)
     chunks = [c for *_, request_chunks, _ in plans.values() for c in request_chunks]
     # Chunks with one jet run side by side, so a pass evaluates each jet once.

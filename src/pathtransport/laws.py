@@ -199,7 +199,7 @@ def _bezier_path(ctrl: np.ndarray, domain: tuple[float, float], *, label: str = 
 
         return fn
 
-    def jet(ts):
+    def jet(ts, reads=None):
         powers = basis(ts)
         return pos_from(*powers).T, vel_from(*powers).T
 

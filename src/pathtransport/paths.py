@@ -1,9 +1,9 @@
 """Paths in a single base-space coordinate chart and their calculus.
 
 A path is a parametrized curve ``s -> x(s)`` on a closed interval together
-with an optional analytic velocity evaluator.  Evaluators accept a scalar
-parameter or a 1-d array of parameters and are pure; all objects here are
-immutable after construction and safe to share between threads.
+with its analytic velocity.  Evaluators accept a scalar parameter or a 1-d
+array of parameters and are pure; all objects here are immutable after
+construction and safe to share between threads.
 
 Canonical inverses and products are defined only for paths on [0, 1]; all
 other parameter conventions are reached through reparametrization.
@@ -21,15 +21,6 @@ import numpy as np
 
 from .errors import ChartDomainError, EndpointMismatchError, IntervalError, SpecFormatError
 
-# Smoothness tags, ordered from strongest to weakest.
-C1 = "C1"
-PIECEWISE_C1 = "piecewise-C1"
-C0 = "C0"
-_SMOOTHNESS_ORDER = {C1: 2, PIECEWISE_C1: 1, C0: 0}
-
-#: Finite-difference step as a fraction of the parameter range.
-DEFAULT_FD_FRACTION = 1e-5
-
 #: Junction tolerance for canonical products, in chart coordinates.
 JUNCTION_TOL = 1e-9
 
@@ -41,42 +32,51 @@ SPHERE_POLE_MARGIN = 1e-3
 class Path:
     """A parametrized curve in an n-dimensional coordinate chart.
 
-    ``position`` maps a parameter (scalar or 1-d array) to chart coordinates
-    (shape ``(dim,)`` or ``(m, dim)``).  ``velocity`` is optional; when absent,
-    tangents fall back to finite differences and the smoothness tag is at most
-    piecewise-C1.  ``breakpoints`` lists interior parameters where the velocity
-    may jump; integrators split there and never evaluate a one-sided quantity
-    from the wrong side.  Batched evaluators are fastest when they return the
-    ``.T`` view of ``(dim, m)`` storage, which integrators read without a
-    copy; any layout gives the same values.
+    ``position`` and ``velocity`` map a parameter (scalar or 1-d array) to
+    chart coordinates and their derivative (shape ``(dim,)`` or ``(m, dim)``).
+    Both are required: a path without an analytic velocity is refused.
+    ``breakpoints`` lists interior parameters where the velocity may jump;
+    integrators split there and never evaluate a one-sided quantity from the
+    wrong side.  Batched evaluators are fastest when they return the ``.T``
+    view of ``(dim, m)`` storage, which integrators read without a copy; any
+    layout gives the same values.
 
-    Two optional fields describe how to evaluate the path cheaply; neither
-    changes its values.  ``jet`` maps a 1-d parameter array to the pair
-    ``(positions, velocities)`` in one call, sharing the work that both need.
-    ``parts`` lists entries ``(lo, hi, factor, slope, offset)`` with
+    The integrators read a path through its optional ``jet``, else through
+    the two evaluators.  ``jet(ts, reads=None)`` maps a 1-d parameter array
+    to the pair ``(positions, velocities)`` in one call, sharing the work
+    that both need.  The velocities and the position coordinates listed in
+    ``reads`` equal ``position`` and ``velocity`` bit for bit; a jet may skip
+    the other coordinates, which are then NaN (``reads=None`` asks for all).
+
+    Two more optional fields describe the path's structure; neither changes
+    its values.  ``steady``, when not None, states that the velocity is
+    constant over the domain, and lists the position coordinates that are
+    constant too; the builtin constructors work it out (a latitude's
+    colatitude, a segment's coordinates of zero rate, every coordinate of a
+    constant path), and a reparametrization, whose velocity scales, drops
+    it.  ``parts`` lists entries ``(lo, hi, factor, slope, offset)`` with
     ``path(t) = factor(slope * t + offset)`` on ``[lo, hi]``, so a piece that
     lies in one part can be evaluated on its factor (see ``smooth_part``).
-    Canonical products and inverses set ``parts``; restrictions keep them.
+    Canonical products and inverses set ``parts``; restrictions keep them
+    and ``steady``.
     """
 
     dim: int
     domain: tuple[float, float]
     position: Callable
-    velocity: Optional[Callable] = None
-    smoothness: str = C1
+    velocity: Callable
     breakpoints: tuple[float, ...] = ()
     label: str = ""
     jet: Optional[Callable] = None
     parts: tuple = ()
+    steady: Optional[tuple[int, ...]] = None
 
     def __post_init__(self):
         sigma, tau = self.domain
         if not (math.isfinite(sigma) and math.isfinite(tau)) or tau < sigma:
             raise IntervalError(f"bad path domain {self.domain!r}")
-        if self.smoothness not in _SMOOTHNESS_ORDER:
-            raise IntervalError(f"unknown smoothness tag {self.smoothness!r}")
-        if self.velocity is None and self.smoothness == C1:
-            object.__setattr__(self, "smoothness", PIECEWISE_C1)
+        if self.velocity is None:
+            raise TypeError("a path needs an analytic velocity evaluator")
         bps = tuple(sorted(b for b in self.breakpoints if sigma < b < tau))
         object.__setattr__(self, "breakpoints", bps)
 
@@ -162,88 +162,15 @@ def positions_at(pairs) -> list[np.ndarray]:
     return out
 
 
-def _piece_bounds(path: Path, s: float) -> tuple[float, float]:
-    # Smooth piece containing s; a breakpoint itself belongs to the left piece.
-    sigma, tau = path.domain
-    lo, hi = sigma, tau
-    for b in path.breakpoints:
-        if b < s:
-            lo = b
-        elif b >= s:
-            hi = b
-            break
-    if s in path.breakpoints:
-        hi = s
-    return lo, hi
+def velocity_at(path: Path, s):
+    """Evaluate ``path.velocity``, tolerating scalar-only evaluators."""
+    return batch_eval(path.velocity, _as_param_array(s), (path.dim,))
 
 
-def _fd_velocity(path: Path, ts: np.ndarray, h: float, piece: tuple[float, float]) -> np.ndarray:
-    """Second-order finite-difference velocities, one-sided near piece ends."""
-    lo, hi = piece
-    ts = np.atleast_1d(ts)
-    out = np.empty((ts.size, path.dim))
-    can_center = (ts - h >= lo) & (ts + h <= hi)
-    can_fwd = ~can_center & (ts + 2 * h <= hi)
-    can_bwd = ~can_center & ~can_fwd & (ts - 2 * h >= lo)
-    rest = ~(can_center | can_fwd | can_bwd)
-    if np.any(can_center):
-        t = ts[can_center]
-        out[can_center] = (position_at(path, t + h) - position_at(path, t - h)) / (2 * h)
-    if np.any(can_fwd):
-        t = ts[can_fwd]
-        out[can_fwd] = (
-            -3 * position_at(path, t) + 4 * position_at(path, t + h) - position_at(path, t + 2 * h)
-        ) / (2 * h)
-    if np.any(can_bwd):
-        t = ts[can_bwd]
-        out[can_bwd] = (
-            3 * position_at(path, t) - 4 * position_at(path, t - h) + position_at(path, t - 2 * h)
-        ) / (2 * h)
-    if np.any(rest):
-        # Piece too short for a second-order stencil; first order or zero.
-        t = ts[rest]
-        width = hi - lo
-        if width <= 0:
-            out[rest] = 0.0
-        else:
-            a = np.clip(t - width / 2, lo, hi)
-            b = np.clip(t + width / 2, lo, hi)
-            out[rest] = (position_at(path, b) - position_at(path, a)) / (b - a)[:, None]
-    return out
-
-
-def velocity_at(path: Path, s, *, h: float | None = None, piece: tuple[float, float] | None = None):
-    """Velocity of ``path`` at parameter(s) ``s``.
-
-    Uses the analytic evaluator when present, otherwise central finite
-    differences (one-sided within ``h`` of a piece boundary).  ``piece``
-    restricts the stencil to one smooth piece; by default it is derived from
-    the path's breakpoints point by point.
-    """
-    arr = _as_param_array(s)
-    scalar = arr.ndim == 0
-    if path.velocity is not None:
-        return batch_eval(path.velocity, arr, (path.dim,))
-    if path.is_point:
-        return np.zeros(path.dim) if scalar else np.zeros((arr.size, path.dim))
-    if h is None:
-        h = DEFAULT_FD_FRACTION * path.length
-    ts = np.atleast_1d(arr)
-    if piece is not None:
-        out = _fd_velocity(path, ts, h, piece)
-    elif not path.breakpoints:
-        out = _fd_velocity(path, ts, h, path.domain)
-    else:
-        out = np.empty((ts.size, path.dim))
-        for i, t in enumerate(ts):
-            out[i] = _fd_velocity(path, np.array([t]), h, _piece_bounds(path, float(t)))[0]
-    return out[0] if scalar else out
-
-
-def tangent(path: Path, s: float, *, h: float | None = None) -> np.ndarray:
+def tangent(path: Path, s: float) -> np.ndarray:
     """Tangent vector of the path at s (zero for point paths); s is checked by ``check_parameters``."""
     check_parameters(path, s, s)
-    return velocity_at(path, float(s), h=h)
+    return velocity_at(path, float(s))
 
 
 def _domain_eps(path: Path) -> float:
@@ -306,17 +233,15 @@ def reparametrize(path: Path, chi: Reparametrization) -> Path:
         # Chain rule in samples-last form: scales each sample's velocity.
         return (v.T * np.asarray(chi.derivative(s), dtype=float)).T
 
-    vel = jet = None
-    if path.velocity is not None:
+    def vel(s):
+        arr = _as_param_array(s)
+        return chain(velocity_at(path, chi.map(arr)), arr)
 
-        def vel(s):  # noqa: F811 - deliberate conditional definition
-            arr = _as_param_array(s)
-            return chain(velocity_at(path, chi.map(arr)), arr)
-
+    jet = None
     if path.jet is not None:
 
-        def jet(ts):  # noqa: F811 - deliberate conditional definition
-            xs, vs = path.jet(chi.map(ts))
+        def jet(ts, reads=None):  # noqa: F811 - deliberate conditional definition
+            xs, vs = path.jet(chi.map(ts), reads)
             return xs, chain(vs, ts)
 
     bps = tuple(sorted(_monotone_preimage(chi, b) for b in path.breakpoints))
@@ -325,7 +250,6 @@ def reparametrize(path: Path, chi: Reparametrization) -> Path:
         domain=(float(chi.source[0]), float(chi.source[1])),
         position=pos,
         velocity=vel,
-        smoothness=path.smoothness,
         breakpoints=bps,
         label=f"{path.label}o{chi.orientation[:3]}" if path.label else "",
         jet=jet,
@@ -382,8 +306,7 @@ def invert_canonical(path: Path) -> Path:
         dim=path.dim,
         domain=(0.0, 1.0),
         position=pos,
-        velocity=None if path.velocity is None else vel,
-        smoothness=path.smoothness,
+        velocity=vel,
         breakpoints=tuple(sorted(1.0 - b for b in path.breakpoints)),
         label=f"{path.label}~" if path.label else "",
         parts=parts,
@@ -393,9 +316,9 @@ def invert_canonical(path: Path) -> Path:
 def product_canonical(p1: Path, p2: Path) -> Path:
     """Canonical product: p1 traversed on [0, 1/2], then p2 on [1/2, 1].
 
-    Requires both factors canonical and p1(1) = p2(0) within ``JUNCTION_TOL``;
-    it is C1 where the scaled velocities agree there as closely.  The junction
-    becomes a breakpoint; the velocity evaluator uses the left branch at t = 1/2.
+    Requires both factors canonical and p1(1) = p2(0) within ``JUNCTION_TOL``.
+    The junction becomes a breakpoint; the velocity evaluator uses the left
+    branch at t = 1/2.
     """
     _require_canonical(p1, "product_canonical")
     _require_canonical(p2, "product_canonical")
@@ -405,17 +328,6 @@ def product_canonical(p1: Path, p2: Path) -> Path:
     if gap > JUNCTION_TOL:
         raise EndpointMismatchError(f"junction mismatch {gap:.3e} exceeds tolerance {JUNCTION_TOL:.3e}")
 
-    v_left = 2 * velocity_at(p1, 1.0)
-    v_right = 2 * velocity_at(p2, 0.0)
-    joins_c1 = (
-        p1.smoothness == C1
-        and p2.smoothness == C1
-        and float(np.max(np.abs(v_left - v_right))) <= JUNCTION_TOL
-    )
-    if p1.smoothness == C0 or p2.smoothness == C0:
-        tag = C0
-    else:
-        tag = C1 if joins_c1 else PIECEWISE_C1
     bps = tuple(0.5 * b for b in p1.breakpoints) + (0.5,) + tuple(0.5 + 0.5 * b for b in p2.breakpoints)
     parts = ((0.0, 0.5, p1, 2.0, 0.0), (0.5, 1.0, p2, 2.0, -1.0))
     pos, vel = _part_evaluators(p1.dim, parts)
@@ -424,7 +336,6 @@ def product_canonical(p1: Path, p2: Path) -> Path:
         domain=(0.0, 1.0),
         position=pos,
         velocity=vel,
-        smoothness=tag,
         breakpoints=bps,
         label=f"({p1.label})*({p2.label})" if (p1.label or p2.label) else "",
         parts=parts,
@@ -436,10 +347,10 @@ def smooth_part(path: Path, lo: float, hi: float) -> tuple[Path, tuple[tuple[flo
 
     Returns the factor and the affine maps ``u -> slope * u + offset`` that
     carry a parameter of the piece to the factor's parameter, in the order
-    they apply; the velocity scales by the product of the slopes.  Descends
-    through ``parts`` while the piece lies inside one part and that part's
-    factor has an analytic velocity, so a finite-difference path keeps its
-    own stencil.  The maps are applied one after another, not multiplied
+    they apply; the velocity scales by the product of the slopes, so the
+    factor's ``steady`` statement holds for the piece too.  Descends through
+    ``parts`` while the piece lies inside one part.  The maps are applied
+    one after another, not multiplied
     out, so the parameters and velocities equal the path's own evaluation
     bit for bit (all slopes are powers of two up to sign).  The one
     exception is a sample exactly on a junction: it is evaluated on the
@@ -450,7 +361,7 @@ def smooth_part(path: Path, lo: float, hi: float) -> tuple[Path, tuple[tuple[flo
     maps = []
     while True:
         for p_lo, p_hi, factor, slope, offset in path.parts:
-            if p_lo <= lo and hi <= p_hi and factor.velocity is not None:
+            if p_lo <= lo and hi <= p_hi:
                 break
         else:
             return path, tuple(maps)
@@ -559,7 +470,10 @@ def constant_path(point: Sequence[float], domain: tuple[float, float] = (0.0, 1.
     domain = (float(domain[0]), float(domain[1]))
     _require_finite("constant path point and domain", x, *domain)
     zero = np.zeros(x.size)
-    return Path(dim=x.size, domain=domain, position=_constant(x), velocity=_constant(zero), label="constant")
+    return Path(
+        dim=x.size, domain=domain, position=_constant(x), velocity=_constant(zero), label="constant",
+        steady=tuple(range(x.size)),
+    )
 
 
 def segment(start: Sequence[float], end: Sequence[float], domain: tuple[float, float] = (0.0, 1.0)) -> Path:
@@ -584,7 +498,8 @@ def segment(start: Sequence[float], end: Sequence[float], domain: tuple[float, f
     vel = _constant(rate)
 
     return Path(
-        dim=a.size, domain=(sigma, tau), position=pos, velocity=vel, label="segment", jet=lambda ts: (pos(ts), vel(ts))
+        dim=a.size, domain=(sigma, tau), position=pos, velocity=vel, label="segment",
+        jet=lambda ts, reads=None: (pos(ts), vel(ts)), steady=tuple(np.flatnonzero(rate == 0).tolist()),
     )
 
 
@@ -643,7 +558,8 @@ def latitude(colatitude: float, turns: float = 1.0, phi0: float = 0.0) -> Path:
         position=pos,
         velocity=vel,
         label=f"latitude({th:g})",
-        jet=lambda ts: (pos(ts), vel(ts)),
+        jet=lambda ts, reads=None: (pos(ts), vel(ts)),
+        steady=(0,),
     )
 
 
@@ -721,10 +637,13 @@ def great_circle(
         raise ChartDomainError("great-circle arc passes too close to a coordinate pole")
 
     # Both chart evaluators fill (2, m) storage and return its (m, 2) view.
-    def chart_position(arr, pts):
+    def chart_position(arr, pts, reads=None):
         out = np.empty((2, pts.shape[1]))
         x, y, z = pts
         np.arccos(np.clip(z, -1.0, 1.0), out=out[0])
+        if reads is not None and 1 not in reads:
+            out[1] = math.nan  # the azimuth, which nothing reads
+            return out.T
         raw = np.arctan2(y, x)
         guess = np.interp(np.atleast_1d(arr), ref_s, ref_phi)
         np.add(raw, 2 * math.pi * np.round((guess - raw) / (2 * math.pi)), out=out[1])
@@ -759,9 +678,9 @@ def great_circle(
         out = chart_velocity(cos, sin, pts)
         return out[0] if arr.ndim == 0 else out
 
-    def jet(ts):
+    def jet(ts, reads=None):
         arr, cos, sin, pts = embed(ts)
-        return chart_position(arr, pts), chart_velocity(cos, sin, pts)
+        return chart_position(arr, pts, reads), chart_velocity(cos, sin, pts)
 
     return Path(dim=2, domain=(a, b), position=pos, velocity=vel, label="great_circle", jet=jet)
 

@@ -272,6 +272,18 @@ def test_transport_to_a_parameter_within_the_domain_tolerance(tmp_path, capsys):
     assert len((out / "transport_coefficients.csv").read_text().splitlines()) == 1 + 11 * 4
 
 
+def test_transport_integrates_its_request_once(tmp_path, capsys, monkeypatch):
+    from pathtransport import transports
+
+    calls = []
+    original = transports.transport_matrices
+    monkeypatch.setattr(transports, "transport_matrices", lambda *a, **k: calls.append(a[1]) or original(*a, **k))
+    argv = ["transport", "--geometry", "sphere", "--path", "latitude:pi/3", "--vector", "1,0"]
+    code, out, text = run(argv, tmp_path, capsys)
+    assert code == 0 and "components:" in text and (out / "transport_matrix.csv").exists()
+    assert len(calls) == 1 and len(calls[0]) == 1
+
+
 @pytest.mark.parametrize("command", ["check-laws", "roundtrip"])
 def test_step_flag_reaches_every_transport(tmp_path, capsys, monkeypatch, command):
     # The parallel-axiom rows, the smoothness row and roundtrip's back

@@ -298,7 +298,6 @@ def test_kinked_product_is_split_at_the_junction(sphere_entry, rng):
     p1 = _bezier_path(c1, (0.0, 1.0))
     p2 = _bezier_path(c2, (0.0, 1.0))
     prod = pt.product_canonical(p1, p2)
-    assert prod.smoothness == "piecewise-C1"
     T = sphere_entry.transport
     whole = T.matrix(prod, 0.0, 1.0, step=1e-3).value
     composed = T.matrix(p2, 0.0, 1.0, step=1e-3).value @ T.matrix(p1, 0.0, 1.0, step=1e-3).value
@@ -665,15 +664,20 @@ def test_fine_step_holonomy_memory_does_not_grow_with_step_count(ortho_entry):
 # --- evaluation on smooth factors ---------------------------------------------
 
 
-def fd_arc(start, end):
-    """A canonical path without an analytic velocity (finite differences)."""
+def bare_arc(start, end):
+    """A canonical path without a jet: the integrators read its position and
+    velocity evaluators."""
     a, b = np.asarray(start, dtype=float), np.asarray(end, dtype=float)
 
     def pos(s):
         w = np.asarray(s, dtype=float)[..., None]
         return a + w * (b - a) + 0.1 * np.sin(3 * w) * np.array([1.0, -1.0])
 
-    return pt.Path(dim=2, domain=(0.0, 1.0), position=pos, label="fd")
+    def vel(s):
+        w = np.asarray(s, dtype=float)[..., None]
+        return (b - a) + 0.3 * np.cos(3 * w) * np.array([1.0, -1.0])
+
+    return pt.Path(dim=2, domain=(0.0, 1.0), position=pos, velocity=vel, label="bare")
 
 
 def smooth_factors():
@@ -683,7 +687,7 @@ def smooth_factors():
         pt.segment([1.0, -0.4], [1.6, 0.2]),
         pt.latitude(1.3, turns=1 / (2 * math.pi), phi0=-0.5),
         _bezier_path(np.array([[0.9, 0.1], [1.5, 0.6], [1.1, 0.9], [1.7, -0.3]]), (0.0, 1.0)),
-        fd_arc([1.4, 0.2], [0.9, -0.6]),
+        bare_arc([1.4, 0.2], [0.9, -0.6]),
     ]
 
 
@@ -707,10 +711,10 @@ def random_nest(rng, depth):
     return pt.product_canonical(p, pt.segment(p.at(1.0), [1.2, 0.0]))
 
 
-def path_level_field(geometry, path, ts, piece):
+def path_level_field(geometry, path, ts):
     """The coefficient field through the path's own position and velocity."""
     xs = pt.paths.position_at(path, ts)
-    vs = pt.paths.velocity_at(path, ts, piece=piece)
+    vs = pt.paths.velocity_at(path, ts)
     g3 = pt.bundles.coeffs3_batch(geometry, xs)
     return g3[..., 0] * vs[:, 0, None, None] + g3[..., 1] * vs[:, 1, None, None]
 
@@ -736,11 +740,11 @@ def test_field_on_smooth_factor_equals_path_level_field(sphere_entry, seed):
         nudge = 1e-9 * (hi - lo)
         ts = np.concatenate([[lo + nudge, hi - nudge], rng.uniform(lo, hi, size=64)])
         got = path_coefficient_field(geo, path, piece=(lo, hi))(ts)
-        assert np.array_equal(got, path_level_field(geo, path, ts, (lo, hi)))
+        assert np.array_equal(got, path_level_field(geo, path, ts))
 
 
 def test_smooth_part_descends_to_the_innermost_analytic_factor():
-    gc, seg, lat, bez, fd = smooth_factors()
+    gc, seg, lat, bez, bare = smooth_factors()
     inner = joined(gc, bez)  # gc on [0, 1/2], bridge on [1/2, 3/4], bez on [3/4, 1]
     prod = pt.product_canonical(inner, pt.segment(inner.at(1.0), gc.at(0.0)))
     loop = pt.invert_canonical(prod)
@@ -750,21 +754,6 @@ def test_smooth_part_descends_to_the_innermost_analytic_factor():
     # A piece across a junction stays on the path that owns the junction.
     assert pt.paths.smooth_part(prod, 0.4, 0.6) == (prod, ())
     assert pt.paths.smooth_part(loop, 0.4, 0.6) == (prod, ((-1.0, 1.0),))
-
-
-def test_finite_difference_factors_are_not_descended_into(sphere_entry):
-    gc, _, _, _, fd = smooth_factors()
-    prod = joined(fd, gc)
-    assert pt.paths.smooth_part(prod, 0.1, 0.4) == (prod, ())
-    inverse = pt.invert_canonical(fd)
-    assert pt.paths.smooth_part(inverse, 0.1, 0.4) == (inverse, ())
-    factor, _ = pt.paths.smooth_part(prod, 0.8, 0.9)
-    assert factor is gc
-    # The finite-difference stencil stays the product's own: one-sided at the
-    # piece ends, with the product's step.
-    ts = np.array([0.0, 1e-7, 0.25, 0.5 - 1e-7])
-    got = path_coefficient_field(sphere_entry.geometry, prod, piece=(0.0, 0.5))(ts)
-    assert np.array_equal(got, path_level_field(sphere_entry.geometry, prod, ts, (0.0, 0.5)))
 
 
 def test_jets_equal_position_and_velocity_bit_for_bit(rng):

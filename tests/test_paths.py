@@ -195,15 +195,6 @@ def test_product_of_quarter_latitude_arcs_matches_half_arc():
     half = pt.reparametrize(pt.restrict(lat, (0.0, math.pi)), pt.affine_reparametrization((0.0, 1.0), (0.0, math.pi)))
     ts = grid()
     assert np.max(np.abs(prod.at(ts) - half.at(ts))) < 1e-12
-    # the two arcs continue each other smoothly, so the product stays C1
-    assert prod.smoothness == pt.paths.C1
-
-
-def test_product_tag_piecewise_for_genuine_kink():
-    p1 = pt.segment([0.0, 0.0], [1.0, 0.0])
-    p2 = pt.segment([1.0, 0.0], [1.0, 1.0])
-    q = pt.product_canonical(p1, p2)
-    assert q.smoothness == pt.paths.PIECEWISE_C1
 
 
 def test_product_endpoint_mismatch():
@@ -229,21 +220,12 @@ def test_tangent_of_segment_is_exact():
     assert np.allclose(pt.tangent(p, 0.25), [1.0, 2.0])
 
 
-def test_tangent_fd_matches_analytic_on_latitude():
+def test_a_path_without_a_velocity_is_refused():
     lat = pt.latitude(0.9)
-    bare = pt.Path(dim=2, domain=lat.domain, position=lat.position, velocity=None)
-    fd = pt.tangent(bare, 0.0, h=1e-5)
-    assert np.max(np.abs(fd - np.array([0.0, 1.0]))) <= 1e-8
-
-
-def test_tangent_fd_second_order():
-    gc = pt.great_circle([1.0, 0.0], [0.3, 0.8], length=1.5)
-    bare = pt.Path(dim=2, domain=gc.domain, position=gc.position, velocity=None)
-    errs = []
-    for h in (2e-2, 1e-2, 5e-3):
-        errs.append(np.max(np.abs(pt.tangent(bare, 0.7, h=h) - pt.tangent(gc, 0.7))))
-    assert errs[0] / errs[1] >= 3.5
-    assert errs[1] / errs[2] >= 3.5
+    with pytest.raises(TypeError, match="velocity"):
+        pt.Path(dim=2, domain=lat.domain, position=lat.position, velocity=None)
+    with pytest.raises(TypeError):
+        pt.Path(dim=2, domain=lat.domain, position=lat.position)
 
 
 # --- stationary paths ---------------------------------------------------------

@@ -160,20 +160,21 @@ def test_pass_split_summary_per_job_kind():
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
 
-    def seconds(contract, chart, kernel, whole):
-        return {"_contract": contract, "_check_chart": chart, "_rk4_transitions": kernel, "_pass": whole}
+    def seconds(contract, chart, kernel, jet, whole):
+        return {"_contract": contract, "_check_chart": chart, "_rk4_transitions": kernel, "jet": jet, "_pass": whole}
 
     records = [
-        ("latitude:sphere", 300, seconds(0.003, 0.006, 0.0024, 0.018)),
-        ("triangle:sphere", 3, seconds(0.0003, 0.00003, 0.0003, 0.0009)),
-        ("latitude:sphere", 100, seconds(0.001, 0.002, 0.0008, 0.006)),
+        ("latitude:sphere", 300, seconds(0.003, 0.006, 0.0024, 0.0036, 0.018)),
+        ("triangle:sphere", 3, seconds(0.0003, 0.00003, 0.0003, 0.00015, 0.0009)),
+        ("latitude:sphere", 100, seconds(0.001, 0.002, 0.0008, 0.0012, 0.006)),
     ]
     lat, tri = tool.summarize(records)
     assert lat["kind"] == "latitude:sphere" and lat["jobs"] == 2 and lat["passes"] == 200
-    for key, value in {"contract_us": 10, "chart_us": 20, "kernel_us": 8, "rest_us": 22, "pass_us": 60}.items():
+    expected = {"contract_us": 10, "chart_us": 20, "kernel_us": 8, "jet_us": 12, "nodes_us": 10, "pass_us": 60}
+    for key, value in expected.items():
         assert abs(lat[key] - value) < 1e-9, key
     assert tri["jobs"] == 1 and tri["passes"] == 3
-    assert abs(tri["pass_us"] - 300) < 1e-9 and abs(tri["rest_us"] - 90) < 1e-9
+    assert abs(tri["pass_us"] - 300) < 1e-9 and abs(tri["jet_us"] - 50) < 1e-9 and abs(tri["nodes_us"] - 40) < 1e-9
 
 
 def test_bench_pairs_probe_summary():

@@ -5,9 +5,10 @@ one transition by ``engine._uniform_product``, once per integration for each
 distinct (h, n, field value); the kernel tests here compare bit for bit
 against the general kernel formulas, built from ``_matmul`` and
 ``_ordered_product``, or against the kernel run pass by pass without a
-table.  A geometry that declares the coordinates it reads lets such a pass
-contract one sample; those tests compare against the same run on a geometry
-that declares nothing.
+table.  A geometry that declares the coordinates it reads, over a path that
+states them and its velocity constant, lets such a pass sample and contract
+one node; those tests compare against the same run on a geometry that
+declares nothing.
 """
 
 import dataclasses
@@ -22,7 +23,7 @@ import pathtransport as pt
 from pathtransport import engine
 from pathtransport.bundles import coeffs3_batch
 from pathtransport.catalog import standard_catalog
-from pathtransport.errors import SingularCoefficientError
+from pathtransport.errors import ChartDomainError, SingularCoefficientError
 from pathtransport.paths import SPHERE_POLE_MARGIN
 
 
@@ -319,12 +320,38 @@ def test_latitude_passes_contract_one_sample(entry_id, span, catalog, monkeypatc
     n = math.ceil(2 * math.pi / 1e-5)
     passes = math.ceil(n / engine._CHUNK_STEPS)
     assert contracted == [1] * passes
-    # The chart check still sees every node.
-    assert sum(checked) == 2 * n + passes
+    # A latitude is steady in theta: each pass samples and checks one node.
+    assert checked == [1] * passes
     contracted.clear()
     full = pt.transport_matrix_over_path(dataclasses.replace(geometry, reads=None), loop, *span, step=1e-5).value
     assert sum(contracted) == 2 * n + passes
     assert got.tobytes() == full.tobytes()
+
+
+def test_a_reparametrized_latitude_contracts_one_sample_per_pass(sphere_entry, monkeypatch):
+    # A reparametrization drops the steady statement (its velocity scales),
+    # so the equality scan finds the constant field instead.
+    half = pt.reparametrize(
+        pt.restrict(pt.latitude(1.1), (0.0, math.pi)), pt.affine_reparametrization((0.0, 1.0), (0.0, math.pi))
+    )
+    assert half.steady is None
+    contracted = counting(monkeypatch, "_contract")
+    got = pt.transport_matrix_over_path(sphere_entry.geometry, half, 0.0, 1.0, step=1e-4).value
+    assert contracted == [1] * math.ceil(1e4 / engine._CHUNK_STEPS)
+    full = pt.transport_matrix_over_path(dataclasses.replace(sphere_entry.geometry, reads=None), half, 0.0, 1.0, step=1e-4)
+    assert got.tobytes() == full.value.tobytes()
+
+
+@pytest.mark.parametrize("entry_id", ["sphere", "sphere-orthonormal"])
+@pytest.mark.parametrize("span", [(0.0, 2 * math.pi), (2 * math.pi, 0.0)])
+def test_the_one_node_chart_check_refuses_a_latitude_outside_the_chart(entry_id, span, catalog):
+    # A chart that ends below the latitude's colatitude: the one node each
+    # steady pass samples gives the verdict for the whole pass.
+    geometry = dataclasses.replace(
+        catalog[entry_id].geometry, chart_domain=lambda x: bool((np.asarray(x)[..., 0] < 1.0).all())
+    )
+    with pytest.raises(ChartDomainError, match=r"path latitude\(1.1\) leaves the chart"):
+        pt.transport_matrix_over_path(geometry, pt.latitude(1.1), *span, step=1e-5)
 
 
 @pytest.mark.parametrize("entry_id", ["sphere", "sphere-orthonormal"])
@@ -337,6 +364,27 @@ def test_great_circle_passes_contract_every_node(entry_id, catalog, monkeypatch)
     assert min(contracted) > 1 and sum(contracted) == 2 * n + len(contracted)
     full = pt.transport_matrix_over_path(dataclasses.replace(geometry, reads=None), arc, 0.0, 1.0, step=1e-5).value
     assert got.tobytes() == full.tobytes()
+
+
+@pytest.mark.parametrize("entry_id", ["sphere", "sphere-orthonormal"])
+def test_the_reads_aware_jet_changes_no_bit_of_a_great_circle_loop(entry_id, catalog, monkeypatch):
+    a = pt.great_circle((1.2, -0.3), (0.3, 0.6), domain=(0.0, 1.0))
+    b = pt.great_circle(a.at(1.0), (-0.5, 0.1), domain=(0.0, 1.0))
+    loop = pt.product_canonical(pt.product_canonical(a, b), pt.segment(b.at(1.0), a.at(0.0)))
+    geometry = catalog[entry_id].geometry
+    azimuths, contract = [], engine._contract
+    monkeypatch.setattr(
+        engine, "_contract", lambda geometry, xs, vs: azimuths.append(xs[:, 1]) or contract(geometry, xs, vs)
+    )
+    aware = pt.transport_matrix_over_path(geometry, loop, 0.0, 1.0, step=1e-4).value
+    # The arcs skip the azimuth, which neither sphere field nor the chart reads.
+    assert any(np.isnan(phi).all() for phi in azimuths)
+    azimuths.clear()
+    piece_jet = engine._piece_jet
+    monkeypatch.setattr(engine, "_piece_jet", lambda path, piece, reads: piece_jet(path, piece, None))
+    every = pt.transport_matrix_over_path(geometry, loop, 0.0, 1.0, step=1e-4).value
+    assert not any(np.isnan(phi).any() for phi in azimuths)
+    assert aware.tobytes() == every.tobytes()
 
 
 def test_a_constant_nan_field_raises_from_one_sample(sphere_entry, monkeypatch):

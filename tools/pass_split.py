@@ -5,12 +5,13 @@
 The process is laid out like ``benchmarks/worker.py``: ``pathtransport``
 from ``DIR`` (default: this checkout's ``src``), then scipy, then the
 reference cycle as warm-up.  It then wraps ``engine._pass``,
-``engine._contract``, ``engine._check_chart`` and
-``engine._rk4_transitions`` in ``perf_counter`` timers and runs
-``CYCLES`` whole cycles of the seeded ``holonomy-fine`` jobs.  One line per
-job kind gives the passes per job and the microseconds per pass spent in
-the contraction, the chart check, the RK4 kernel and the rest of the pass
-(path jet and nodes), and in the whole pass.  Uses the standard library
+``engine._contract``, ``engine._check_chart``, ``engine._rk4_transitions``
+and the jet of every source that ``engine._piece_jet`` builds in
+``perf_counter`` timers and runs ``CYCLES`` whole cycles of the seeded
+``holonomy-fine`` jobs.  One line per job kind gives the passes per job and
+the microseconds per pass spent in the contraction, the chart check, the
+RK4 kernel, the path jets and the rest of the pass (the nodes, the grouping
+and the equality scan), and in the whole pass.  Uses the standard library
 and numpy only.
 """
 
@@ -26,7 +27,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOAD = "holonomy-fine"
 CYCLES = 3
-PARTS = ("_contract", "_check_chart", "_rk4_transitions")
+PARTS = ("_contract", "_check_chart", "_rk4_transitions", "jet")
 
 
 def summarize(records: list[tuple[str, int, dict]]) -> list[dict]:
@@ -35,7 +36,7 @@ def summarize(records: list[tuple[str, int, dict]]) -> list[dict]:
 
     ``records`` holds ``(kind, passes, seconds)`` per job, where ``seconds``
     maps ``_pass`` and each name of ``PARTS`` to the job's total time in it;
-    ``rest`` is the pass time the parts do not cover.
+    ``nodes`` is the pass time the parts do not cover.
     """
     kinds: dict[str, list] = {}
     for record in records:
@@ -52,7 +53,8 @@ def summarize(records: list[tuple[str, int, dict]]) -> list[dict]:
                 "contract_us": per_pass["_contract"],
                 "chart_us": per_pass["_check_chart"],
                 "kernel_us": per_pass["_rk4_transitions"],
-                "rest_us": per_pass["_pass"] - sum(per_pass[name] for name in PARTS),
+                "jet_us": per_pass["jet"],
+                "nodes_us": per_pass["_pass"] - sum(per_pass[name] for name in PARTS),
                 "pass_us": per_pass["_pass"],
             }
         )
@@ -60,9 +62,11 @@ def summarize(records: list[tuple[str, int, dict]]) -> list[dict]:
 
 
 def timed(engine, seconds: dict, counts: dict) -> dict:
-    """Wrap ``engine._pass`` and the ``PARTS`` so each call adds its wall
-    time to ``seconds[name]`` and one to ``counts[name]``; returns the originals."""
-    originals = {name: getattr(engine, name) for name in ("_pass",) + PARTS}
+    """Wrap ``engine._pass``, the engine functions of ``PARTS`` and the jet of
+    each source ``engine._piece_jet`` returns, so each call adds its wall
+    time to ``seconds[name]`` and one to ``counts[name]``; returns the
+    originals."""
+    originals = {name: getattr(engine, name) for name in ("_pass", "_piece_jet") + PARTS[:-1]}
 
     def wrap(name, original):
         def wrapper(*args, **kwargs):
@@ -75,8 +79,12 @@ def timed(engine, seconds: dict, counts: dict) -> dict:
 
         return wrapper
 
+    def sources(*args, **kwargs):
+        source = originals["_piece_jet"](*args, **kwargs)
+        return source._replace(jet=wrap("jet", source.jet))
+
     for name, original in originals.items():
-        setattr(engine, name, wrap(name, original))
+        setattr(engine, name, sources if name == "_piece_jet" else wrap(name, original))
     return originals
 
 
@@ -123,12 +131,13 @@ def main(argv=None) -> int:
                 setattr(engine, name, original)
     print(
         f"{'kind':<30} {'jobs':>4} {'passes':>6} {'contract_us':>11} {'chart_us':>8}"
-        f" {'kernel_us':>9} {'rest_us':>7} {'pass_us':>7}"
+        f" {'kernel_us':>9} {'jet_us':>6} {'nodes_us':>8} {'pass_us':>7}"
     )
     for row in summarize(records):
         print(
             f"{row['kind']:<30} {row['jobs']:>4} {row['passes']:>6g} {row['contract_us']:>11.1f}"
-            f" {row['chart_us']:>8.1f} {row['kernel_us']:>9.1f} {row['rest_us']:>7.1f} {row['pass_us']:>7.1f}"
+            f" {row['chart_us']:>8.1f} {row['kernel_us']:>9.1f} {row['jet_us']:>6.1f} {row['nodes_us']:>8.1f}"
+            f" {row['pass_us']:>7.1f}"
         )
     return 0
 
