@@ -228,6 +228,29 @@ def test_a_path_without_a_velocity_is_refused():
         pt.Path(dim=2, domain=lat.domain, position=lat.position)
 
 
+def _central_difference(path, s, h):
+    xm, xp = pt.paths.position_at(path, np.array([s - h, s + h]))
+    return (xp - xm) / (2.0 * h)
+
+
+def test_tangent_fd_matches_analytic_on_latitude():
+    # The analytic velocity agrees with a central difference of the position.
+    lat = pt.latitude(0.9)
+    fd = _central_difference(lat, 0.5, 1e-5)
+    assert np.max(np.abs(fd - pt.tangent(lat, 0.5))) <= 1e-8
+    assert np.max(np.abs(pt.tangent(lat, 0.0) - np.array([0.0, 1.0]))) <= 1e-8
+
+
+def test_tangent_fd_second_order():
+    # Central differences of the position converge to the analytic velocity at second order.
+    gc = pt.great_circle([1.0, 0.0], [0.3, 0.8], length=1.5)
+    errs = []
+    for h in (2e-2, 1e-2, 5e-3):
+        errs.append(np.max(np.abs(_central_difference(gc, 0.7, h) - pt.tangent(gc, 0.7))))
+    assert errs[0] / errs[1] >= 3.5
+    assert errs[1] / errs[2] >= 3.5
+
+
 # --- stationary paths ---------------------------------------------------------
 
 
