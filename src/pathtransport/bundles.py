@@ -40,11 +40,9 @@ class BundleGeometry:
 
     ``reads`` lists the base coordinates that ``coeffs3``, ``contract`` and
     ``chart_domain`` read; ``None`` means all of them.  The velocity is always
-    read.  The integrators contract one sample for a one-chunk pass whose
-    read coordinates and velocities all equal the first sample's, and a pass
-    over a path that states them constant (``Path.steady``) samples and
-    checks against the chart its first node alone.  Path jets may leave the
-    other coordinates NaN.  A declaration that omits a coordinate the field
+    read.  A one-chunk pass over a path that states them and its velocity
+    constant (``Path.steady``) samples and checks against the chart its
+    first node alone.  Path jets may leave the other coordinates NaN.  A declaration that omits a coordinate the field
     or the chart depends on therefore gives wrong matrices or verdicts.
     """
 

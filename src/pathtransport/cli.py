@@ -20,7 +20,7 @@ from pathlib import Path as FsPath
 
 import numpy as np
 
-from .bundles import FibreVector, require_attached
+from .bundles import FibreVector
 from .catalog import GeometryCatalogEntry, get_entry, load_geometry_spec, sample_paths, standard_catalog
 from .engine import FACTORIZATION_THRESHOLD, coefficients_along_path, connection_from_transport, factorization_test
 from .errors import NotFactorizableError, PathTransportError
@@ -159,14 +159,9 @@ def _cmd_transport(args) -> int:
     t = path.domain[1] if args.to_param is None else args.to_param
     vec = parse_vector(args.vector)
     u = FibreVector(position_at(path, s), vec)
-    if transport.is_linear:
-        # One integration for both outputs: a linear apply is matrix @ u bit for bit.
-        require_attached(u, u.base_point, transport.fibre_dim)
-        m = transport.matrix(path, s, t, step=args.step)
-        _write(_outdir(args), "transport_matrix.csv", _matrices_csv([(s, t, m.value)]))
-        result = FibreVector(position_at(path, t), m.value @ u.components)
-    else:
-        result = transport.apply(path, s, t, u, step=args.step)
+    (result,), mats = transport.apply_many_with_matrices([(path, s, t, u)], step=args.step)
+    if mats is not None:
+        _write(_outdir(args), "transport_matrix.csv", _matrices_csv([(s, t, mats[0].value)]))
     print("components:", " ".join(format_float(v) for v in result.components))
     print("base point:", " ".join(format_float(v) for v in result.base_point))
     if entry.geometry is not None:

@@ -493,16 +493,12 @@ def _samples_last(arrays: list) -> np.ndarray:
 def _geometry_sampler(geometry: BundleGeometry) -> Callable:
     """``sample(chunks, pts)`` for chunks whose sources are path pieces: one
     jet call per run of consecutive chunks with one key, one chart check over
-    the whole pass, then one contraction over it.  A one-chunk pass whose
-    ``geometry.reads`` coordinates and velocities all equal the first
-    sample's contracts that sample alone, an (r, r, 1) field, which the
-    kernel's uniform branch takes.
+    the whole pass, then one contraction over it.
 
     A one-chunk pass over a steady source comes with its first node alone
-    (``_pass``), so it skips the equality scan too.  The chart check on that
-    node gives the verdict for the whole pass: ``reads`` covers
-    ``chart_domain``, and the source states that every coordinate in
-    ``reads`` is constant."""
+    (``_pass``).  The chart check on that node gives the verdict for the
+    whole pass: ``reads`` covers ``chart_domain``, and the source states
+    that every coordinate in ``reads`` is constant."""
 
     def sample(chunks, pts):
         runs, start = [], 0
@@ -521,13 +517,7 @@ def _geometry_sampler(geometry: BundleGeometry) -> Callable:
                 _check_chart(geometry, xs[start : start + 2 * c.n + 1], c.source.path)
                 start += 2 * c.n + 1
             raise
-        vs = _samples_last([v for _, v in runs])
-        if len(chunks) == 1 and geometry.reads is not None and not chunks[0].source.steady:
-            # A constant field the path does not state, such as a reparametrized latitude's.
-            rows = xs.T
-            if all((rows[mu] == rows[mu, 0]).all() for mu in geometry.reads) and (vs.T == vs.T[:, :1]).all():
-                return _contract(geometry, xs[:1], vs[:1])
-        return _contract(geometry, xs, vs)
+        return _contract(geometry, xs, _samples_last([v for _, v in runs]))
 
     return sample
 

@@ -47,6 +47,7 @@ class Path:
     that both need.  The velocities and the position coordinates listed in
     ``reads`` equal ``position`` and ``velocity`` bit for bit; a jet may skip
     the other coordinates, which are then NaN (``reads=None`` asks for all).
+    The integrators always pass ``reads``, so a jet must accept it.
 
     Two more optional fields describe the path's structure; neither changes
     its values.  ``steady``, when not None, states that the velocity is

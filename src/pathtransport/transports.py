@@ -75,14 +75,22 @@ class TransportAlongPaths:
 
     def apply_many(self, requests, *, step: float | None = None) -> list[FibreVector]:
         """Carry each fibre vector u of many ``(path, s, t, u)`` requests from path(s) to path(t)."""
+        return self.apply_many_with_matrices(requests, step=step)[0]
+
+    def apply_many_with_matrices(
+        self, requests, *, step: float | None = None
+    ) -> tuple[list[FibreVector], Optional[list[TransportMatrix]]]:
+        """``apply_many``'s results and the matrices that carried them: a
+        linear transport applies each request's matrix to its u, a generic
+        one has no matrices (None)."""
         requests = [(path, float(s), float(t), u) for path, s, t, u in requests]
         for (*_, u), x_s in zip(requests, positions_at([(path, s) for path, s, _, _ in requests])):
             require_attached(u, x_s, self.fibre_dim)
         if self._apply_many_fn is not None:
-            return self._apply_many_fn(requests, step)
+            return self._apply_many_fn(requests, step), None
         mats = self.matrices([request[:3] for request in requests], step=step)
         ends = positions_at([(path, t) for path, _, t, _ in requests])
-        return [FibreVector(x_t, m.value @ u.components) for (*_, u), m, x_t in zip(requests, mats, ends)]
+        return [FibreVector(x_t, m.value @ u.components) for (*_, u), m, x_t in zip(requests, mats, ends)], mats
 
     def apply(self, path: Path, s: float, t: float, u: FibreVector, *, step: float | None = None) -> FibreVector:
         """Carry the fibre vector u from path(s) to path(t)."""

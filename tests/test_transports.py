@@ -174,6 +174,22 @@ def test_a_linear_transport_acts_through_its_matrices(catalog, rng, entry_id, re
             assert got.tobytes() == (T.matrix(path, a, b, step=1e-2).value @ u.components).tobytes()
 
 
+@pytest.mark.parametrize("entry_id", ["sphere", "nonlinear"])
+def test_apply_many_with_matrices_returns_the_matrices_that_carried_the_vectors(catalog, rng, entry_id):
+    # A linear transport hands back the matrix it applied; a generic one has none.
+    entry = catalog[entry_id]
+    T, path = entry.transport, pt.sample_paths(entry, rng, 1)[0]
+    s, t = path.domain
+    u = pt.FibreVector(path.at(s), rng.standard_normal(T.fibre_dim))
+    (got,), mats = T.apply_many_with_matrices([(path, s, t, u)], step=1e-2)
+    assert got.components.tobytes() == T.apply(path, s, t, u, step=1e-2).components.tobytes()
+    if T.is_linear:
+        assert mats[0].value.tobytes() == T.matrix(path, s, t, step=1e-2).value.tobytes()
+        assert got.components.tobytes() == (mats[0].value @ u.components).tobytes()
+    else:
+        assert mats is None
+
+
 def test_a_transport_takes_exactly_one_realization():
     def scale_matrices(requests, step):
         return [pt.TransportMatrix(2.0 * np.eye(2), path_id=p.label, s=s, t=t, step=0.0) for p, s, t in requests]

@@ -301,7 +301,7 @@ def test_one_column_contract_equals_every_column(entry_id, v, seed):
     assert all(full[..., k].tobytes() == one[..., 0].tobytes() for k in range(m))
 
 
-# --- the one-sample shortcut in the sampler ------------------------------------
+# --- the one-node shortcut of steady passes ------------------------------------
 
 
 def counting(monkeypatch, name) -> list:
@@ -326,20 +326,6 @@ def test_latitude_passes_contract_one_sample(entry_id, span, catalog, monkeypatc
     full = pt.transport_matrix_over_path(dataclasses.replace(geometry, reads=None), loop, *span, step=1e-5).value
     assert sum(contracted) == 2 * n + passes
     assert got.tobytes() == full.tobytes()
-
-
-def test_a_reparametrized_latitude_contracts_one_sample_per_pass(sphere_entry, monkeypatch):
-    # A reparametrization drops the steady statement (its velocity scales),
-    # so the equality scan finds the constant field instead.
-    half = pt.reparametrize(
-        pt.restrict(pt.latitude(1.1), (0.0, math.pi)), pt.affine_reparametrization((0.0, 1.0), (0.0, math.pi))
-    )
-    assert half.steady is None
-    contracted = counting(monkeypatch, "_contract")
-    got = pt.transport_matrix_over_path(sphere_entry.geometry, half, 0.0, 1.0, step=1e-4).value
-    assert contracted == [1] * math.ceil(1e4 / engine._CHUNK_STEPS)
-    full = pt.transport_matrix_over_path(dataclasses.replace(sphere_entry.geometry, reads=None), half, 0.0, 1.0, step=1e-4)
-    assert got.tobytes() == full.value.tobytes()
 
 
 @pytest.mark.parametrize("entry_id", ["sphere", "sphere-orthonormal"])

@@ -10,8 +10,9 @@ and the jet of every source that ``engine._piece_jet`` builds in
 ``perf_counter`` timers and runs ``CYCLES`` whole cycles of the seeded
 ``holonomy-fine`` jobs.  One line per job kind gives the passes per job and
 the microseconds per pass spent in the contraction, the chart check, the
-RK4 kernel, the path jets and the rest of the pass (the nodes, the grouping
-and the equality scan), and in the whole pass.  Uses the standard library
+RK4 kernel, the path jets and the rest of the pass (building the nodes,
+grouping the chunks and any other work of the sampler), and in the whole
+pass.  Uses the standard library
 and numpy only.
 """
 
