@@ -18,7 +18,8 @@ matrix products) and reduces them pairwise to one matrix; the chunk matrices
 are reduced pairwise in turn.  Memory therefore grows with the chunk size,
 not with the step count.  The chunks of many requests are integrated
 together, in passes that hold at most one chunk's worth of samples
-(``transport_matrices``); a one-request call is the same pass machinery.
+(``transport_matrices``); chunks over a path piece that states its field
+constant (``Path.steady``) skip the passes and are sampled at one node.
 
 Matrix orientation: ``L(t, s)`` maps the fibre at parameter s to the fibre at
 parameter t.  The coefficient matrix recovered from a transport is the
@@ -84,7 +85,8 @@ class _Chunk(NamedTuple):
 class _Source(NamedTuple):
     """The field along one smooth piece of a path: ``jet`` evaluates it;
     pieces with equal keys have the same jet.  ``steady`` says that the
-    velocity and every coordinate the geometry reads are constant."""
+    velocity and every coordinate the geometry reads are constant, so the
+    field is: ``transport_matrices`` samples its chunks at one node each."""
 
     key: tuple
     jet: Callable
@@ -224,7 +226,7 @@ def _uniform_product(t: np.ndarray, n: int) -> np.ndarray:
     return run if count else carry
 
 
-def _rk4_transitions(g: np.ndarray, h, lengths: np.ndarray, n_steps: int, *, table: dict | None = None) -> np.ndarray:
+def _rk4_transitions(g: np.ndarray, h, lengths: np.ndarray, n_steps: int) -> np.ndarray:
     """RK4 transition matrices of dL/dt = -G(t) L over consecutive chunks.
 
     ``g`` is the (r, r, 2 n_steps + C) field sampled at the nodes of C chunks
@@ -232,22 +234,15 @@ def _rk4_transitions(g: np.ndarray, h, lengths: np.ndarray, n_steps: int, *, tab
     n + 1 step ends, then its n midpoints.  ``h`` holds the n_steps signed
     step sizes, or one for all.  The per-step transitions are formed in
     (r, r, m) layout and reduced to one matrix per chunk; returns the
-    (C, r, r) stack.  A one-chunk pass whose samples all equal the first has
-    n_steps equal transitions: it forms one and reduces it by
-    ``_uniform_product``.  Its result depends on h, n_steps and the first
-    sample alone, so with a ``table`` it is looked up under those bits, or
-    computed, made read-only and stored there.  Its ``g`` may also be that
-    first sample alone, (r, r, 1).
+    (C, r, r) stack.  Chunks of one step count whose fields are constant
+    may come with one sample and one step size each, (r, r, C): each forms
+    one transition and reduces its n equal copies by ``_uniform_product``.
     """
-    uniform = np.ndim(h) == 0 and bool((g == g[..., :1]).all())
-    # NaN never equals itself, so a uniform field is finite when its first sample is.
-    if not np.isfinite(g[..., :1] if uniform else g).all():
+    if not np.isfinite(g).all():
         raise SingularCoefficientError("non-finite coefficients encountered during integration")
+    uniform = g.shape[-1] == lengths.size
     if uniform:
-        key = (h, n_steps, g[..., :1].tobytes())
-        if table is not None and key in table:
-            return table[key]
-        c1 = mids = right = g[..., :1]
+        c1 = mids = right = g
     elif lengths.size == 1:
         ends, mids = g[..., : n_steps + 1], g[..., n_steps + 1 :]
         c1, right = ends[..., :-1], ends[..., 1:]
@@ -271,13 +266,8 @@ def _rk4_transitions(g: np.ndarray, h, lengths: np.ndarray, n_steps: int, *, tab
     c2 += c3
     c2 += c4
     steps = _eye_minus(eye, h / 6, c2, out=c2)
-    if not uniform:
-        return _ordered_product(steps, lengths).transpose(2, 0, 1)
-    out = _uniform_product(steps, n_steps).transpose(2, 0, 1)
-    if table is not None:
-        out.setflags(write=False)
-        table[key] = out
-    return out
+    out = _uniform_product(steps, int(lengths[0])) if uniform else _ordered_product(steps, lengths)
+    return out.transpose(2, 0, 1)
 
 
 def _split(a: float, b: float, n_steps: int, nudge=(False, False), source=None) -> list[_Chunk]:
@@ -308,41 +298,33 @@ def _integrate(chunks: list[_Chunk], sample: Callable) -> list:
     Chunks are packed in order into passes of at most 2 _CHUNK_STEPS + 1
     field samples, so at most _CHUNK_STEPS steps; a chunk is never split
     across passes.  ``sample(chunks, pts)`` evaluates the field of a pass at
-    its nodes as an (r, r, len(pts)) array.  Equal constant one-chunk passes
-    are reduced once per call: they share one table, which lives as long as
-    the call.  The matrices of the table are read-only and may be handed out
-    more than once.
+    its nodes as an (r, r, len(pts)) array.
     """
-    mats, first, used, table = [], 0, 0, {}
+    mats, first, used = [], 0, 0
     for i, chunk in enumerate(chunks + [None]):
         size = 0 if chunk is None else 2 * chunk.n + 1
         if i > first and (chunk is None or used + size > 2 * _CHUNK_STEPS + 1):
-            mats.extend(_pass(chunks[first:i], sample, table=table))
+            mats.extend(_pass(chunks[first:i], sample))
             first, used = i, 0
         used += size
     return mats
 
 
-def _pass(chunks: list[_Chunk], sample: Callable, *, table: dict | None = None) -> np.ndarray:
+def _pass(chunks: list[_Chunk], sample: Callable) -> np.ndarray:
     """RK4 transition matrices of the chunks of one pass, (C, r, r).
 
     A chunk of n steps on [a, b] samples the field at a + (h/2) k for
     h = (b - a) / n: at its n + 1 step ends (k even), then at its n
     midpoints (k odd); its first and last end move inward by its nudges.
-    A one-chunk pass looks its matrix up in ``table`` when its field is
-    constant (see ``_rk4_transitions``); over a steady source it samples
-    its first node alone, whose field is the whole chunk's.
     """
     if len(chunks) == 1:
         # Kept apart: one-chunk passes through the packed gather below cost 35-65% more on triangle holonomy jobs.
-        source, a, b, n, lo, hi = chunks[0]
+        _, a, b, n, lo, hi = chunks[0]
         h = (b - a) / n
-        if source is not None and source.steady:
-            return _rk4_transitions(sample(chunks, np.array([a + lo])), h, np.array([n]), n, table=table)
         k = np.arange(2 * n + 1)
         pts = a + 0.5 * h * np.concatenate((k[::2], k[1::2]))
         pts[0], pts[n] = a + lo, b - hi
-        return _rk4_transitions(sample(chunks, pts), h, np.array([n]), n, table=table)
+        return _rk4_transitions(sample(chunks, pts), h, np.array([n]), n)
     a, b, n, lo, hi = (np.array(col) for col in list(zip(*chunks))[1:])
     h = (b - a) / n
     size = 2 * n + 1
@@ -495,10 +477,11 @@ def _geometry_sampler(geometry: BundleGeometry) -> Callable:
     jet call per run of consecutive chunks with one key, one chart check over
     the whole pass, then one contraction over it.
 
-    A one-chunk pass over a steady source comes with its first node alone
-    (``_pass``).  The chart check on that node gives the verdict for the
-    whole pass: ``reads`` covers ``chart_domain``, and the source states
-    that every coordinate in ``reads`` is constant."""
+    The steady chunks of a call come in one call of their own, each as a
+    chunk of no steps with its first node alone (``transport_matrices``).
+    The chart check on that node gives the verdict for the whole chunk:
+    ``reads`` covers ``chart_domain``, and the source states that every
+    coordinate in ``reads`` is constant."""
 
     def sample(chunks, pts):
         runs, start = [], 0
@@ -538,10 +521,11 @@ def transport_matrices(
     """Transport matrices L(t, s) for many ``(path, s, t)`` requests on one geometry.
 
     Each request is split at its path's breakpoints and into chunks of at
-    most _CHUNK_STEPS steps, as it would be alone; the chunks of all requests
-    are integrated together in passes (see ``_integrate``), and every matrix
-    equals its one-request result bit for bit.  Identical requests (the same
-    path object, s and t) are integrated once.
+    most _CHUNK_STEPS steps, as it would be alone.  Steady chunks take one
+    sampler call, one node each, and one kernel call per step count; the
+    rest are integrated together in passes (``_integrate``).  Every matrix
+    equals its one-request result bit for bit.  Identical requests (the
+    same path object, s and t) are integrated once.
     """
     requests = [(path, float(s), float(t)) for path, s, t in requests]
     plans = {}
@@ -561,12 +545,20 @@ def transport_matrices(
         plans[id(path), s, t] = (path, s, t, chunks, used)
     chunks = [c for *_, request_chunks, _ in plans.values() for c in request_chunks]
     # Chunks with one jet run side by side, so a pass evaluates each jet once.
-    rank = {}
-    for c in chunks:
-        rank.setdefault(c.source.key, len(rank))
+    rank = {key: k for k, key in enumerate(dict.fromkeys(c.source.key for c in chunks))}
     order = sorted(range(len(chunks)), key=lambda i: rank[chunks[i].source.key])
-    mats = [None] * len(chunks)
-    for i, m in zip(order, _integrate([chunks[i] for i in order], _geometry_sampler(geometry))):
+    steady = [i for i in order if chunks[i].source.steady]
+    varying = [i for i in order if not chunks[i].source.steady]
+    sample, mats = _geometry_sampler(geometry), [None] * len(chunks)
+    if steady:
+        # A steady chunk's field is its first node's: one sample per chunk, one kernel call per step count.
+        a, b, n, lo = (np.array(col) for col in list(zip(*(chunks[i] for i in steady)))[1:5])
+        g, h = sample([chunks[i]._replace(n=0) for i in steady], a + lo), (b - a) / n
+        for count in set(n.tolist()):
+            at = np.flatnonzero(n == count)
+            for i, m in zip(at.tolist(), _rk4_transitions(g[..., at], h[at], n[at], count * at.size)):
+                mats[steady[i]] = m
+    for i, m in zip(varying, _integrate([chunks[i] for i in varying], sample)):
         mats[i] = m
     mats = iter(mats)
     r = geometry.fibre_dim

@@ -117,6 +117,56 @@ def test_a_request_leaving_the_chart_raises_naming_its_path(sphere_entry):
         pt.transport_matrices(sphere_entry.geometry, good + [(runaway, 0.0, 1.0)] + good, step=1e-2)
 
 
+def steady_and_varying_requests(seed=7):
+    """Requests over paths that state a constant field on the sphere
+    (latitude arcs both ways, a segment at fixed theta, a stationary path,
+    probes along e_phi) and over paths that do not (Bezier curves, a
+    segment across latitudes), all inside BOX."""
+    lat = pt.latitude(1.1)
+    probes = [pt.line_through([1.3, 0.2], [0.0, 1.0]), pt.line_through([0.9, -0.4], [0.0, -2.0])]
+    bezier = pt.random_paths(np.random.default_rng(seed), 2, dim=2, box=BOX)
+    return [
+        (lat, 0.0, 2.0),
+        (bezier[0], 0.1, 0.6),
+        (lat, 2.5, 0.4),
+        (pt.segment([1.2, -0.5], [1.2, 0.7]), 0.2, 0.9),
+        (pt.constant_path([0.9, 0.3]), 0.8, 0.1),
+        (pt.segment([0.8, 0.0], [1.6, 0.5]), 0.0, 0.7),
+        *((p, 0.0, h) for p in probes for h in (1e-4, -1e-4)),
+        (pt.latitude(2.0), 1.0, 0.0),
+        (bezier[1], 0.9, 0.3),
+    ]
+
+
+@pytest.mark.parametrize("entry_id", ["flat", "sphere", "sphere-orthonormal"])
+@pytest.mark.parametrize("step", [1e-2, 1e-5])
+def test_steady_and_varying_requests_in_one_call_equal_each_alone(entry_id, step, catalog):
+    geo = catalog[entry_id].geometry
+    plain = dataclasses.replace(geo, reads=None)
+    requests = steady_and_varying_requests()
+    # The call mixes chunks over steady sources with chunks over varying ones.
+    steady = {engine._piece_jet(path, None, geo.reads).steady for path, *_ in requests}
+    assert steady == {True, False}
+    batch = pt.transport_matrices(geo, requests, step=step)
+    everywhere = pt.transport_matrices(plain, requests, step=step)
+    for (path, s, t), got, full in zip(requests, batch, everywhere):
+        alone = pt.transport_matrix_over_path(geo, path, s, t, step=step)
+        assert got.value.tobytes() == alone.value.tobytes(), (path.label, s, t)
+        assert got.value.tobytes() == full.value.tobytes(), (path.label, s, t)
+        assert (got.step, got.path_id) == (alone.step, alone.path_id)
+
+
+def test_a_steady_request_leaving_the_chart_raises_naming_its_path(sphere_entry):
+    # Both latitudes are steady, so their chunks are sampled together, one
+    # node each; the chart ends between their colatitudes.
+    geo = dataclasses.replace(sphere_entry.geometry, chart_domain=lambda x: bool((np.asarray(x)[..., 0] < 1.5).all()))
+    inside, outside = pt.latitude(1.1), pt.latitude(1.9)
+    requests = [(inside, 0.0, 2.0), (outside, 2.0, 0.5)]
+    assert all(engine._piece_jet(path, None, geo.reads).steady for path, *_ in requests)
+    with pytest.raises(ChartDomainError, match=r"path latitude\(1\.9\) leaves the chart"):
+        pt.transport_matrices(geo, requests, step=1e-3)
+
+
 def test_a_bad_interval_in_a_batch_raises(sphere_entry):
     requests = mixed_requests()
     with pytest.raises(IntervalError):

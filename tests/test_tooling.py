@@ -160,21 +160,32 @@ def test_pass_split_summary_per_job_kind():
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
 
-    def seconds(contract, chart, kernel, jet, whole):
-        return {"_contract": contract, "_check_chart": chart, "_rk4_transitions": kernel, "jet": jet, "_pass": whole}
+    def seconds(contract, chart, kernel, jet, whole, entry=0.0, integrate=0.0):
+        return {
+            "_contract": contract, "_check_chart": chart, "_rk4_transitions": kernel, "jet": jet, "_pass": whole,
+            "transport_matrices": entry, "_integrate": integrate,
+        }
 
     records = [
-        ("latitude:sphere", 300, seconds(0.003, 0.006, 0.0024, 0.0036, 0.018)),
-        ("triangle:sphere", 3, seconds(0.0003, 0.00003, 0.0003, 0.00015, 0.0009)),
-        ("latitude:sphere", 100, seconds(0.001, 0.002, 0.0008, 0.0012, 0.006)),
+        ("latitude:sphere", 300, 0, seconds(0.003, 0.006, 0.0024, 0.0036, 0.018, 0.02, 0.0185)),
+        ("triangle:sphere", 3, 0, seconds(0.0003, 0.00003, 0.0003, 0.00015, 0.0009, 0.0012, 0.001)),
+        ("latitude:sphere", 100, 0, seconds(0.001, 0.002, 0.0008, 0.0012, 0.006, 0.0065, 0.006)),
+        # Steady chunks run in no pass: every per-pass column reads 0.
+        ("latitude:steady", 0, 343, seconds(0.0, 0.0, 0.0, 0.0, 0.0, 0.004, 0.0)),
+        ("latitude:steady", 0, 341, seconds(0.0, 0.0, 0.0, 0.0, 0.0, 0.002, 0.0)),
     ]
-    lat, tri = tool.summarize(records)
-    assert lat["kind"] == "latitude:sphere" and lat["jobs"] == 2 and lat["passes"] == 200
-    expected = {"contract_us": 10, "chart_us": 20, "kernel_us": 8, "jet_us": 12, "nodes_us": 10, "pass_us": 60}
+    lat, tri, steady = tool.summarize(records)
+    assert lat["kind"] == "latitude:sphere" and lat["jobs"] == 2 and lat["passes"] == 200 and lat["steady"] == 0
+    expected = {
+        "contract_us": 10, "chart_us": 20, "kernel_us": 8, "jet_us": 12, "nodes_us": 10, "pass_us": 60, "outside_us": 1000,
+    }
     for key, value in expected.items():
         assert abs(lat[key] - value) < 1e-9, key
     assert tri["jobs"] == 1 and tri["passes"] == 3
     assert abs(tri["pass_us"] - 300) < 1e-9 and abs(tri["jet_us"] - 50) < 1e-9 and abs(tri["nodes_us"] - 40) < 1e-9
+    assert abs(tri["outside_us"] - 200) < 1e-9
+    assert steady["passes"] == 0 and steady["steady"] == 342 and abs(steady["outside_us"] - 3000) < 1e-9
+    assert all(steady[key] == 0 for key in ("contract_us", "chart_us", "kernel_us", "jet_us", "nodes_us", "pass_us"))
 
 
 def test_bench_pairs_probe_summary():

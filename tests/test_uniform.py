@@ -1,14 +1,14 @@
-"""Constant one-chunk passes and the geometries' own G·v evaluators.
+"""Steady chunks and the geometries' own G·v evaluators.
 
-A pass of one chunk whose field samples all equal the first is reduced from
-one transition by ``engine._uniform_product``, once per integration for each
-distinct (h, n, field value); the kernel tests here compare bit for bit
+A geometry that declares the coordinates it reads, over a path that states
+them and its velocity constant (``Path.steady``), has a constant field along
+each chunk.  ``transport_matrices`` samples every such chunk of a call at its
+first node, in one sampler call, and hands the kernel one sample per chunk;
+the kernel forms one transition per chunk and reduces its n equal copies by
+``engine._uniform_product``.  The kernel tests here compare bit for bit
 against the general kernel formulas, built from ``_matmul`` and
-``_ordered_product``, or against the kernel run pass by pass without a
-table.  A geometry that declares the coordinates it reads, over a path that
-states them and its velocity constant, lets such a pass sample and contract
-one node; those tests compare against the same run on a geometry that
-declares nothing.
+``_ordered_product``; the integration tests compare against the same run on
+a geometry that declares nothing, where every pass samples every node.
 """
 
 import dataclasses
@@ -52,7 +52,8 @@ def test_constant_chunk_equals_the_general_kernel(r, n, rng, monkeypatch):
     taken = []
     reduce = engine._uniform_product
     monkeypatch.setattr(engine, "_uniform_product", lambda t, k: taken.append(k) or reduce(t, k))
-    got = engine._rk4_transitions(g, h, np.array([n]), n)
+    # One sample and one step size for the chunk, as the steady batch hands them.
+    got = engine._rk4_transitions(g[..., :1], np.array([h]), np.array([n]), n)
     assert taken == [n]
     assert got.shape == (1, r, r)
     assert np.array_equal(got, expected)
@@ -95,26 +96,24 @@ def test_uniform_chunk_takes_logarithmically_many_products(rng, monkeypatch):
     calls = []
     matmul = engine._matmul
     monkeypatch.setattr(engine, "_matmul", lambda x, y: calls.append(x.shape[-1]) or matmul(x, y))
-    engine._rk4_transitions(g, 1.0 / n, np.array([n]), n)
+    engine._rk4_transitions(g[..., :1], np.array([1.0 / n]), np.array([n]), n)
     # Three products form the one transition; the tree of 2048 equal
     # matrices is 11 squarings.
     assert len(calls) <= 3 + 2 * math.ceil(math.log2(n))
     assert set(calls) == {1}
 
 
-def test_latitude_transport_equals_the_general_kernel(sphere_entry, monkeypatch):
-    # A latitude has a constant field: every one-chunk pass is uniform.  An
-    # array of equal steps makes the kernel take its general path instead,
-    # over every node: the reference runs on a geometry that declares no reads.
+def test_latitude_transport_equals_the_general_kernel(sphere_entry):
+    # A latitude is steady on the sphere: every chunk takes the uniform
+    # branch.  On a geometry that declares no reads it is not, and the kernel
+    # takes its general path over every node.
     loop, geo = pt.latitude(1.1), sphere_entry.geometry
     fast = pt.transport_matrix_over_path(geo, loop, 0.0, 2.0, step=1e-3).value
-    rk4 = engine._rk4_transitions
-    monkeypatch.setattr(engine, "_rk4_transitions", lambda g, h, lengths, n, **kw: rk4(g, np.full(n, h), lengths, n))
     geo = dataclasses.replace(geo, reads=None)
     assert np.array_equal(fast, pt.transport_matrix_over_path(geo, loop, 0.0, 2.0, step=1e-3).value)
 
 
-# --- the per-call table of constant chunks -----------------------------------
+# --- the steady batch ----------------------------------------------------------
 
 
 def counting_uniform_products(monkeypatch) -> list:
@@ -132,38 +131,43 @@ def constant_sampler(column):
 @pytest.mark.parametrize("span", [(0.0, 2 * math.pi), (5.0, 0.5)])
 def test_fine_latitude_equals_the_per_pass_kernel(span, sphere_entry, monkeypatch):
     geo, loop = sphere_entry.geometry, pt.latitude(math.pi / 3)
-    keys, rk4 = [], engine._rk4_transitions
+    calls, rk4 = [], engine._rk4_transitions
 
-    def recording(g, h, lengths, n, **kw):
-        keys.append((h, n))
-        return rk4(g, h, lengths, n, **kw)
+    def recording(g, h, lengths, n):
+        calls.append((g.shape[-1], lengths.size, n))
+        return rk4(g, h, lengths, n)
 
     monkeypatch.setattr(engine, "_rk4_transitions", recording)
-    calls = counting_uniform_products(monkeypatch)
+    products = counting_uniform_products(monkeypatch)
     got = pt.transport_matrix_over_path(geo, loop, *span, step=1e-5).value
-    # Hundreds of passes, a handful of distinct step sizes.
-    assert len(keys) > 200 and len(calls) <= len(set(keys)) + 1 < len(keys) / 10
-    # Every pass forms and reduces its own transitions, with no table.
-    monkeypatch.setattr(engine, "_rk4_transitions", lambda g, h, lengths, n, **kw: rk4(g, h, lengths, n))
-    assert got.tobytes() == pt.transport_matrix_over_path(geo, loop, *span, step=1e-5).value.tobytes()
+    n = math.ceil(abs(span[1] - span[0]) / 1e-5)
+    # Hundreds of chunks, one sample each, and one kernel call per step
+    # count: the full chunks and the last one.
+    assert len(calls) == len(products) == 2
+    assert all(samples == chunks for samples, chunks, _ in calls)
+    assert sum(chunks for _, chunks, _ in calls) == math.ceil(n / engine._CHUNK_STEPS) > 200
+    assert sum(steps for *_, steps in calls) == n
+    # On a geometry that declares no reads, every pass samples every node.
+    monkeypatch.undo()
+    full = pt.transport_matrix_over_path(dataclasses.replace(geo, reads=None), loop, *span, step=1e-5).value
+    assert got.tobytes() == full.tobytes()
 
 
 def test_chunks_one_ulp_apart_are_reduced_separately(rng, monkeypatch):
     n = engine._CHUNK_STEPS
     b = 0.3
-    chunks = [engine._Chunk(None, 0.0, b, n, 0.0, 0.0), engine._Chunk(None, 0.0, np.nextafter(b, 1.0), n, 0.0, 0.0),
-              engine._Chunk(None, 0.0, b, n, 0.0, 0.0)]
-    assert chunks[0].b / n != chunks[1].b / n
+    h = np.array([b / n, np.nextafter(b, 1.0) / n, b / n])
+    assert h[0] != h[1]
     column = rng.standard_normal((2, 2, 1))
     calls = counting_uniform_products(monkeypatch)
-    first, other, again = engine._integrate(chunks, constant_sampler(column))
-    assert calls == [n, n]
+    # Three steady chunks of one step count are three columns of one call.
+    first, other, again = engine._rk4_transitions(np.repeat(column, 3, axis=2), h, np.full(3, n), 3 * n)
+    assert calls == [n]
     g = np.repeat(column, 2 * n + 1, axis=2)
-    for chunk, got in zip(chunks, (first, other, again)):
-        assert got.tobytes() == engine._rk4_transitions(g, (chunk.b - chunk.a) / n, np.array([n]), n)[0].tobytes()
+    for step, got in zip(h, (first, other, again)):
+        assert got.tobytes() == general_kernel(g, step, n)[0].tobytes()
     assert not np.array_equal(first, other)
-    # The repeated chunk was looked up: its matrix is shared and read-only.
-    assert np.shares_memory(first, again) and not again.flags.writeable
+    assert first.tobytes() == again.tobytes()
 
 
 def test_signed_zero_columns_are_separate_entries():
@@ -171,31 +175,30 @@ def test_signed_zero_columns_are_separate_entries():
     plus = np.array([[0.0, 1.0], [-1.0, 0.0]])[:, :, None]
     minus = np.array([[-0.0, 1.0], [-1.0, -0.0]])[:, :, None]
     chunk = engine._Chunk(None, 1.0, 0.0, n, 0.0, 0.0)  # a backward chunk: h < 0
-    table = {}
-    got = [
-        engine._rk4_transitions(np.repeat(col, 2 * n + 1, axis=2), -1.0 / n, np.array([n]), n, table=table)
-        for col in (plus, minus, plus)
-    ]
-    assert len(table) == 2 and got[2] is got[0]
+    columns = np.concatenate([plus, minus, plus], axis=2)
+    got = engine._rk4_transitions(columns, np.full(3, -1.0 / n), np.full(3, n), 3 * n)
+    assert got[2].tobytes() == got[0].tobytes()
     for col, out in zip((plus, minus), got):
-        g = np.repeat(col, 2 * n + 1, axis=2)
-        assert out.tobytes() == engine._rk4_transitions(g, -1.0 / n, np.array([n]), n).tobytes()
+        alone = engine._rk4_transitions(col, np.array([-1.0 / n]), np.array([n]), n)[0]
+        assert out.tobytes() == alone.tobytes()
+        assert out.tobytes() == general_kernel(np.repeat(col, 2 * n + 1, axis=2), -1.0 / n, n)[0].tobytes()
     (whole,) = engine._integrate([chunk], constant_sampler(minus))
-    assert whole.tobytes() == got[1][0].tobytes()
+    assert whole.tobytes() == got[1].tobytes()
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_non_finite_constant_field_raises_with_a_table(bad):
-    table = {}
-    g = np.full((2, 2, 2 * 16 + 1), bad)
+    # One sample per chunk: a bad column beside a finite one still raises.
+    g = np.ones((2, 2, 2))
+    g[..., 1] = bad
     with pytest.raises(SingularCoefficientError):
-        engine._rk4_transitions(g, 0.1, np.array([16]), 16, table=table)
-    assert table == {}
+        engine._rk4_transitions(g, np.full(2, 0.1), np.array([16, 16]), 32)
     with pytest.raises(SingularCoefficientError):
-        engine._integrate([engine._Chunk(None, 0.0, 1.0, 16, 0.0, 0.0)], constant_sampler(g[..., :1]))
+        engine._integrate([engine._Chunk(None, 0.0, 1.0, 16, 0.0, 0.0)], constant_sampler(g[..., 1:]))
 
 
 def test_successive_calls_share_no_table(sphere_entry, monkeypatch):
+    # Each call reduces its own steady chunks: nothing is kept between calls.
     geo, loop = sphere_entry.geometry, pt.latitude(1.1)
     calls = counting_uniform_products(monkeypatch)
     first = pt.transport_matrix_over_path(geo, loop, 0.0, 2.0, step=1e-4)
@@ -316,12 +319,20 @@ def counting(monkeypatch, name) -> list:
 def test_latitude_passes_contract_one_sample(entry_id, span, catalog, monkeypatch):
     geometry, loop = catalog[entry_id].geometry, pt.latitude(1.1)
     contracted, checked = counting(monkeypatch, "_contract"), counting(monkeypatch, "_check_chart")
+    sampled, sampler = [], engine._geometry_sampler
+
+    def counting_sampler(geometry):
+        sample = sampler(geometry)
+        return lambda chunks, pts: sampled.append(len(chunks)) or sample(chunks, pts)
+
+    monkeypatch.setattr(engine, "_geometry_sampler", counting_sampler)
     got = pt.transport_matrix_over_path(geometry, loop, *span, step=1e-5).value
     n = math.ceil(2 * math.pi / 1e-5)
     passes = math.ceil(n / engine._CHUNK_STEPS)
-    assert contracted == [1] * passes
-    # A latitude is steady in theta: each pass samples and checks one node.
-    assert checked == [1] * passes
+    # A latitude is steady in theta: one sampler call takes one node per
+    # chunk, and one chart check and one contraction see them all.
+    assert sampled == [passes]
+    assert contracted == [passes] and checked == [passes]
     contracted.clear()
     full = pt.transport_matrix_over_path(dataclasses.replace(geometry, reads=None), loop, *span, step=1e-5).value
     assert sum(contracted) == 2 * n + passes
@@ -380,3 +391,28 @@ def test_a_constant_nan_field_raises_from_one_sample(sphere_entry, monkeypatch):
     with pytest.raises(SingularCoefficientError):
         pt.transport_matrix_over_path(geometry, pt.latitude(1.1), 0.0, 2.0, step=1e-3)
     assert contracted == [1]
+
+
+
+def test_the_steady_batch_loads_no_module():
+    # A module loaded on first use stays in the heap for good, which moves
+    # where later pass temporaries land; numpy's ``unique``, for one, loads
+    # ``numpy.ma`` (about 1 MB).  A fresh interpreter, since the test
+    # process has loaded much more.
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    child = (
+        "import sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "import pathtransport as pt\n"
+        "transport = pt.get_entry('sphere').transport\n"
+        "before = set(sys.modules)\n"
+        "pt.holonomy(transport, pt.latitude(1.1), step=1e-4)\n"
+        "print(sorted(set(sys.modules) - before))\n"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run([sys.executable, "-c", child, str(src)], capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

@@ -10,7 +10,9 @@ page faults the process took during it (``getrusage``).  A last cycle runs
 under ``tracemalloc`` and records the largest peak of any one
 ``engine._pass`` call, net of what was allocated before it.  One line per
 job kind gives the median wall time, the median and total minor faults and
-the largest pass peak.  Faults after warm-up mean that the allocator hands
+the largest pass peak.  A pass peak of 0 means the job ran no pass: since
+chunks over a steady path piece are reduced outside the passes, every
+latitude job reads 0.  Faults after warm-up mean that the allocator hands
 the pass temporaries back to the OS and faults them in again.  Uses the
 standard library and numpy only.
 """
@@ -35,7 +37,7 @@ def summarize(records: list[tuple[str, float, int, int]]) -> list[dict]:
     median and total minor faults, and the largest pass peak in kB.
 
     ``records`` holds ``(kind, wall_s, minor_faults, pass_peak_bytes)`` per
-    job; a peak of 0 means the job was not traced.
+    job; a peak of 0 means the job was not traced or ran no pass.
     """
     kinds: dict[str, list] = {}
     for record in records:
