@@ -229,11 +229,9 @@ def evolution_transport(hamiltonian: np.ndarray | None = None, hbar: float = 1.0
     flat_traits = bool(np.all(h == 0.0))
 
     def matrices_fn(requests, step_) -> list[TransportMatrix]:
-        out = []
         for path, s, t in requests:
             check_parameters(path, s, t)
-            out.append(TransportMatrix(expm(-(t - s) * generator), path_id=path.label, s=s, t=t, step=0.0))
-        return out
+        return TransportMatrix._batch([(expm(-(t - s) * generator), path.label, s, t, 0.0) for path, s, t in requests])
 
     transport = TransportAlongPaths(
         kind=KIND_LINEAR_CUSTOM,

@@ -19,7 +19,8 @@ are reduced pairwise in turn.  Memory therefore grows with the chunk size,
 not with the step count.  The chunks of many requests are integrated
 together, in passes that hold at most one chunk's worth of samples
 (``transport_matrices``); chunks over a path piece that states its field
-constant (``Path.steady``) skip the passes and are sampled at one node.
+constant (``Path.steady``), and every chunk on a geometry whose field is
+zero, skip the passes and are sampled at one node.
 
 Matrix orientation: ``L(t, s)`` maps the fibre at parameter s to the fibre at
 parameter t.  The coefficient matrix recovered from a transport is the
@@ -85,8 +86,9 @@ class _Chunk(NamedTuple):
 class _Source(NamedTuple):
     """The field along one smooth piece of a path: ``jet`` evaluates it;
     pieces with equal keys have the same jet.  ``steady`` says that the
-    velocity and every coordinate the geometry reads are constant, so the
-    field is: ``transport_matrices`` samples its chunks at one node each."""
+    field is constant along the piece, because the geometry's field is zero
+    or because the velocity and every coordinate the geometry reads are
+    constant: ``transport_matrices`` samples its chunks at one node each."""
 
     key: tuple
     jet: Callable
@@ -96,7 +98,8 @@ class _Source(NamedTuple):
 
 @dataclass(frozen=True)
 class TransportMatrix:
-    """The matrix L(t, s) of a linear transport along a fixed path."""
+    """The matrix L(t, s) of a linear transport along a fixed path; built
+    directly, it warns when numerically singular (``_warn_singular``)."""
 
     value: np.ndarray
     path_id: str = ""
@@ -108,13 +111,28 @@ class TransportMatrix:
         v = np.array(self.value, dtype=float)
         v.setflags(write=False)
         object.__setattr__(self, "value", v)
-        det = float(np.linalg.det(v))
+        _warn_singular([self])
+
+    @classmethod
+    def _batch(cls, rows) -> list[TransportMatrix]:
+        """One matrix per ``(value, path_id, s, t, step)`` row, as built
+        directly but with one singular check over the whole batch."""
+        mats = [object.__new__(cls) for _ in rows]
+        for m, (value, *rest) in zip(mats, rows):
+            m.__dict__.update(zip(cls.__dataclass_fields__, (np.array(value, dtype=float), *rest)))
+            m.value.setflags(write=False)
+        _warn_singular(mats)
+        return mats
+
+
+def _warn_singular(mats: list[TransportMatrix]) -> None:
+    """The singular check: one stacked determinant, and a RuntimeWarning
+    naming the path of each matrix whose |det| is below 1e-12."""
+    dets = np.linalg.det(np.stack([m.value for m in mats])).tolist() if mats else []
+    for m, det in zip(mats, dets):
         if abs(det) < 1e-12:
-            warnings.warn(
-                f"transport matrix over {self.path_id or 'path'} is numerically singular (det={det:.3e})",
-                RuntimeWarning,
-                stacklevel=2,
-            )
+            msg = f"transport matrix over {m.path_id or 'path'} is numerically singular (det={det:.3e})"
+            warnings.warn(msg, RuntimeWarning, stacklevel=3)
 
 
 @dataclass(frozen=True)
@@ -390,14 +408,15 @@ def integrate_transport_matrix(coeff_field: Callable, s: float, t: float, step: 
     return TransportMatrix(_chain(mats), s=s, t=t, step=abs(t - s) / n_steps)
 
 
-def _piece_jet(path: Path, piece: tuple[float, float] | None, reads: tuple[int, ...] | None) -> _Source:
+def _piece_jet(path: Path, piece: tuple[float, float] | None, reads: tuple[int, ...] | None, zero=False) -> _Source:
     """The source of one smooth piece of a path: its ``jet(ts)`` gives the
     positions and velocities at parameters of the piece, evaluated on the
     smooth factor that the piece runs on (``paths.smooth_part``), through its
     ``jet`` when it has one; the velocities and the ``reads`` coordinates
     equal the path's own evaluation bit for bit.  The source is steady when
-    the factor states that its velocity and every coordinate in ``reads``
-    (all of them for None) are constant."""
+    the geometry's field is zero on every path (``zero``), or when the
+    factor states that its velocity and every coordinate in ``reads`` (all
+    of them for None) are constant."""
     factor, maps = (path, ()) if piece is None else smooth_part(path, *piece)
     scale = math.prod(slope for slope, _ in maps)
 
@@ -413,7 +432,7 @@ def _piece_jet(path: Path, piece: tuple[float, float] | None, reads: tuple[int, 
     # Restrictions share their path's jet.
     key = (id(factor.jet) if factor.jet is not None else id(factor), maps)
     read = range(path.dim) if reads is None else reads
-    return _Source(key, jet, path, factor.steady is not None and set(read) <= set(factor.steady))
+    return _Source(key, jet, path, zero or (factor.steady is not None and set(read) <= set(factor.steady)))
 
 
 def _check_chart(geometry: BundleGeometry, xs: np.ndarray, path: Path):
@@ -525,9 +544,14 @@ def transport_matrices(
     sampler call, one node each, and one kernel call per step count; the
     rest are integrated together in passes (``_integrate``).  Every matrix
     equals its one-request result bit for bit.  Identical requests (the
-    same path object, s and t) are integrated once.
+    same path object, s and t) are integrated once, and the matrices are
+    checked for singularity in one batch.  A geometry that reads no base
+    coordinate (``reads == ()``) has constant coefficients; when one
+    ``coeffs3`` sample is zero (a non-finite one is not), G = coeffs3 . v is
+    zero on every path, and every chunk is steady.
     """
     requests = [(path, float(s), float(t)) for path, s, t in requests]
+    zero = geometry.reads == () and not coeffs3_batch(geometry, np.zeros((1, geometry.base_dim))).any()
     plans = {}
     for path, s, t in requests:
         if (id(path), s, t) in plans:
@@ -540,7 +564,7 @@ def transport_matrices(
             for a, b in zip(nodes[:-1], nodes[1:]):
                 n_steps = _step_count(abs(b - a), step, (abs(a - s) / abs(t - s), abs(b - s) / abs(t - s)))
                 used = max(used, abs(b - a) / n_steps)
-                source = _piece_jet(path, (min(a, b), max(a, b)), geometry.reads)
+                source = _piece_jet(path, (min(a, b), max(a, b)), geometry.reads, zero)
                 chunks += _split(a, b, n_steps, (a in bps, b in bps), source)
         plans[id(path), s, t] = (path, s, t, chunks, used)
     chunks = [c for *_, request_chunks, _ in plans.values() for c in request_chunks]
@@ -561,13 +585,11 @@ def transport_matrices(
     for i, m in zip(varying, _integrate([chunks[i] for i in varying], sample)):
         mats[i] = m
     mats = iter(mats)
-    r = geometry.fibre_dim
-    done = {
-        key: TransportMatrix(
-            _chain([next(mats) for _ in chunks]) if chunks else np.eye(r), path_id=path.label, s=s, t=t, step=used
-        )
-        for key, (path, s, t, chunks, used) in plans.items()
-    }
+    rows = [
+        (_chain([next(mats) for _ in chunks]) if chunks else np.eye(geometry.fibre_dim), path.label, s, t, used)
+        for path, s, t, chunks, used in plans.values()
+    ]
+    done = dict(zip(plans, TransportMatrix._batch(rows)))
     return [done[id(path), s, t] for path, s, t in requests]
 
 

@@ -172,8 +172,8 @@ def random_paths(rng: np.random.Generator, count: int, *, dim: int, box: Sequenc
 def _bezier_path(ctrl: np.ndarray, domain: tuple[float, float], *, label: str = "bezier") -> Path:
     # Control points as (dim, 1) columns: the evaluators fill (dim, m)
     # storage and return its (m, dim) view.
-    p0, p1, p2, p3 = (np.asarray(c, dtype=float)[:, None] for c in ctrl)
-    d0, d1, d2 = p1 - p0, p2 - p1, p3 - p2
+    p0, p1, p2, p3 = points = [np.asarray(c, dtype=float)[:, None] for c in ctrl]
+    diffs = [p1 - p0, p2 - p1, p3 - p2]
     a, b = domain
     span = b - a
 
@@ -182,32 +182,37 @@ def _bezier_path(ctrl: np.ndarray, domain: tuple[float, float], *, label: str = 
         # cubes; the cubes take an array power, whose bits a float power may miss.
         w = (s - a) / span
         omw = 1.0 - w
-        omw3, w3 = np.array((omw, w)) ** 3
-        return w, omw, w * w, omw * omw, omw3, w3
+        cubes = np.array((omw, w)) ** 3
+        return w, omw, w * w, omw * omw, *(cubes.tolist() if cubes.ndim == 1 else cubes)
 
-    def pos_from(w, omw, w2, omw2, omw3, w3):
+    def pos_from(w, omw, w2, omw2, omw3, w3, p0, p1, p2, p3):
         return omw3 * p0 + 3 * w * omw2 * p1 + 3 * w2 * omw * p2 + w3 * p3
 
-    def vel_from(w, omw, w2, omw2, omw3, w3):
+    def vel_from(w, omw, w2, omw2, omw3, w3, d0, d1, d2):
         return (3 * (omw2 * d0 + 2 * w * omw * d1 + w2 * d2)) / span
 
-    def evaluator(from_basis):
+    def evaluator(from_basis, columns):
+        coords = list(zip(*(c[:, 0].tolist() for c in columns)))
+
         def fn(s):
             arr = np.asarray(s, dtype=float)
-            out = from_basis(*basis(arr if arr.ndim else float(arr)))
-            return out.T if arr.ndim else out[:, 0]
+            if arr.ndim:
+                return from_basis(*basis(arr), *columns).T
+            # One sample: each coordinate in floats, by the same operations in the same order.
+            powers = basis(float(arr))
+            return np.array([from_basis(*powers, *c) for c in coords])
 
         return fn
 
     def jet(ts, reads=None):
         powers = basis(ts)
-        return pos_from(*powers).T, vel_from(*powers).T
+        return pos_from(*powers, *points).T, vel_from(*powers, *diffs).T
 
     return Path(
         dim=p0.size,
         domain=(a, b),
-        position=evaluator(pos_from),
-        velocity=evaluator(vel_from),
+        position=evaluator(pos_from, points),
+        velocity=evaluator(vel_from, diffs),
         label=label,
         jet=jet,
     )

@@ -157,19 +157,19 @@ def transport_from_parallel(psi: ParallelTransport) -> TransportAlongPaths:
         return forward, backward
 
     def matrices_fn(requests, step_):
-        out = [TransportMatrix(np.eye(psi.fibre_dim), path_id=p.label, s=s, t=t, step=0.0) for p, s, t in requests]
-        forward, backward = split(requests)
-        for (i, _), inner in zip(forward, psi.matrices([piece for _, piece in forward])):
-            path, s, t = requests[i]
-            out[i] = TransportMatrix(inner.value, path_id=path.label, s=s, t=t, step=inner.step)
-        for (i, _), inner in zip(backward, psi.matrices([piece for _, piece in backward])):
-            path, s, t = requests[i]
-            try:
-                inv = np.linalg.inv(inner.value)
-            except np.linalg.LinAlgError as exc:
-                raise InverseUnavailableError("parallel transport matrix is singular") from exc
-            out[i] = TransportMatrix(inv, path_id=path.label, s=s, t=t, step=inner.step)
-        return out
+        inner = {}
+        for side in split(requests):
+            inner.update(zip([i for i, _ in side], psi.matrices([piece for _, piece in side])))
+        rows = []
+        for i, (path, s, t) in enumerate(requests):
+            value, step = (np.eye(psi.fibre_dim), 0.0) if s == t else (inner[i].value, inner[i].step)
+            if s > t:
+                try:
+                    value = np.linalg.inv(value)
+                except np.linalg.LinAlgError as exc:
+                    raise InverseUnavailableError("parallel transport matrix is singular") from exc
+            rows.append((value, path.label, s, t, step))
+        return TransportMatrix._batch(rows)
 
     def apply_many_fn(requests, step_):
         forward, backward = split(requests)

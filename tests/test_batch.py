@@ -1,6 +1,7 @@
 """Batched transports: many requests in one pass, each equal to its one-request result."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -302,3 +303,32 @@ NON_FINITE_BUILDS = {
 def test_path_constructors_reject_non_finite_input(build):
     with pytest.raises(SpecFormatError, match="finite"):
         NON_FINITE_BUILDS[build]()
+
+
+def test_a_batch_is_checked_for_singularity_once(monkeypatch):
+    # Gamma along e_0 is the real form of a root of p(x) = 1 - x + x^2/2 -
+    # x^3/6 + x^4/24, so one RK4 step of size 1 along e_0 is p(Gamma) = 0:
+    # singular.  A request along e_1 meets a zero field and stays the identity.
+    root = next(z for z in np.roots([1 / 24, -1 / 6, 1 / 2, -1, 1]) if z.imag > 0)
+    gamma = np.zeros((2, 2, 2))
+    gamma[..., 0] = [[root.real, -root.imag], [root.imag, root.real]]
+    geo = pt.BundleGeometry(
+        base_dim=2, fibre_dim=2, coeffs3=lambda x: np.broadcast_to(gamma, np.shape(x)[:-1] + gamma.shape), reads=()
+    )
+    singular = dataclasses.replace(pt.segment([0.0, 0.0], [1.0, 0.0]), label="singular")
+    regular = dataclasses.replace(pt.segment([0.0, 0.0], [0.0, 1.0]), label="regular")
+    requests = [(regular, 0.0, 1.0), (singular, 0.0, 1.0), (singular, 0.5, 0.5), (regular, 1.0, 0.0)]
+    dets, det = [], np.linalg.det
+    monkeypatch.setattr(np.linalg, "det", lambda a: dets.append(np.shape(a)) or det(a))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        mats = pt.transport_matrices(geo, requests, step=1.0)
+    assert dets == [(4, 2, 2)]
+    assert [str(w.message).split(" (")[0] for w in caught] == ["transport matrix over singular is numerically singular"]
+    assert np.max(np.abs(mats[1].value)) < 1e-12
+    assert mats[0].value.tobytes() == mats[3].value.tobytes() == np.eye(2).tobytes()
+    # A matrix built directly keeps its own check.
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        pt.TransportMatrix(mats[1].value, path_id="direct")
+    assert len(caught) == 1 and "over direct is numerically singular" in str(caught[0].message)

@@ -324,3 +324,39 @@ def test_topological_mode_implication(catalog, entry_id, rng):
         assert all(r.passed for r in axioms), entry_id
     else:
         assert entry_id == "evolution"
+
+
+# --- the Bezier fixtures' evaluators ---------------------------------------------------
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dim=st.integers(1, 3),
+    sub=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)).map(sorted),
+    bulge=st.floats(-0.9, 0.9),
+    params=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=12),
+)
+def test_scalar_and_batched_fixture_evaluations_agree_bit_for_bit(seed, dim, sub, bulge, params):
+    # A scalar lookup computes each coordinate in floats; it must give the
+    # batched evaluator's bits, on the fixtures, their restrictions and their
+    # reparametrizations.
+    from pathtransport.paths import position_at, velocity_at
+
+    rng = np.random.default_rng(seed)
+    path = random_paths(rng, 1, dim=dim, box=[(-2.0, 3.0)] * dim)[0]
+    piece = pt.restrict(path, tuple(sub))
+    derived = [
+        path,
+        piece,
+        pt.reparametrize(path, pt.affine_reparametrization((0.0, 1.0), (0.0, 1.0), reversing=True)),
+        pt.reparametrize(path, pt.bulge_reparametrization((-1.0, 2.0), (0.0, 1.0), bulge)),
+        pt.reparametrize(piece, pt.affine_reparametrization((0.0, 1.0), piece.domain)),
+    ]
+    for p in derived:
+        lo, hi = p.domain
+        ss = np.array([lo, hi] + [lo + (hi - lo) * u for u in params])
+        xs, vs = position_at(p, ss), velocity_at(p, ss)
+        for s, x, v in zip(ss.tolist(), xs, vs):
+            assert position_at(p, s).tobytes() == x.tobytes(), (p.label, s)
+            assert velocity_at(p, s).tobytes() == v.tobytes(), (p.label, s)

@@ -9,7 +9,10 @@ and the sampled parameters from the second argument of the path adapters.
 import importlib
 import importlib.util
 import inspect
+import types
 from pathlib import Path
+
+import pytest
 
 
 TRACING = Path(__file__).resolve().parent.parent / "benchmarks" / "tracing.py"
@@ -194,3 +197,44 @@ def test_bench_pairs_probe_summary():
     change = [0.17, 0.18, 0.19, 0.20, 0.23]
     line = tool.probe_summary("setup", parent, change)
     assert line == "probe setup: 0.2 [0.19, 0.21] -> 0.19 [0.18, 0.2] ref-s (-5.0%), change faster in 4/5"
+
+
+def test_bench_pairs_refuses_checkouts_with_a_bytecode_cache(tmp_path, capsys):
+    tool = bench_pairs_module()
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for checkout in (parent, change):
+        (checkout / "src" / "pathtransport").mkdir(parents=True)
+    assert tool.bytecode_caches(parent, change) == []
+    cache = change / "src" / "pathtransport" / "__pycache__"
+    cache.mkdir()
+    (parent / "__pycache__").mkdir()  # outside src/: not start-up's concern
+    assert tool.bytecode_caches(parent, change) == [cache]
+    assert tool.main([str(parent), str(change), "--probe", "setup"]) == 2
+    assert str(cache) in capsys.readouterr().err
+    assert tool.main([str(parent), str(change), "--workload", "laws-suite", "--seeds", "1"]) == 2
+
+
+def test_pass_split_takes_the_workload_to_split():
+    spec = importlib.util.spec_from_file_location("pass_split", TRACING.parent.parent / "tools" / "pass_split.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    assert tool.parse_args([]).workload == "holonomy-fine"
+    assert tool.parse_args(["--workload", "laws-suite"]).workload == "laws-suite"
+    with pytest.raises(SystemExit):
+        tool.parse_args(["--workload", "nope"])
+
+    class Job:
+        kind, params = "check-laws:flat", {}
+
+        def run(self):
+            return {}
+
+        def check(self, out):
+            return types.SimpleNamespace(ok=True, detail="")
+
+    asked = []
+    wl = types.SimpleNamespace(cycle=lambda workload, seed, index, outdir: asked.append(workload) or [Job()])
+    seconds = dict.fromkeys(("_pass", "transport_matrices", "_integrate") + tool.PARTS, 0.0)
+    counts = dict.fromkeys(("steady",) + tuple(seconds), 0)
+    records = tool.run_cycle(wl, "laws-suite", 4, 0, None, seconds, counts)
+    assert asked == ["laws-suite"] and records == [("check-laws:flat", 0, 0, seconds)]

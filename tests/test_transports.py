@@ -211,3 +211,23 @@ def test_linearity_survives_both_directions_of_the_bijection(catalog, entry_id):
     psi = pt.parallel_from_transport(T)
     assert psi.is_linear == T.is_linear
     assert pt.transport_from_parallel(psi).is_linear == T.is_linear
+
+
+def test_a_rebuilt_transport_checks_each_returned_matrix_once(sphere_entry, monkeypatch):
+    # One mixed batch: two forward, one backward and one coincident request.
+    # Each batch of matrices is checked for singularity by one stacked
+    # determinant: psi's forward batch, psi's backward batch and the output.
+    back = pt.transport_from_parallel(pt.parallel_from_transport(sphere_entry.transport, step=1e-2))
+    lat, seg = pt.latitude(1.0), pt.segment([1.0, 0.0], [1.5, 0.5])
+    requests = [(lat, 0.5, 2.0), (seg, 0.9, 0.2), (lat, 1.0, 1.0), (seg, 0.0, 1.0)]
+    dets, det = [], np.linalg.det
+    monkeypatch.setattr(np.linalg, "det", lambda a: dets.append(np.shape(a)) or det(a))
+    mats = back.matrices(requests)
+    assert dets == [(2, 2, 2), (1, 2, 2), (4, 2, 2)]
+    monkeypatch.undo()
+    direct = sphere_entry.transport
+    assert mats[0].value.tobytes() == direct.matrix(pt.restrict(lat, (0.5, 2.0)), 0.5, 2.0, step=1e-2).value.tobytes()
+    inner = direct.matrix(pt.restrict(seg, (0.2, 0.9)), 0.2, 0.9, step=1e-2).value
+    assert mats[1].value.tobytes() == np.linalg.inv(inner).tobytes()
+    assert mats[2].value.tobytes() == np.eye(2).tobytes() and mats[2].step == 0.0
+    assert [(m.path_id, m.s, m.t) for m in mats] == [(p.label, s, t) for p, s, t in requests]

@@ -5,10 +5,12 @@ them and its velocity constant (``Path.steady``), has a constant field along
 each chunk.  ``transport_matrices`` samples every such chunk of a call at its
 first node, in one sampler call, and hands the kernel one sample per chunk;
 the kernel forms one transition per chunk and reduces its n equal copies by
-``engine._uniform_product``.  The kernel tests here compare bit for bit
-against the general kernel formulas, built from ``_matmul`` and
-``_ordered_product``; the integration tests compare against the same run on
-a geometry that declares nothing, where every pass samples every node.
+``engine._uniform_product``.  A geometry that reads no coordinate and whose
+``coeffs3`` is zero makes every chunk steady, whatever the path.  The kernel
+tests here compare bit for bit against the general kernel formulas, built
+from ``_matmul`` and ``_ordered_product``; the integration tests compare
+against the same run on a geometry that declares nothing, where every pass
+samples every node.
 """
 
 import dataclasses
@@ -378,7 +380,7 @@ def test_the_reads_aware_jet_changes_no_bit_of_a_great_circle_loop(entry_id, cat
     assert any(np.isnan(phi).all() for phi in azimuths)
     azimuths.clear()
     piece_jet = engine._piece_jet
-    monkeypatch.setattr(engine, "_piece_jet", lambda path, piece, reads: piece_jet(path, piece, None))
+    monkeypatch.setattr(engine, "_piece_jet", lambda path, piece, reads, zero: piece_jet(path, piece, None, zero))
     every = pt.transport_matrix_over_path(geometry, loop, 0.0, 1.0, step=1e-4).value
     assert not any(np.isnan(phi).any() for phi in azimuths)
     assert aware.tobytes() == every.tobytes()
@@ -416,3 +418,79 @@ def test_the_steady_batch_loads_no_module():
     done = subprocess.run([sys.executable, "-c", child, str(src)], capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+# --- the zero field -------------------------------------------------------------
+
+
+def counted_passes(monkeypatch) -> list:
+    """The chunk count of every ``engine._pass`` call, recorded in order."""
+    calls, original = [], engine._pass
+    monkeypatch.setattr(engine, "_pass", lambda chunks, sample: calls.append(len(chunks)) or original(chunks, sample))
+    return calls
+
+
+def recorded_transport_matrices(monkeypatch) -> tuple:
+    """Record ``(geometry, requests, step, matrices)`` of every call through any
+    module's binding of ``transport_matrices``; returns the record and the original."""
+    import sys
+
+    original = engine.transport_matrices
+    calls = []
+
+    def recording(geometry, requests, *, step=None):
+        requests = list(requests)
+        out = original(geometry, requests, step=step)
+        calls.append((geometry, requests, step, out))
+        return out
+
+    for module in [m for name, m in sys.modules.items() if name.startswith("pathtransport") and m is not None]:
+        if getattr(module, "transport_matrices", None) is original:
+            monkeypatch.setattr(module, "transport_matrices", recording)
+    return calls, original
+
+
+def test_check_laws_on_flat_runs_no_pass_and_changes_no_bit(tmp_path, monkeypatch):
+    # flat reads no coordinate and its one coeffs3 sample is zero, so its
+    # field is zero on every path: every chunk is steady, whatever the path.
+    from pathtransport.cli import main
+
+    passes = counted_passes(monkeypatch)
+    calls, original = recorded_transport_matrices(monkeypatch)
+    assert main(["check-laws", "--geometry", "flat", "--seed", "4", "--out", str(tmp_path)]) == 0
+    assert passes == [] and sum(len(requests) for _, requests, *_ in calls) > 1000
+    assert {geometry.label for geometry, *_ in calls} == {"flat"}
+    for geometry, requests, step, got in calls:
+        everywhere = original(dataclasses.replace(geometry, reads=None), requests, step=step)
+        assert [m.value.tobytes() for m in got] == [m.value.tobytes() for m in everywhere]
+        assert [(m.path_id, m.s, m.t, m.step) for m in got] == [(m.path_id, m.s, m.t, m.step) for m in everywhere]
+    # The reads=None copy samples every node, in passes.
+    assert len(passes) > 100
+
+
+def constant_geometry(gamma, reads=()):
+    """A geometry whose coefficients are the constant (2, 2, 2) array gamma."""
+    return pt.BundleGeometry(
+        base_dim=2, fibre_dim=2, coeffs3=lambda x: np.broadcast_to(gamma, np.shape(x)[:-1] + gamma.shape), reads=reads
+    )
+
+
+def test_a_non_zero_constant_field_that_reads_nothing_still_runs_passes(rng, monkeypatch):
+    geometry = constant_geometry(0.4 * rng.standard_normal((2, 2, 2)))
+    paths = pt.random_paths(rng, 3, dim=2, box=((-1.0, 1.0), (-1.0, 1.0)))
+    requests = [(p, s, t) for p in paths for s, t in ((0.0, 1.0), (0.9, 0.2))]
+    passes = counted_passes(monkeypatch)
+    got = pt.transport_matrices(geometry, requests, step=1e-3)
+    assert len(passes) > 0
+    everywhere = pt.transport_matrices(dataclasses.replace(geometry, reads=None), requests, step=1e-3)
+    assert [m.value.tobytes() for m in got] == [m.value.tobytes() for m in everywhere]
+    assert all(np.max(np.abs(m.value - np.eye(2))) > 1e-3 for m in got)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_a_non_finite_constant_field_that_reads_nothing_raises(bad, rng):
+    gamma = np.zeros((2, 2, 2))
+    gamma[0, 1, 1] = bad
+    path = pt.random_paths(rng, 1, dim=2, box=((-1.0, 1.0), (-1.0, 1.0)))[0]
+    with pytest.raises(SingularCoefficientError):
+        pt.transport_matrices(constant_geometry(gamma), [(path, 0.0, 1.0)], step=1e-2)

@@ -16,7 +16,11 @@ pair's values go to ``--json`` when given.
 interpreter ``--count`` times per checkout, in the same alternating order,
 and summarizes the reference seconds the same way.  A start-up figure read
 once per benchmark run is noisy; this resolves a move of a few percent.
-Standard library only.
+
+It refuses to run, with exit status 2, while either checkout's ``src/``
+holds a ``__pycache__``: under ``PYTHONDONTWRITEBYTECODE=1`` the side with
+a cache loads bytecode while the other compiles every module, which skews
+``setup_s`` by 15% or more.  Standard library only.
 """
 
 from __future__ import annotations
@@ -79,6 +83,11 @@ def parse_seeds(text: str) -> list[int]:
     return seeds
 
 
+def bytecode_caches(*checkouts: Path) -> list[Path]:
+    """Every ``__pycache__`` directory under the ``src/`` of the checkouts."""
+    return sorted(p for checkout in checkouts for p in (checkout / "src").rglob("__pycache__") if p.is_dir())
+
+
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     """One ``benchmarks/run.py`` run; its last stdout line as JSON."""
     proc = subprocess.run(
@@ -133,7 +142,7 @@ def run_probes(args) -> int:
     return 0
 
 
-def main() -> int:
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", type=Path)
     parser.add_argument("change", type=Path)
@@ -143,7 +152,11 @@ def main() -> int:
     parser.add_argument("--probe", choices=("import", "setup"), help="interleave start-up probes instead")
     parser.add_argument("--count", type=int, default=12, help="probe runs per checkout")
     parser.add_argument("--json", type=Path, help="write every pair's results here")
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
+    caches = bytecode_caches(args.parent, args.change)
+    if caches:
+        print("error: remove the bytecode caches first:", *caches, sep="\n  ", file=sys.stderr)
+        return 2
     if args.probe:
         return run_probes(args)
     if not (args.workload and args.seeds):

@@ -1,6 +1,6 @@
-"""Per-job-kind split of ``holonomy-fine`` integration passes into their parts.
+"""Per-job-kind split of a workload's integration passes into their parts.
 
-    python3 tools/pass_split.py [--src DIR] [--seed N]
+    python3 tools/pass_split.py [--src DIR] [--seed N] [--workload laws-suite|holonomy-fine]
 
 The process is laid out like ``benchmarks/worker.py``: ``pathtransport``
 from ``DIR`` (default: this checkout's ``src``), then scipy, then the
@@ -9,7 +9,8 @@ reference cycle as warm-up.  It then wraps ``engine._pass``,
 the jet of every source that ``engine._piece_jet`` builds,
 ``engine._integrate`` and every module's binding of
 ``engine.transport_matrices`` in ``perf_counter`` timers and runs ``CYCLES``
-whole cycles of the seeded ``holonomy-fine`` jobs.  One line per job kind
+whole cycles of the seeded jobs of ``--workload`` (default
+``holonomy-fine``).  One line per job kind
 gives the passes per job and the microseconds per pass spent in the
 contraction, the chart check, the RK4 kernel, the path jets and the rest of
 the pass (building the nodes, grouping the chunks and any other work of the
@@ -32,7 +33,7 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-WORKLOAD = "holonomy-fine"
+WORKLOADS = ("holonomy-fine", "laws-suite")
 CYCLES = 3
 PARTS = ("_contract", "_check_chart", "_rk4_transitions", "jet")
 
@@ -116,10 +117,10 @@ def timed(engine, seconds: dict, counts: dict) -> dict:
     return originals
 
 
-def run_cycle(wl, seed: int, index: int, outdir: Path, seconds: dict, counts: dict) -> list:
-    """One cycle's jobs as ``(kind, passes, steady_chunks, seconds)``."""
+def run_cycle(wl, workload: str, seed: int, index: int, outdir: Path, seconds: dict, counts: dict) -> list:
+    """One cycle's jobs of ``workload`` as ``(kind, passes, steady_chunks, seconds)``."""
     records = []
-    for job in wl.cycle(WORKLOAD, seed, index, outdir):
+    for job in wl.cycle(workload, seed, index, outdir):
         for name in seconds:
             seconds[name] = 0.0
         for name in counts:
@@ -131,11 +132,16 @@ def run_cycle(wl, seed: int, index: int, outdir: Path, seconds: dict, counts: di
     return records
 
 
-def main(argv=None) -> int:
+def parse_args(argv=None) -> argparse.Namespace:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", type=Path, default=ROOT / "src", help="directory holding the pathtransport package")
     parser.add_argument("--seed", type=int, default=1, help="benchmark seed of the timed cycles")
-    args = parser.parse_args(argv)
+    parser.add_argument("--workload", choices=WORKLOADS, default=WORKLOADS[0], help="benchmark workload to split")
+    return parser.parse_args(argv)
+
+
+def main(argv=None) -> int:
+    args = parse_args(argv)
     sys.path.insert(0, str(args.src))
     from pathtransport import engine
 
@@ -151,10 +157,10 @@ def main(argv=None) -> int:
         outdir = Path(tmp)
         originals = timed(engine, seconds, counts)
         try:
-            run_cycle(wl, wl.REFERENCE_SEED, 0, outdir, seconds, counts)
+            run_cycle(wl, args.workload, wl.REFERENCE_SEED, 0, outdir, seconds, counts)
             records = []
             for index in range(CYCLES):
-                records += run_cycle(wl, args.seed, index, outdir, seconds, counts)
+                records += run_cycle(wl, args.workload, args.seed, index, outdir, seconds, counts)
         finally:
             for (module, name), original in originals.items():
                 setattr(module, name, original)
