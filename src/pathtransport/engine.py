@@ -20,7 +20,7 @@ not with the step count.  The chunks of many requests are integrated
 together, in passes that hold at most one chunk's worth of samples
 (``transport_matrices``); chunks over a path piece that states its field
 constant (``Path.steady``), and every chunk on a geometry whose field is
-zero, skip the passes and are sampled at one node.
+zero, skip the passes: one node each, one kernel call for them all.
 
 Matrix orientation: ``L(t, s)`` maps the fibre at parameter s to the fibre at
 parameter t.  The coefficient matrix recovered from a transport is the
@@ -49,7 +49,7 @@ from .errors import (
     NotFactorizableError,
     SingularCoefficientError,
 )
-from .paths import Path, batch_eval, check_parameters, line_through, position_at, smooth_part, velocity_at
+from .paths import Path, batch_eval, check_parameters, line_through, position_at, smooth_part
 
 #: Default number of RK4 steps when no absolute step size is given.
 DEFAULT_STEP_COUNT = 1000
@@ -230,18 +230,21 @@ def _eye_minus(eye: np.ndarray, k, c: np.ndarray, out: np.ndarray | None = None)
     return np.subtract(eye, out, out=out)
 
 
-def _uniform_product(t: np.ndarray, n: int) -> np.ndarray:
-    """``_ordered_product`` of n copies of the (r, r, 1) matrix t, bit for bit,
-    in O(log n) products: each level of its pairwise tree is a run of equal
-    matrices (one squaring) and at most one carried matrix after it."""
-    run, count, carry = t, n, None
-    while count + (carry is not None) > 1:
-        if count % 2:
-            carry = run if carry is None else _matmul(carry, run)
-        count //= 2
-        if count:
-            run = _matmul(run, run)
-    return run if count else carry
+def _uniform_product(t: np.ndarray, counts) -> np.ndarray:
+    """Column c of the (r, r, C) stack t to the power ``counts[c]``, as
+    ``_ordered_product`` of that many copies bit for bit, in O(log n)
+    whole-stack products: each level of a column's pairwise tree is a run of
+    equal matrices (one squaring) and at most one carried matrix after it."""
+    run, carry, count = t, t, np.asarray(counts)
+    held = np.zeros(count.shape, dtype=bool)
+    while count.any():
+        odd = count % 2 == 1
+        joined = np.where(held, _matmul(carry, run), run) if (odd & held).any() else run
+        carry, held, count = np.where(odd, joined, carry), held | odd, count // 2
+        if count.any():
+            # A finished column keeps its run: its discarded squares never run off to inf or subnormals.
+            run = np.where(count > 0, _matmul(run, run), run)
+    return carry
 
 
 def _rk4_transitions(g: np.ndarray, h, lengths: np.ndarray, n_steps: int) -> np.ndarray:
@@ -252,9 +255,9 @@ def _rk4_transitions(g: np.ndarray, h, lengths: np.ndarray, n_steps: int) -> np.
     n + 1 step ends, then its n midpoints.  ``h`` holds the n_steps signed
     step sizes, or one for all.  The per-step transitions are formed in
     (r, r, m) layout and reduced to one matrix per chunk; returns the
-    (C, r, r) stack.  Chunks of one step count whose fields are constant
-    may come with one sample and one step size each, (r, r, C): each forms
-    one transition and reduces its n equal copies by ``_uniform_product``.
+    (C, r, r) stack.  Chunks whose fields are constant may come with one
+    sample and one step size each, (r, r, C): each forms one transition and
+    reduces its n equal copies by ``_uniform_product``.
     """
     if not np.isfinite(g).all():
         raise SingularCoefficientError("non-finite coefficients encountered during integration")
@@ -284,7 +287,7 @@ def _rk4_transitions(g: np.ndarray, h, lengths: np.ndarray, n_steps: int) -> np.
     c2 += c3
     c2 += c4
     steps = _eye_minus(eye, h / 6, c2, out=c2)
-    out = _uniform_product(steps, int(lengths[0])) if uniform else _ordered_product(steps, lengths)
+    out = _uniform_product(steps, lengths) if uniform else _ordered_product(steps, lengths)
     return out.transpose(2, 0, 1)
 
 
@@ -410,9 +413,9 @@ def integrate_transport_matrix(coeff_field: Callable, s: float, t: float, step: 
 
 def _piece_jet(path: Path, piece: tuple[float, float] | None, reads: tuple[int, ...] | None, zero=False) -> _Source:
     """The source of one smooth piece of a path: its ``jet(ts)`` gives the
-    positions and velocities at parameters of the piece, evaluated on the
-    smooth factor that the piece runs on (``paths.smooth_part``), through its
-    ``jet`` when it has one; the velocities and the ``reads`` coordinates
+    positions and velocities at parameters of the piece, evaluated through
+    the ``jet`` of the smooth factor that the piece runs on
+    (``paths.smooth_part``); the velocities and the ``reads`` coordinates
     equal the path's own evaluation bit for bit.  The source is steady when
     the geometry's field is zero on every path (``zero``), or when the
     factor states that its velocity and every coordinate in ``reads`` (all
@@ -423,14 +426,11 @@ def _piece_jet(path: Path, piece: tuple[float, float] | None, reads: tuple[int, 
     def jet(u):
         for slope, offset in maps:
             u = slope * u + offset if offset else slope * u
-        if factor.jet is not None:
-            xs, vs = factor.jet(u, reads)
-        else:
-            xs, vs = position_at(factor, u), velocity_at(factor, u)
+        xs, vs = factor.jet(u, reads)
         return xs, (scale * vs if maps else vs)
 
     # Restrictions share their path's jet.
-    key = (id(factor.jet) if factor.jet is not None else id(factor), maps)
+    key = (id(factor.jet), maps)
     read = range(path.dim) if reads is None else reads
     return _Source(key, jet, path, zero or (factor.steady is not None and set(read) <= set(factor.steady)))
 
@@ -472,9 +472,9 @@ def path_coefficient_field(geometry: BundleGeometry, path: Path, *, piece: tuple
 
     The field maps m parameters to an (m, r, r) array, a view of an array
     stored in (r, r, m) order.  With a ``piece``, every sample is evaluated
-    on the smooth factor that the piece runs on (``paths.smooth_part``),
-    through its ``jet`` when it has one; the values equal the path's own
-    evaluation bit for bit.
+    through the ``jet`` of the smooth factor that the piece runs on
+    (``paths.smooth_part``); the values equal the path's own evaluation bit
+    for bit.
     """
     jet = _piece_jet(path, piece, geometry.reads).jet
 
@@ -541,9 +541,9 @@ def transport_matrices(
 
     Each request is split at its path's breakpoints and into chunks of at
     most _CHUNK_STEPS steps, as it would be alone.  Steady chunks take one
-    sampler call, one node each, and one kernel call per step count; the
-    rest are integrated together in passes (``_integrate``).  Every matrix
-    equals its one-request result bit for bit.  Identical requests (the
+    sampler call, one node each, and one kernel call; the rest are
+    integrated together in passes (``_integrate``).  Every matrix equals
+    its one-request result bit for bit.  Identical requests (the
     same path object, s and t) are integrated once, and the matrices are
     checked for singularity in one batch.  A geometry that reads no base
     coordinate (``reads == ()``) has constant coefficients; when one
@@ -575,13 +575,11 @@ def transport_matrices(
     varying = [i for i in order if not chunks[i].source.steady]
     sample, mats = _geometry_sampler(geometry), [None] * len(chunks)
     if steady:
-        # A steady chunk's field is its first node's: one sample per chunk, one kernel call per step count.
+        # A steady chunk's field is its first node's: one sample per chunk, one kernel call for them all.
         a, b, n, lo = (np.array(col) for col in list(zip(*(chunks[i] for i in steady)))[1:5])
-        g, h = sample([chunks[i]._replace(n=0) for i in steady], a + lo), (b - a) / n
-        for count in set(n.tolist()):
-            at = np.flatnonzero(n == count)
-            for i, m in zip(at.tolist(), _rk4_transitions(g[..., at], h[at], n[at], count * at.size)):
-                mats[steady[i]] = m
+        g = sample([chunks[i]._replace(n=0) for i in steady], a + lo)
+        for i, m in zip(steady, _rk4_transitions(g, (b - a) / n, n, int(n.sum()))):
+            mats[i] = m
     for i, m in zip(varying, _integrate([chunks[i] for i in varying], sample)):
         mats[i] = m
     mats = iter(mats)

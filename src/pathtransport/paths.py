@@ -15,7 +15,7 @@ import csv
 import math
 import re
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -41,13 +41,14 @@ class Path:
     view of ``(dim, m)`` storage, which integrators read without a copy; any
     layout gives the same values.
 
-    The integrators read a path through its optional ``jet``, else through
-    the two evaluators.  ``jet(ts, reads=None)`` maps a 1-d parameter array
-    to the pair ``(positions, velocities)`` in one call, sharing the work
-    that both need.  The velocities and the position coordinates listed in
-    ``reads`` equal ``position`` and ``velocity`` bit for bit; a jet may skip
-    the other coordinates, which are then NaN (``reads=None`` asks for all).
-    The integrators always pass ``reads``, so a jet must accept it.
+    The integrators read a path through its ``jet``.  ``jet(ts, reads=None)``
+    maps a 1-d parameter array to the pair ``(positions, velocities)`` in
+    one call, sharing the work that both need.  The velocities and the
+    position coordinates listed in ``reads`` equal ``position`` and
+    ``velocity`` bit for bit; a jet may skip the other coordinates, which
+    are then NaN (``reads=None`` asks for all).  The integrators always pass
+    ``reads``, so a jet must accept it.  A path built without one, or by
+    ``replace`` with new evaluators, gets one that calls the evaluators.
 
     Two more optional fields describe the path's structure; neither changes
     its values.  ``steady``, when not None, states that the velocity is
@@ -80,6 +81,9 @@ class Path:
             raise TypeError("a path needs an analytic velocity evaluator")
         bps = tuple(sorted(b for b in self.breakpoints if sigma < b < tau))
         object.__setattr__(self, "breakpoints", bps)
+        derived = _EvaluatorJet(self.position, self.velocity, (self.dim,))
+        if self.jet is None or (isinstance(self.jet, _EvaluatorJet) and self.jet != derived):
+            object.__setattr__(self, "jet", derived)
 
     @property
     def length(self) -> float:
@@ -91,6 +95,19 @@ class Path:
 
     def at(self, s):
         return position_at(self, s)
+
+
+class _EvaluatorJet(NamedTuple):
+    """The jet of a path built without one, through ``batch_eval``; it
+    holds the evaluators, not the path, so no reference cycle forms."""
+
+    position: Callable
+    velocity: Callable
+    shape: tuple
+
+    def __call__(self, ts, reads=None):
+        ts = _as_param_array(ts)
+        return batch_eval(self.position, ts, self.shape), batch_eval(self.velocity, ts, self.shape)
 
 
 @dataclass(frozen=True)
@@ -238,12 +255,9 @@ def reparametrize(path: Path, chi: Reparametrization) -> Path:
         arr = _as_param_array(s)
         return chain(velocity_at(path, chi.map(arr)), arr)
 
-    jet = None
-    if path.jet is not None:
-
-        def jet(ts, reads=None):  # noqa: F811 - deliberate conditional definition
-            xs, vs = path.jet(chi.map(ts), reads)
-            return xs, chain(vs, ts)
+    def jet(ts, reads=None):
+        xs, vs = path.jet(chi.map(ts), reads)
+        return xs, chain(vs, ts)
 
     bps = tuple(sorted(_monotone_preimage(chi, b) for b in path.breakpoints))
     return Path(
@@ -496,12 +510,8 @@ def segment(start: Sequence[float], end: Sequence[float], domain: tuple[float, f
             return a + (float(arr) - sigma) * rate
         return (a_col + (arr - sigma) * rate_col).T
 
-    vel = _constant(rate)
-
-    return Path(
-        dim=a.size, domain=(sigma, tau), position=pos, velocity=vel, label="segment",
-        jet=lambda ts, reads=None: (pos(ts), vel(ts)), steady=tuple(np.flatnonzero(rate == 0).tolist()),
-    )
+    steady = tuple(np.flatnonzero(rate == 0).tolist())
+    return Path(dim=a.size, domain=(sigma, tau), position=pos, velocity=_constant(rate), label="segment", steady=steady)
 
 
 def line_through(point: Sequence[float], direction: Sequence[float], half_width: float = 0.1) -> Path:
@@ -552,16 +562,7 @@ def latitude(colatitude: float, turns: float = 1.0, phi0: float = 0.0) -> Path:
         return out.T
 
     vel = _constant(np.array([0.0, 1.0]))
-
-    return Path(
-        dim=2,
-        domain=(0.0, span),
-        position=pos,
-        velocity=vel,
-        label=f"latitude({th:g})",
-        jet=lambda ts, reads=None: (pos(ts), vel(ts)),
-        steady=(0,),
-    )
+    return Path(dim=2, domain=(0.0, span), position=pos, velocity=vel, label=f"latitude({th:g})", steady=(0,))
 
 
 def _sphere_embed(theta, phi):

@@ -767,7 +767,7 @@ def test_jets_equal_position_and_velocity_bit_for_bit(rng):
         assert vs.tobytes() == pt.paths.velocity_at(path, ts).tobytes()
 
 
-def test_field_over_a_reparametrized_path_calls_the_inner_jet_once_per_chunk(monkeypatch, sphere_entry):
+def test_field_over_a_reparametrized_path_calls_the_inner_jet_once_per_chunk(sphere_entry):
     calls = dict(jet=0, position=0, velocity=0)
 
     def counted(name, fn):
@@ -778,13 +778,8 @@ def test_field_over_a_reparametrized_path_calls_the_inner_jet_once_per_chunk(mon
         return wrapper
 
     bez = smooth_factors()[3]
-    path = pt.reparametrize(
-        dataclasses.replace(bez, jet=counted("jet", bez.jet)),
-        pt.bulge_reparametrization((-1.0, 2.0), (0.0, 1.0), 0.4),
-    )
-    for module in (pt.paths, engine):
-        monkeypatch.setattr(module, "position_at", counted("position", module.position_at))
-        monkeypatch.setattr(module, "velocity_at", counted("velocity", module.velocity_at))
+    spied = {name: counted(name, getattr(bez, name)) for name in calls}
+    path = pt.reparametrize(dataclasses.replace(bez, **spied), pt.bulge_reparametrization((-1.0, 2.0), (0.0, 1.0), 0.4))
     step = 3.0 / (2 * CHUNK + 5)
     pt.transport_matrix_over_path(sphere_entry.geometry, path, -1.0, 2.0, step=step)
     assert calls == dict(jet=math.ceil(engine._step_count(3.0, step) / CHUNK), position=0, velocity=0)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -226,6 +227,30 @@ def test_a_path_without_a_velocity_is_refused():
         pt.Path(dim=2, domain=lat.domain, position=lat.position, velocity=None)
     with pytest.raises(TypeError):
         pt.Path(dim=2, domain=lat.domain, position=lat.position)
+
+
+def test_a_path_built_without_a_jet_gets_one_from_its_evaluators(rng):
+    import gc
+    import weakref
+
+    lat = pt.latitude(0.9, turns=2.0)
+    path = pt.Path(dim=2, domain=lat.domain, position=lat.position, velocity=lat.velocity)
+    ts = np.concatenate([[0.0, -0.0], rng.uniform(*lat.domain, size=50)])
+    xs, vs = path.jet(ts, (0,))
+    assert xs.tobytes() == pt.paths.position_at(lat, ts).tobytes()
+    assert vs.tobytes() == pt.paths.velocity_at(lat, ts).tobytes()
+    # Restrictions share it; new evaluators get a jet of their own.
+    assert pt.restrict(path, (1.0, 2.0)).jet is path.jet
+    moved = dataclasses.replace(path, position=lambda s: lat.position(s) + 1.0)
+    assert moved.jet(ts)[0].tobytes() == (pt.paths.position_at(lat, ts) + 1.0).tobytes()
+    # The jet closes over the evaluators, not the path: the path dies with its last reference.
+    gc.disable()
+    try:
+        ref = weakref.ref(path)
+        del path
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def _central_difference(path, s, h):

@@ -170,15 +170,16 @@ def test_pass_split_summary_per_job_kind():
         }
 
     records = [
-        ("latitude:sphere", 300, 0, seconds(0.003, 0.006, 0.0024, 0.0036, 0.018, 0.02, 0.0185)),
-        ("triangle:sphere", 3, 0, seconds(0.0003, 0.00003, 0.0003, 0.00015, 0.0009, 0.0012, 0.001)),
-        ("latitude:sphere", 100, 0, seconds(0.001, 0.002, 0.0008, 0.0012, 0.006, 0.0065, 0.006)),
+        ("latitude:sphere", 300, 0, 0, seconds(0.003, 0.006, 0.0024, 0.0036, 0.018, 0.02, 0.0185)),
+        ("triangle:sphere", 3, 0, 0, seconds(0.0003, 0.00003, 0.0003, 0.00015, 0.0009, 0.0012, 0.001)),
+        ("latitude:sphere", 100, 0, 0, seconds(0.001, 0.002, 0.0008, 0.0012, 0.006, 0.0065, 0.006)),
         # Steady chunks run in no pass: every per-pass column reads 0.
-        ("latitude:steady", 0, 343, seconds(0.0, 0.0, 0.0, 0.0, 0.0, 0.004, 0.0)),
-        ("latitude:steady", 0, 341, seconds(0.0, 0.0, 0.0, 0.0, 0.0, 0.002, 0.0)),
+        ("latitude:steady", 0, 343, 1, seconds(0.0, 0.0, 0.0, 0.0, 0.0, 0.004, 0.0)),
+        ("latitude:steady", 0, 341, 3, seconds(0.0, 0.0, 0.0, 0.0, 0.0, 0.002, 0.0)),
     ]
     lat, tri, steady = tool.summarize(records)
     assert lat["kind"] == "latitude:sphere" and lat["jobs"] == 2 and lat["passes"] == 200 and lat["steady"] == 0
+    assert lat["steady_calls"] == tri["steady_calls"] == 0
     expected = {
         "contract_us": 10, "chart_us": 20, "kernel_us": 8, "jet_us": 12, "nodes_us": 10, "pass_us": 60, "outside_us": 1000,
     }
@@ -188,6 +189,7 @@ def test_pass_split_summary_per_job_kind():
     assert abs(tri["pass_us"] - 300) < 1e-9 and abs(tri["jet_us"] - 50) < 1e-9 and abs(tri["nodes_us"] - 40) < 1e-9
     assert abs(tri["outside_us"] - 200) < 1e-9
     assert steady["passes"] == 0 and steady["steady"] == 342 and abs(steady["outside_us"] - 3000) < 1e-9
+    assert steady["steady_calls"] == 2  # the median over jobs
     assert all(steady[key] == 0 for key in ("contract_us", "chart_us", "kernel_us", "jet_us", "nodes_us", "pass_us"))
 
 
@@ -235,6 +237,6 @@ def test_pass_split_takes_the_workload_to_split():
     asked = []
     wl = types.SimpleNamespace(cycle=lambda workload, seed, index, outdir: asked.append(workload) or [Job()])
     seconds = dict.fromkeys(("_pass", "transport_matrices", "_integrate") + tool.PARTS, 0.0)
-    counts = dict.fromkeys(("steady",) + tuple(seconds), 0)
+    counts = dict.fromkeys(("steady", "steady_calls") + tuple(seconds), 0)
     records = tool.run_cycle(wl, "laws-suite", 4, 0, None, seconds, counts)
-    assert asked == ["laws-suite"] and records == [("check-laws:flat", 0, 0, seconds)]
+    assert asked == ["laws-suite"] and records == [("check-laws:flat", 0, 0, 0, seconds)]

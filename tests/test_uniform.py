@@ -15,6 +15,7 @@ samples every node.
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -68,6 +69,31 @@ def test_uniform_product_follows_the_pairwise_tree(n, rng):
     assert np.array_equal(engine._uniform_product(t, n), engine._ordered_product(full, [n]))
 
 
+@pytest.mark.parametrize("r", [1, 2, 4])
+def test_one_call_powers_every_column_to_its_own_count(r, rng):
+    columns = [(rng.standard_normal((r, r)), 0.7 / n, n) for n in (1, 2, 3, 5, 1024, 1631, 2047, 2048)]
+    signed = rng.standard_normal((r, r))
+    signed = signed - signed.T
+    np.fill_diagonal(signed, -0.0)
+    near = rng.standard_normal((r, r))
+    # A backward chunk of a field with -0.0 entries, and two columns one ulp apart.
+    columns += [(signed, -1.0 / 1631, 1631), (near, 0.3 / 2047, 2047), (np.nextafter(near, np.inf), 0.3 / 2047, 2047)]
+    # One huge step: its transition is finite, but squaring it overflows.
+    columns += [(np.full((r, r), 1e40), 1.0, 1)]
+    g = np.stack([col for col, _, _ in columns], axis=2)
+    h, n = np.array([step for _, step, _ in columns]), np.array([count for *_, count in columns])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = engine._rk4_transitions(g, h, n, int(n.sum()))
+        for c, count in enumerate(n.tolist()):
+            alone = engine._rk4_transitions(g[..., [c]], h[[c]], n[[c]], count)[0]
+            (t,) = engine._rk4_transitions(g[..., [c]], h[[c]], np.array([1]), 1)
+            copies = np.ascontiguousarray(np.repeat(t[:, :, None], count, axis=2))
+            assert got[c].tobytes() == alone.tobytes() == engine._ordered_product(copies, [count])[..., 0].tobytes()
+    huge = got[-1][:, :, None]
+    assert np.isfinite(huge).all() and not np.isfinite(engine._matmul(huge, huge)).all()
+
+
 def test_varying_field_takes_the_general_path(rng, monkeypatch):
     n, h = 64, 0.01
     g = constant_samples(rng, 2, n)
@@ -119,9 +145,9 @@ def test_latitude_transport_equals_the_general_kernel(sphere_entry):
 
 
 def counting_uniform_products(monkeypatch) -> list:
-    """Record the step count of every ``_uniform_product`` call."""
+    """Record the per-column step counts of every ``_uniform_product`` call, as a list."""
     calls, reduce = [], engine._uniform_product
-    monkeypatch.setattr(engine, "_uniform_product", lambda t, n: calls.append(n) or reduce(t, n))
+    monkeypatch.setattr(engine, "_uniform_product", lambda t, n: calls.append(np.asarray(n).tolist()) or reduce(t, n))
     return calls
 
 
@@ -143,9 +169,10 @@ def test_fine_latitude_equals_the_per_pass_kernel(span, sphere_entry, monkeypatc
     products = counting_uniform_products(monkeypatch)
     got = pt.transport_matrix_over_path(geo, loop, *span, step=1e-5).value
     n = math.ceil(abs(span[1] - span[0]) / 1e-5)
-    # Hundreds of chunks, one sample each, and one kernel call per step
-    # count: the full chunks and the last one.
-    assert len(calls) == len(products) == 2
+    # Hundreds of chunks, one sample each, and one kernel call for them all:
+    # the full chunks and the shorter last one.
+    assert len(calls) == len(products) == 1
+    assert sorted(set(products[0])) == [(n - 1) % engine._CHUNK_STEPS + 1, engine._CHUNK_STEPS]
     assert all(samples == chunks for samples, chunks, _ in calls)
     assert sum(chunks for _, chunks, _ in calls) == math.ceil(n / engine._CHUNK_STEPS) > 200
     assert sum(steps for *_, steps in calls) == n
@@ -164,7 +191,7 @@ def test_chunks_one_ulp_apart_are_reduced_separately(rng, monkeypatch):
     calls = counting_uniform_products(monkeypatch)
     # Three steady chunks of one step count are three columns of one call.
     first, other, again = engine._rk4_transitions(np.repeat(column, 3, axis=2), h, np.full(3, n), 3 * n)
-    assert calls == [n]
+    assert calls == [[n, n, n]]
     g = np.repeat(column, 2 * n + 1, axis=2)
     for step, got in zip(h, (first, other, again)):
         assert got.tobytes() == general_kernel(g, step, n)[0].tobytes()
@@ -466,6 +493,24 @@ def test_check_laws_on_flat_runs_no_pass_and_changes_no_bit(tmp_path, monkeypatc
         assert [(m.path_id, m.s, m.t, m.step) for m in got] == [(m.path_id, m.s, m.t, m.step) for m in everywhere]
     # The reads=None copy samples every node, in passes.
     assert len(passes) > 100
+
+
+def test_check_laws_on_flat_makes_one_steady_kernel_call_per_call(tmp_path, monkeypatch):
+    # Every chunk is steady, and the steady chunks of a call, whatever their
+    # step counts, are powered in one kernel call.
+    from pathtransport.cli import main
+
+    kernel, rk4 = [], engine._rk4_transitions
+
+    def counting(g, h, lengths, n_steps):
+        kernel.append(len(set(lengths.tolist())))  # the distinct step counts of the call
+        return rk4(g, h, lengths, n_steps)
+
+    monkeypatch.setattr(engine, "_rk4_transitions", counting)
+    calls, _ = recorded_transport_matrices(monkeypatch)
+    assert main(["check-laws", "--geometry", "flat", "--seed", "4", "--out", str(tmp_path)]) == 0
+    assert len(kernel) == len(calls) == 7
+    assert max(kernel) > 1  # a call whose steady chunks have several step counts
 
 
 def constant_geometry(gamma, reads=()):

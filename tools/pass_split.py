@@ -16,9 +16,11 @@ contraction, the chart check, the RK4 kernel, the path jets and the rest of
 the pass (building the nodes, grouping the chunks and any other work of the
 sampler), and in the whole pass; the parts count only inside a pass.  Chunks
 over a steady path piece run in no pass: the line also gives the steady
-chunks per job (chunks handed to the kernel with one sample each) and the
-microseconds per job spent in ``transport_matrices`` outside
-``_integrate`` (planning, and the sampling and reduction of steady chunks).
+chunks per job (chunks handed to the kernel with one sample each), the
+kernel calls per job outside passes (``steady_calls``, one per
+``transport_matrices`` call that has steady chunks) and the microseconds
+per job spent in ``transport_matrices`` outside ``_integrate`` (planning,
+and the sampling and reduction of steady chunks).
 A job with no pass reads 0 in every per-pass column.  Uses the standard
 library and numpy only.
 """
@@ -38,12 +40,13 @@ CYCLES = 3
 PARTS = ("_contract", "_check_chart", "_rk4_transitions", "jet")
 
 
-def summarize(records: list[tuple[str, int, int, dict]]) -> list[dict]:
-    """Per job kind, in order of first appearance: job count, median passes
-    and steady chunks per job, mean microseconds per pass of each part and
-    mean microseconds per job outside ``_integrate``.
+def summarize(records: list[tuple[str, int, int, int, dict]]) -> list[dict]:
+    """Per job kind, in order of first appearance: job count, median passes,
+    steady chunks and kernel calls outside passes per job, mean microseconds
+    per pass of each part and mean microseconds per job outside
+    ``_integrate``.
 
-    ``records`` holds ``(kind, passes, steady_chunks, seconds)`` per job,
+    ``records`` holds ``(kind, passes, steady_chunks, steady_calls, seconds)`` per job,
     where ``seconds`` maps ``_pass`` and each name of ``PARTS`` to the job's
     total time in it inside passes, and ``transport_matrices`` and
     ``_integrate`` to its total time in them; ``nodes`` is the pass time the
@@ -54,15 +57,16 @@ def summarize(records: list[tuple[str, int, int, dict]]) -> list[dict]:
         kinds.setdefault(record[0], []).append(record)
     rows = []
     for kind, jobs in kinds.items():
-        passes = sum(p for _, p, _, _ in jobs)
+        passes = sum(p for _, p, *_ in jobs)
         per_pass = {name: 1e6 * sum(s[name] for *_, s in jobs) / max(passes, 1) for name in ("_pass",) + PARTS}
         outside = sum(s["transport_matrices"] - s["_integrate"] for *_, s in jobs)
         rows.append(
             {
                 "kind": kind,
                 "jobs": len(jobs),
-                "passes": statistics.median(p for _, p, _, _ in jobs),
-                "steady": statistics.median(c for _, _, c, _ in jobs),
+                "passes": statistics.median(p for _, p, *_ in jobs),
+                "steady": statistics.median(c for _, _, c, *_ in jobs),
+                "steady_calls": statistics.median(k for *_, k, _ in jobs),
                 "contract_us": per_pass["_contract"],
                 "chart_us": per_pass["_check_chart"],
                 "kernel_us": per_pass["_rk4_transitions"],
@@ -81,7 +85,8 @@ def timed(engine, seconds: dict, counts: dict) -> dict:
     every module's binding of ``engine.transport_matrices``, so each call
     adds its wall time to ``seconds[name]`` and one to ``counts[name]``; a
     part counts only inside a pass.  A kernel call with one sample per
-    chunk adds its chunks to ``counts["steady"]``.  Returns the originals
+    chunk adds its chunks to ``counts["steady"]`` and one to
+    ``counts["steady_calls"]``.  Returns the originals
     as ``{(module, name): function}``."""
     entry = engine.transport_matrices
     modules = [m for name, m in sys.modules.items() if name.startswith("pathtransport") and m is not None]
@@ -95,6 +100,7 @@ def timed(engine, seconds: dict, counts: dict) -> dict:
             nonlocal running
             if name == "_rk4_transitions" and args[0].shape[-1] == args[2].size:
                 counts["steady"] += args[2].size
+                counts["steady_calls"] += 1
             if name in PARTS and not running:
                 return original(*args, **kwargs)
             running += name == "_pass"
@@ -118,7 +124,7 @@ def timed(engine, seconds: dict, counts: dict) -> dict:
 
 
 def run_cycle(wl, workload: str, seed: int, index: int, outdir: Path, seconds: dict, counts: dict) -> list:
-    """One cycle's jobs of ``workload`` as ``(kind, passes, steady_chunks, seconds)``."""
+    """One cycle's jobs of ``workload`` as ``(kind, passes, steady_chunks, steady_calls, seconds)``."""
     records = []
     for job in wl.cycle(workload, seed, index, outdir):
         for name in seconds:
@@ -128,7 +134,7 @@ def run_cycle(wl, workload: str, seed: int, index: int, outdir: Path, seconds: d
         verdict = job.check(job.run())
         if not verdict.ok:
             raise SystemExit(f"error: {job.kind} {job.params} failed its check: {verdict.detail}")
-        records.append((job.kind, counts["_pass"], counts["steady"], dict(seconds)))
+        records.append((job.kind, counts["_pass"], counts["steady"], counts["steady_calls"], dict(seconds)))
     return records
 
 
@@ -152,7 +158,7 @@ def main(argv=None) -> int:
     import workloads as wl
 
     seconds = dict.fromkeys(("_pass", "transport_matrices", "_integrate") + PARTS, 0.0)
-    counts = dict.fromkeys(("steady",) + tuple(seconds), 0)
+    counts = dict.fromkeys(("steady", "steady_calls") + tuple(seconds), 0)
     with tempfile.TemporaryDirectory() as tmp:
         outdir = Path(tmp)
         originals = timed(engine, seconds, counts)
@@ -165,12 +171,13 @@ def main(argv=None) -> int:
             for (module, name), original in originals.items():
                 setattr(module, name, original)
     print(
-        f"{'kind':<30} {'jobs':>4} {'passes':>6} {'steady':>6} {'contract_us':>11} {'chart_us':>8}"
+        f"{'kind':<30} {'jobs':>4} {'passes':>6} {'steady':>6} {'steady_calls':>12} {'contract_us':>11} {'chart_us':>8}"
         f" {'kernel_us':>9} {'jet_us':>6} {'nodes_us':>8} {'pass_us':>7} {'outside_us':>10}"
     )
     for row in summarize(records):
         print(
-            f"{row['kind']:<30} {row['jobs']:>4} {row['passes']:>6g} {row['steady']:>6g} {row['contract_us']:>11.1f}"
+            f"{row['kind']:<30} {row['jobs']:>4} {row['passes']:>6g} {row['steady']:>6g} {row['steady_calls']:>12g}"
+            f" {row['contract_us']:>11.1f}"
             f" {row['chart_us']:>8.1f} {row['kernel_us']:>9.1f} {row['jet_us']:>6.1f} {row['nodes_us']:>8.1f}"
             f" {row['pass_us']:>7.1f} {row['outside_us']:>10.1f}"
         )
