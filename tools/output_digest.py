@@ -6,9 +6,10 @@
 example ``src`` of a checkout).  The script runs CLI subcommands in-process,
 each into a fresh output directory, and digests their stdout, stderr, exit
 code and every report file.  It also digests the bytes of holonomy matrices
-of a fixed latitude and a fixed geodesic triangle at several steps, three
-CLI runs on a small grid geometry read through ``--geometry-file`` and one
-``check-laws`` run whose seed, step and samples come from ``--config``.  Each
+of a fixed latitude and a fixed geodesic triangle and of four
+reparametrizations of them at several steps, three CLI runs on a small grid
+geometry read through ``--geometry-file`` and one ``check-laws`` run whose
+seed, step and samples come from ``--config``.  Each
 line reads ``<sha256>  <name>``, sorted by name, so two checkouts produce
 byte-identical outputs exactly when ``diff`` of their two listings is empty.
 ``--quick`` runs a small subset.
@@ -150,11 +151,23 @@ def _arc(pt, start, end):
 
 
 def holonomy_outputs(pt, steps) -> dict[str, bytes]:
-    """Holonomy matrix bytes of a fixed latitude and triangle on both sphere frames."""
+    """Holonomy matrix bytes of a fixed latitude and triangle on both sphere
+    frames, and of reparametrizations of them: the latitude onto [0, 1] by an
+    affine map, by its reversal and by a bulge, and the triangle by a bulge."""
     ab = _arc(pt, TRIANGLE[0], TRIANGLE[1])
     bc = _arc(pt, tuple(ab.at(1.0)), TRIANGLE[2])
     ca = _arc(pt, tuple(bc.at(1.0)), TRIANGLE[0])
-    loops = {"latitude": pt.latitude(1.0), "triangle": pt.product_canonical(pt.product_canonical(ab, bc), ca)}
+    latitude = pt.latitude(1.0)
+    triangle = pt.product_canonical(pt.product_canonical(ab, bc), ca)
+    onto = (0.0, 2 * math.pi)
+    loops = {
+        "latitude": latitude,
+        "triangle": triangle,
+        "latitude-affine": pt.reparametrize(latitude, pt.affine_reparametrization((0.0, 1.0), onto)),
+        "latitude-reversed": pt.reparametrize(latitude, pt.affine_reparametrization((0.0, 1.0), onto, reversing=True)),
+        "latitude-bulge": pt.reparametrize(latitude, pt.bulge_reparametrization((0.0, 1.0), onto, 0.35)),
+        "triangle-bulge": pt.reparametrize(triangle, pt.bulge_reparametrization((0.0, 1.0), (0.0, 1.0), 0.35)),
+    }
     outputs = {}
     for geometry in ("sphere", "sphere-orthonormal"):
         transport = pt.get_entry(geometry).transport
