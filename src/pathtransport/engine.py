@@ -9,7 +9,8 @@ along the path (the contraction of the 3-index field with the path velocity).
 Backward transports (t < s) integrate backward rather than inverting the
 forward matrix.  Piecewise-C1 paths are split at their breakpoints so a
 velocity jump never falls inside an integration step; coefficient samples at
-a breakpoint are nudged into the smooth side.
+a breakpoint are nudged into the smooth side.  A piece is evaluated on the
+smooth factor it runs on, down the ``Path.parts`` of composed paths.
 
 Each interval is integrated in chunks of at most ``_CHUNK_STEPS`` steps: a
 chunk samples the field on its own nodes, forms its per-step transitions in
@@ -18,9 +19,10 @@ matrix products) and reduces them pairwise to one matrix; the chunk matrices
 are reduced pairwise in turn.  Memory therefore grows with the chunk size,
 not with the step count.  The chunks of many requests are integrated
 together, in passes that hold at most one chunk's worth of samples
-(``transport_matrices``); chunks over a path piece that states its field
-constant (``Path.steady``), and every chunk on a geometry whose field is
-zero, skip the passes: one node each, one kernel call for them all.
+(``transport_matrices``); chunks over a path piece whose field is constant
+(its factor's ``Path.steady``, through maps with a slope), and every chunk on
+a geometry whose field is zero, skip the passes: one node each, one kernel
+call for them all.
 
 Matrix orientation: ``L(t, s)`` maps the fibre at parameter s to the fibre at
 parameter t.  The coefficient matrix recovered from a transport is the
@@ -34,7 +36,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from itertools import groupby
+from itertools import accumulate, groupby
 from typing import Any, Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -49,7 +51,7 @@ from .errors import (
     NotFactorizableError,
     SingularCoefficientError,
 )
-from .paths import Path, batch_eval, check_parameters, line_through, position_at, smooth_part
+from .paths import Path, _chain_rule, batch_eval, check_parameters, line_through, position_at, smooth_part
 
 #: Default number of RK4 steps when no absolute step size is given.
 DEFAULT_STEP_COUNT = 1000
@@ -318,8 +320,8 @@ def _integrate(chunks: list[_Chunk], sample: Callable) -> list:
 
     Chunks are packed in order into passes of at most 2 _CHUNK_STEPS + 1
     field samples, so at most _CHUNK_STEPS steps; a chunk is never split
-    across passes.  ``sample(chunks, pts)`` evaluates the field of a pass at
-    its nodes as an (r, r, len(pts)) array.
+    across passes.  ``sample(runs, pts)`` evaluates the field of a pass at
+    its nodes, one ``(source, 2n + 1)`` run per chunk, as an (r, r, m) array.
     """
     mats, first, used = [], 0, 0
     for i, chunk in enumerate(chunks + [None]):
@@ -345,7 +347,7 @@ def _pass(chunks: list[_Chunk], sample: Callable) -> np.ndarray:
         k = np.arange(2 * n + 1)
         pts = a + 0.5 * h * np.concatenate((k[::2], k[1::2]))
         pts[0], pts[n] = a + lo, b - hi
-        return _rk4_transitions(sample(chunks, pts), h, np.array([n]), n)
+        return _rk4_transitions(sample([(chunks[0].source, 2 * n + 1)], pts), h, np.array([n]), n)
     a, b, n, lo, hi = (np.array(col) for col in list(zip(*chunks))[1:])
     h = (b - a) / n
     size = 2 * n + 1
@@ -355,7 +357,8 @@ def _pass(chunks: list[_Chunk], sample: Callable) -> np.ndarray:
     pts = np.repeat(a, size) + np.repeat(0.5 * h, size) * k
     pts[first] = a + lo
     pts[first + n] = b - hi
-    return _rk4_transitions(sample(chunks, pts), np.repeat(h, n), n, int(n.sum()))
+    runs = [(c.source, 2 * c.n + 1) for c in chunks]
+    return _rk4_transitions(sample(runs, pts), np.repeat(h, n), n, int(n.sum()))
 
 
 def _chain(chunks: list) -> np.ndarray:
@@ -415,24 +418,28 @@ def _piece_jet(path: Path, piece: tuple[float, float] | None, reads: tuple[int, 
     """The source of one smooth piece of a path: its ``jet(ts)`` gives the
     positions and velocities at parameters of the piece, evaluated through
     the ``jet`` of the smooth factor that the piece runs on
-    (``paths.smooth_part``); the velocities and the ``reads`` coordinates
+    (``paths.smooth_part``).  Parameters go through the maps outermost
+    first, and velocities are scaled back innermost first, as the path's
+    own evaluators nest, so the velocities and the ``reads`` coordinates
     equal the path's own evaluation bit for bit.  The source is steady when
-    the geometry's field is zero on every path (``zero``), or when the
-    factor states that its velocity and every coordinate in ``reads`` (all
-    of them for None) are constant."""
+    the geometry's field is zero on every path (``zero``), or when every map
+    has a ``slope`` and the factor states that its velocity and every
+    coordinate in ``reads`` (all of them for None) are constant."""
     factor, maps = (path, ()) if piece is None else smooth_part(path, *piece)
-    scale = math.prod(slope for slope, _ in maps)
 
     def jet(u):
-        for slope, offset in maps:
-            u = slope * u + offset if offset else slope * u
-        xs, vs = factor.jet(u, reads)
-        return xs, (scale * vs if maps else vs)
+        us = list(accumulate(maps, lambda t, chi: chi.map(t), initial=u))
+        xs, vs = factor.jet(us.pop(), reads)
+        for chi, u in zip(maps[::-1], us[::-1]):
+            vs = _chain_rule(chi, vs, u)
+        return xs, vs
 
-    # Restrictions share their path's jet.
-    key = (id(factor.jet), maps)
+    # Restrictions share their path's jet, and products and inverses the module's maps.
+    key = (id(factor.jet), *map(id, maps))
     read = range(path.dim) if reads is None else reads
-    return _Source(key, jet, path, zero or (factor.steady is not None and set(read) <= set(factor.steady)))
+    affine = all(chi.slope is not None for chi in maps)
+    constant = affine and factor.steady is not None and set(read) <= set(factor.steady)
+    return _Source(key, jet, path, zero or constant)
 
 
 def _check_chart(geometry: BundleGeometry, xs: np.ndarray, path: Path):
@@ -471,17 +478,17 @@ def path_coefficient_field(geometry: BundleGeometry, path: Path, *, piece: tuple
     """Batched coefficient field G(s) = coeffs3(path(s)) . velocity(s) along a path.
 
     The field maps m parameters to an (m, r, r) array, a view of an array
-    stored in (r, r, m) order.  With a ``piece``, every sample is evaluated
+    stored in (r, r, m) order: one run of the integrators' sampler
+    (``_geometry_sampler``).  With a ``piece``, every sample is evaluated
     through the ``jet`` of the smooth factor that the piece runs on
     (``paths.smooth_part``); the values equal the path's own evaluation bit
     for bit.
     """
-    jet = _piece_jet(path, piece, geometry.reads).jet
+    source, sample = _piece_jet(path, piece, geometry.reads), _geometry_sampler(geometry)
 
     def field(ts):
-        xs, vs = jet(np.atleast_1d(np.asarray(ts, dtype=float)))
-        _check_chart(geometry, xs, path)
-        return _contract(geometry, xs, vs).transpose(2, 0, 1)
+        ts = np.atleast_1d(np.asarray(ts, dtype=float))
+        return sample([(source, ts.size)], ts).transpose(2, 0, 1)
 
     return field
 
@@ -492,34 +499,35 @@ def _samples_last(arrays: list) -> np.ndarray:
 
 
 def _geometry_sampler(geometry: BundleGeometry) -> Callable:
-    """``sample(chunks, pts)`` for chunks whose sources are path pieces: one
-    jet call per run of consecutive chunks with one key, one chart check over
-    the whole pass, then one contraction over it.
+    """``sample(runs, pts)``: the (r, r, len(pts)) field at ``pts``, whose
+    consecutive ``(source, count)`` runs give the source of each stretch of
+    ``count`` points.  One jet call per stretch of runs with one key, one
+    chart check over all points, then one contraction over them.
 
-    The steady chunks of a call come in one call of their own, each as a
-    chunk of no steps with its first node alone (``transport_matrices``).
-    The chart check on that node gives the verdict for the whole chunk:
-    ``reads`` covers ``chart_domain``, and the source states that every
-    coordinate in ``reads`` is constant."""
+    A pass gives one run of 2n + 1 nodes per chunk (``_pass``); the steady
+    chunks of a call give one run of one node each, their first
+    (``transport_matrices``).  The chart check on that node gives the
+    verdict for the whole chunk: ``reads`` covers ``chart_domain``, and the
+    source states that every coordinate in ``reads`` is constant."""
 
-    def sample(chunks, pts):
-        runs, start = [], 0
-        for _, run in groupby(chunks, key=lambda c: c.source.key):
-            run = list(run)
-            stop = start + sum(2 * c.n + 1 for c in run)
-            runs.append(run[0].source.jet(pts[start:stop]))
+    def sample(runs, pts):
+        jets, start = [], 0
+        for _, same in groupby(runs, key=lambda run: run[0].key):
+            same = list(same)
+            stop = start + sum(count for _, count in same)
+            jets.append(same[0][0].jet(pts[start:stop]))
             start = stop
-        xs = _samples_last([x for x, _ in runs])
+        xs = _samples_last([x for x, _ in jets])
         try:
-            _check_chart(geometry, xs, chunks[0].source.path)
+            _check_chart(geometry, xs, runs[0][0].path)
         except ChartDomainError:
-            # Name the path of the first chunk that leaves the chart.
+            # Name the path of the first run that leaves the chart.
             start = 0
-            for c in chunks:
-                _check_chart(geometry, xs[start : start + 2 * c.n + 1], c.source.path)
-                start += 2 * c.n + 1
+            for source, count in runs:
+                _check_chart(geometry, xs[start : start + count], source.path)
+                start += count
             raise
-        return _contract(geometry, xs, _samples_last([v for _, v in runs]))
+        return _contract(geometry, xs, _samples_last([v for _, v in jets]))
 
     return sample
 
@@ -577,7 +585,7 @@ def transport_matrices(
     if steady:
         # A steady chunk's field is its first node's: one sample per chunk, one kernel call for them all.
         a, b, n, lo = (np.array(col) for col in list(zip(*(chunks[i] for i in steady)))[1:5])
-        g = sample([chunks[i]._replace(n=0) for i in steady], a + lo)
+        g = sample([(chunks[i].source, 1) for i in steady], a + lo)
         for i, m in zip(steady, _rk4_transitions(g, (b - a) / n, n, int(n.sum()))):
             mats[i] = m
     for i, m in zip(varying, _integrate([chunks[i] for i in varying], sample)):

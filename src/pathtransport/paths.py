@@ -55,12 +55,14 @@ class Path:
     constant over the domain, and lists the position coordinates that are
     constant too; the builtin constructors work it out (a latitude's
     colatitude, a segment's coordinates of zero rate, every coordinate of a
-    constant path), and a reparametrization, whose velocity scales, drops
-    it.  ``parts`` lists entries ``(lo, hi, factor, slope, offset)`` with
-    ``path(t) = factor(slope * t + offset)`` on ``[lo, hi]``, so a piece that
-    lies in one part can be evaluated on its factor (see ``smooth_part``).
-    Canonical products and inverses set ``parts``; restrictions keep them
-    and ``steady``.
+    constant path).  ``parts`` lists entries ``(lo, hi, factor, chi)`` with
+    ``path(t) = factor(chi.map(t))`` on ``[lo, hi]`` for a
+    ``Reparametrization`` chi, so a piece that lies in one part can be
+    evaluated on its factor (see ``smooth_part``).  Reparametrizations,
+    canonical inverses and canonical products are all built from ``parts``,
+    and state no ``steady`` of their own: the integrators read their
+    factors' through maps with a ``slope``.  Restrictions keep ``parts`` and
+    ``steady``.
     """
 
     dim: int
@@ -84,10 +86,6 @@ class Path:
         derived = _EvaluatorJet(self.position, self.velocity, (self.dim,))
         if self.jet is None or (isinstance(self.jet, _EvaluatorJet) and self.jet != derived):
             object.__setattr__(self, "jet", derived)
-
-    @property
-    def length(self) -> float:
-        return self.domain[1] - self.domain[0]
 
     @property
     def is_point(self) -> bool:
@@ -116,6 +114,10 @@ class Reparametrization:
 
     ``orientation`` is derived from the map: "reversing" when it takes the
     end of ``source`` below the image of its start, else "preserving".
+    ``slope`` is the constant derivative of an affine map, as a float:
+    ``affine_reparametrization`` and ``identity_reparametrization`` set it,
+    and it is None for every other map.  Velocities through a map with a
+    slope scale by that float, so they stay constant where the factor's do.
     """
 
     source: tuple[float, float]
@@ -123,13 +125,20 @@ class Reparametrization:
     map: Callable
     derivative: Callable
     orientation: str = field(init=False)
+    slope: Optional[float] = field(init=False, default=None)
 
     def __post_init__(self):
         reversing = float(self.map(self.source[1])) < float(self.map(self.source[0]))
         object.__setattr__(self, "orientation", "reversing" if reversing else "preserving")
 
-    def __call__(self, s):
-        return self.map(s)
+
+def _chain_rule(chi: Reparametrization, v, u):
+    """Velocities ``v`` of a factor at ``chi.map(u)``, scaled to velocities
+    at ``u``: by the float ``chi.slope``, or sample by sample by
+    ``chi.derivative(u)`` for a map without one; samples-last storage stays."""
+    if chi.slope is not None:
+        return chi.slope * v
+    return (v.T * np.asarray(chi.derivative(u), dtype=float)).T
 
 
 def _as_param_array(s):
@@ -240,35 +249,12 @@ def _monotone_preimage(chi: Reparametrization, value: float) -> float:
 
 
 def reparametrize(path: Path, chi: Reparametrization) -> Path:
-    """The composed path ``path o chi`` with the chain-rule velocity."""
+    """The composed path ``path o chi``: one part over ``chi.source``."""
     if not all(abs(a - b) <= _domain_eps(path) for a, b in zip(chi.target, path.domain)):
         raise IntervalError(f"reparametrization target {chi.target} is not the path domain {path.domain}")
-
-    def pos(s):
-        return position_at(path, chi.map(s))
-
-    def chain(v, s):
-        # Chain rule in samples-last form: scales each sample's velocity.
-        return (v.T * np.asarray(chi.derivative(s), dtype=float)).T
-
-    def vel(s):
-        arr = _as_param_array(s)
-        return chain(velocity_at(path, chi.map(arr)), arr)
-
-    def jet(ts, reads=None):
-        xs, vs = path.jet(chi.map(ts), reads)
-        return xs, chain(vs, ts)
-
     bps = tuple(sorted(_monotone_preimage(chi, b) for b in path.breakpoints))
-    return Path(
-        dim=path.dim,
-        domain=(float(chi.source[0]), float(chi.source[1])),
-        position=pos,
-        velocity=vel,
-        breakpoints=bps,
-        label=f"{path.label}o{chi.orientation[:3]}" if path.label else "",
-        jet=jet,
-    )
+    label = f"{path.label}o{chi.orientation[:3]}" if path.label else ""
+    return _composed(((float(chi.source[0]), float(chi.source[1]), path, chi),), bps, label)
 
 
 def _require_canonical(path: Path, what: str):
@@ -276,21 +262,21 @@ def _require_canonical(path: Path, what: str):
         raise IntervalError(f"{what} requires a canonical domain [0,1], got {path.domain}")
 
 
-def _part_evaluators(dim: int, parts: tuple) -> tuple[Callable, Callable]:
-    """Position and velocity evaluators of a path made of ``parts``.
+def _composed(parts: tuple, breakpoints: tuple, label: str) -> Path:
+    """The path made of ``parts``, entries ``(lo, hi, factor, chi)`` that
+    cover its domain in order.
 
     A parameter t goes to the first part with t <= hi (a junction to the left
     part, the rest to the last) and is evaluated on its factor at
-    ``slope * t + offset`` (``slope * t`` for offset 0: the bits of ``2t``,
-    ``2t - 1`` and ``1 - t``); velocities are multiplied by the slope.
+    ``chi.map(t)``; velocities follow the chain rule (``_chain_rule``).
     """
-    his = [part[1] for part in parts]
+    dim, his = parts[0][2].dim, [part[1] for part in parts]
 
     def evaluator(evaluate: Callable, scaled: bool) -> Callable:
         def on(part, u):
-            _, _, factor, slope, offset = part
-            out = evaluate(factor, slope * u + offset if offset else slope * u)
-            return slope * out if scaled else out
+            _, _, factor, chi = part
+            out = evaluate(factor, chi.map(u))
+            return _chain_rule(chi, out, u) if scaled else out
 
         def fn(s):
             arr = _as_param_array(s)
@@ -309,23 +295,22 @@ def _part_evaluators(dim: int, parts: tuple) -> tuple[Callable, Callable]:
 
         return fn
 
-    return evaluator(position_at, False), evaluator(velocity_at, True)
+    return Path(
+        dim=dim,
+        domain=(parts[0][0], parts[-1][1]),
+        position=evaluator(position_at, False),
+        velocity=evaluator(velocity_at, True),
+        breakpoints=breakpoints,
+        label=label,
+        parts=parts,
+    )
 
 
 def invert_canonical(path: Path) -> Path:
     """The canonical inverse path t -> path(1 - t) on [0, 1]."""
     _require_canonical(path, "invert_canonical")
-    parts = ((0.0, 1.0, path, -1.0, 1.0),)
-    pos, vel = _part_evaluators(path.dim, parts)
-    return Path(
-        dim=path.dim,
-        domain=(0.0, 1.0),
-        position=pos,
-        velocity=vel,
-        breakpoints=tuple(sorted(1.0 - b for b in path.breakpoints)),
-        label=f"{path.label}~" if path.label else "",
-        parts=parts,
-    )
+    bps = tuple(sorted(1.0 - b for b in path.breakpoints))
+    return _composed(((0.0, 1.0, path, _REVERSAL),), bps, f"{path.label}~" if path.label else "")
 
 
 def product_canonical(p1: Path, p2: Path) -> Path:
@@ -344,44 +329,35 @@ def product_canonical(p1: Path, p2: Path) -> Path:
         raise EndpointMismatchError(f"junction mismatch {gap:.3e} exceeds tolerance {JUNCTION_TOL:.3e}")
 
     bps = tuple(0.5 * b for b in p1.breakpoints) + (0.5,) + tuple(0.5 + 0.5 * b for b in p2.breakpoints)
-    parts = ((0.0, 0.5, p1, 2.0, 0.0), (0.5, 1.0, p2, 2.0, -1.0))
-    pos, vel = _part_evaluators(p1.dim, parts)
-    return Path(
-        dim=p1.dim,
-        domain=(0.0, 1.0),
-        position=pos,
-        velocity=vel,
-        breakpoints=bps,
-        label=f"({p1.label})*({p2.label})" if (p1.label or p2.label) else "",
-        parts=parts,
-    )
+    label = f"({p1.label})*({p2.label})" if (p1.label or p2.label) else ""
+    return _composed(((0.0, 0.5, p1, _FIRST_HALF), (0.5, 1.0, p2, _SECOND_HALF)), bps, label)
 
 
-def smooth_part(path: Path, lo: float, hi: float) -> tuple[Path, tuple[tuple[float, float], ...]]:
+def smooth_part(path: Path, lo: float, hi: float) -> tuple[Path, tuple[Reparametrization, ...]]:
     """The innermost factor that the piece [lo, hi] of ``path`` runs on.
 
-    Returns the factor and the affine maps ``u -> slope * u + offset`` that
-    carry a parameter of the piece to the factor's parameter, in the order
-    they apply; the velocity scales by the product of the slopes, so the
-    factor's ``steady`` statement holds for the piece too.  Descends through
-    ``parts`` while the piece lies inside one part.  The maps are applied
-    one after another, not multiplied
-    out, so the parameters and velocities equal the path's own evaluation
-    bit for bit (all slopes are powers of two up to sign).  The one
-    exception is a sample exactly on a junction: it is evaluated on the
-    factor of the piece, where a product's own evaluators take the left
-    factor.  Integrators nudge breakpoint samples inward, so this shows only
-    where a restriction starts exactly on a junction.
+    Returns the factor and the maps of the ``parts`` that carry a parameter
+    of the piece to the factor's parameter, outermost first.  Descends
+    through ``parts`` while the piece lies inside one part.  Parameters that
+    go through the maps one after another, outermost first, and velocities
+    scaled back by ``_chain_rule``, innermost first, equal the path's own
+    evaluation bit for bit, since its evaluators nest the same way.  When
+    every map has a ``slope``, the factor's ``steady`` statement holds for
+    the piece too.  The one exception is a sample exactly on a junction: it
+    is evaluated on the factor of the piece, where a product's own
+    evaluators take the left factor.  Integrators nudge breakpoint samples
+    inward, so this shows only where a restriction starts exactly on a
+    junction.
     """
     maps = []
     while True:
-        for p_lo, p_hi, factor, slope, offset in path.parts:
+        for p_lo, p_hi, factor, chi in path.parts:
             if p_lo <= lo and hi <= p_hi:
                 break
         else:
             return path, tuple(maps)
-        lo, hi = sorted((slope * lo + offset, slope * hi + offset))
-        maps.append((slope, offset))
+        lo, hi = sorted((float(chi.map(lo)), float(chi.map(hi))))
+        maps.append(chi)
         path = factor
 
 
@@ -391,7 +367,9 @@ def smooth_part(path: Path, lo: float, hi: float) -> tuple[Path, tuple[tuple[flo
 
 def identity_reparametrization(domain: tuple[float, float]) -> Reparametrization:
     d = (float(domain[0]), float(domain[1]))
-    return Reparametrization(d, d, lambda s: np.asarray(s, dtype=float), lambda s: np.ones_like(np.asarray(s, dtype=float)))
+    chi = Reparametrization(d, d, lambda s: np.asarray(s, dtype=float), lambda s: np.ones_like(np.asarray(s, dtype=float)))
+    object.__setattr__(chi, "slope", 1.0)
+    return chi
 
 
 def affine_reparametrization(
@@ -403,12 +381,25 @@ def affine_reparametrization(
     slope = (c - d) / (b - a) if reversing else (d - c) / (b - a)
     off = d - slope * a if reversing else c - slope * a
 
-    return Reparametrization(
-        (float(a), float(b)),
-        (float(c), float(d)),
-        lambda s: off + slope * np.asarray(s, dtype=float),
-        lambda s: np.full_like(np.asarray(s, dtype=float), slope),
+    def chi_map(s):
+        # A float stays a float, with numpy's bits at a tenth of the cost; a
+        # zero offset is not added, which would turn -0.0 into 0.0.
+        s = s if isinstance(s, float) else np.asarray(s, dtype=float)
+        return slope * s + off if off else slope * s
+
+    chi = Reparametrization(
+        (float(a), float(b)), (float(c), float(d)), chi_map, lambda s: np.full_like(np.asarray(s, dtype=float), slope)
     )
+    object.__setattr__(chi, "slope", float(slope))
+    return chi
+
+
+#: The maps of canonical inverses, t -> 1 - t, and of the two halves of a
+#: canonical product, t -> 2t and t -> 2t - 1.  Shared, so the pieces of
+#: separately built products have equal keys in the integrators.
+_REVERSAL = affine_reparametrization((0.0, 1.0), (0.0, 1.0), reversing=True)
+_FIRST_HALF = affine_reparametrization((0.0, 0.5), (0.0, 1.0))
+_SECOND_HALF = affine_reparametrization((0.5, 1.0), (0.0, 1.0))
 
 
 def bulge_reparametrization(

@@ -697,18 +697,27 @@ def joined(p, q):
     return pt.product_canonical(p, pt.product_canonical(bridge, q))
 
 
-def random_nest(rng, depth):
-    """A nest of canonical products and inverses over the smooth factors."""
+def random_nest(rng, depth, top=True):
+    """A nest of canonical products, inverses and reparametrizations over the
+    smooth factors.  Inside the nest a reparametrization keeps [0, 1], by a
+    reversal or a bulge; at the top it stretches the nest onto [-2, 3], a
+    slope of 0.2, which is not a power of two."""
     factors = smooth_factors()
     if depth == 0:
         return factors[rng.integers(len(factors))]
-    kind = rng.integers(3)
+    kind = rng.integers(4)
     if kind == 0:
-        return joined(random_nest(rng, depth - 1), random_nest(rng, depth - 1))
+        return joined(random_nest(rng, depth - 1, False), random_nest(rng, depth - 1, False))
     if kind == 1:
-        return pt.invert_canonical(random_nest(rng, depth - 1))
-    p = random_nest(rng, depth - 1)
-    return pt.product_canonical(p, pt.segment(p.at(1.0), [1.2, 0.0]))
+        return pt.invert_canonical(random_nest(rng, depth - 1, False))
+    p = random_nest(rng, depth - 1, False)
+    if kind == 2:
+        return pt.product_canonical(p, pt.segment(p.at(1.0), [1.2, 0.0]))
+    if top:
+        return pt.reparametrize(p, pt.affine_reparametrization((-2.0, 3.0), (0.0, 1.0)))
+    if rng.random() < 0.5:
+        return pt.reparametrize(p, pt.affine_reparametrization((0.0, 1.0), (0.0, 1.0), reversing=True))
+    return pt.reparametrize(p, pt.bulge_reparametrization((0.0, 1.0), (0.0, 1.0), 0.35))
 
 
 def path_level_field(geometry, path, ts):
@@ -748,12 +757,16 @@ def test_smooth_part_descends_to_the_innermost_analytic_factor():
     inner = joined(gc, bez)  # gc on [0, 1/2], bridge on [1/2, 3/4], bez on [3/4, 1]
     prod = pt.product_canonical(inner, pt.segment(inner.at(1.0), gc.at(0.0)))
     loop = pt.invert_canonical(prod)
+    reverse, first = pt.paths._REVERSAL, pt.paths._FIRST_HALF
     # [0.8, 0.9] of the loop is [0.1, 0.2] of prod, [0.2, 0.4] of inner, [0.4, 0.8] of gc.
-    assert pt.paths.smooth_part(loop, 0.8, 0.9) == (gc, ((-1.0, 1.0), (2.0, 0.0), (2.0, 0.0)))
+    assert pt.paths.smooth_part(loop, 0.8, 0.9) == (gc, (reverse, first, first))
     assert pt.paths.smooth_part(pt.restrict(loop, (0.55, 0.95)), 0.8, 0.9)[0] is gc
     # A piece across a junction stays on the path that owns the junction.
     assert pt.paths.smooth_part(prod, 0.4, 0.6) == (prod, ())
-    assert pt.paths.smooth_part(loop, 0.4, 0.6) == (prod, ((-1.0, 1.0),))
+    assert pt.paths.smooth_part(loop, 0.4, 0.6) == (prod, (reverse,))
+    # A reparametrization is one more part: [2.1, 2.4] of the stretched loop is [0.82, 0.88] of the loop.
+    chi = pt.affine_reparametrization((-2.0, 3.0), (0.0, 1.0))
+    assert pt.paths.smooth_part(pt.reparametrize(loop, chi), 2.1, 2.4) == (gc, (chi, reverse, first, first))
 
 
 def test_jets_equal_position_and_velocity_bit_for_bit(rng):

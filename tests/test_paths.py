@@ -120,6 +120,22 @@ def test_reparametrization_validation():
     assert float(rev.map(0.0)) == 5.0
 
 
+def test_a_bulged_kink_is_found_by_bisection(sphere_entry):
+    # The bisection's first midpoint, 0.5, maps to 0.5875, so the kink of a
+    # two-segment product comes back only once the bracket has closed: at the
+    # root of x + 0.35 x (1 - x) = 1/2, whose image lies within a few ulps of 1/2.
+    path = pt.product_canonical(pt.segment([1.0, 0.0], [1.3, 0.4]), pt.segment([1.3, 0.4], [1.1, 0.9]))
+    chi = pt.bulge_reparametrization((0.0, 1.0), (0.0, 1.0), 0.35)
+    bulged = pt.reparametrize(path, chi)
+    (kink,) = bulged.breakpoints
+    assert float(chi.map(0.5)) == 0.5875
+    assert kink == pytest.approx((1.35 - math.sqrt(1.35**2 - 0.7)) / 0.7, abs=1e-12)
+    assert abs(float(chi.map(kink)) - 0.5) <= 4 * math.ulp(0.5)
+    got = sphere_entry.transport.matrix(bulged, 0.0, 1.0, step=1e-3).value
+    want = sphere_entry.transport.matrix(path, 0.0, 1.0, step=1e-3).value
+    assert np.max(np.abs(got - want)) < 1e-6
+
+
 def test_orientation_is_read_off_the_map(sphere_entry):
     # 1 - s reverses without being told so: the kink of a two-segment path
     # comes back at exactly 0.5, and the transport matches the affine reversal's.

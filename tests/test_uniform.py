@@ -343,28 +343,55 @@ def counting(monkeypatch, name) -> list:
     return calls
 
 
+def counting_sampler(monkeypatch) -> list:
+    """Record the run lengths of every call of the samplers that ``engine`` builds."""
+    sampled, sampler = [], engine._geometry_sampler
+
+    def counted(geometry):
+        sample = sampler(geometry)
+        return lambda runs, pts: sampled.append([count for _, count in runs]) or sample(runs, pts)
+
+    monkeypatch.setattr(engine, "_geometry_sampler", counted)
+    return sampled
+
+
 @pytest.mark.parametrize("entry_id", ["sphere", "sphere-orthonormal"])
 @pytest.mark.parametrize("span", [(0.0, 2 * math.pi), (2 * math.pi, 0.0)])
 def test_latitude_passes_contract_one_sample(entry_id, span, catalog, monkeypatch):
-    geometry, loop = catalog[entry_id].geometry, pt.latitude(1.1)
+    # The latitude, and the latitude stretched onto [0, 1] by an affine map
+    # and by its reversal, run the same way along the span.
+    geometry, lat = catalog[entry_id].geometry, pt.latitude(1.1)
+    onto = [pt.affine_reparametrization((0.0, 1.0), lat.domain, reversing=r) for r in (False, True)]
+    loops = [(lat, span)] + [(pt.reparametrize(lat, chi), tuple(x / (2 * math.pi) for x in span)) for chi in onto]
     contracted, checked = counting(monkeypatch, "_contract"), counting(monkeypatch, "_check_chart")
-    sampled, sampler = [], engine._geometry_sampler
+    sampled = counting_sampler(monkeypatch)
+    for loop, (s, t) in loops:
+        for calls in (contracted, checked, sampled):
+            calls.clear()
+        got = pt.transport_matrix_over_path(geometry, loop, s, t, step=1e-5).value
+        n = math.ceil(abs(t - s) / 1e-5)
+        passes = math.ceil(n / engine._CHUNK_STEPS)
+        # Steady in theta, through maps with a slope: one sampler call takes
+        # one node per chunk, and one chart check and one contraction see them all.
+        assert sampled == [[1] * passes], loop.label
+        assert contracted == [passes] and checked == [passes]
+        contracted.clear()
+        full = pt.transport_matrix_over_path(dataclasses.replace(geometry, reads=None), loop, s, t, step=1e-5).value
+        assert sum(contracted) == 2 * n + passes
+        assert got.tobytes() == full.tobytes()
 
-    def counting_sampler(geometry):
-        sample = sampler(geometry)
-        return lambda chunks, pts: sampled.append(len(chunks)) or sample(chunks, pts)
 
-    monkeypatch.setattr(engine, "_geometry_sampler", counting_sampler)
-    got = pt.transport_matrix_over_path(geometry, loop, *span, step=1e-5).value
-    n = math.ceil(2 * math.pi / 1e-5)
-    passes = math.ceil(n / engine._CHUNK_STEPS)
-    # A latitude is steady in theta: one sampler call takes one node per
-    # chunk, and one chart check and one contraction see them all.
-    assert sampled == [passes]
-    assert contracted == [passes] and checked == [passes]
-    contracted.clear()
-    full = pt.transport_matrix_over_path(dataclasses.replace(geometry, reads=None), loop, *span, step=1e-5).value
-    assert sum(contracted) == 2 * n + passes
+@pytest.mark.parametrize("entry_id", ["sphere", "sphere-orthonormal"])
+def test_a_bulged_latitude_contracts_every_node(entry_id, catalog, monkeypatch):
+    # A bulge has no slope: its velocity varies, so every node is sampled.
+    geometry = catalog[entry_id].geometry
+    loop = pt.reparametrize(pt.latitude(1.1), pt.bulge_reparametrization((0.0, 1.0), (0.0, 2 * math.pi), 0.35))
+    contracted, sampled = counting(monkeypatch, "_contract"), counting_sampler(monkeypatch)
+    got = pt.transport_matrix_over_path(geometry, loop, 0.0, 1.0, step=1e-4).value
+    n = math.ceil(1.0 / 1e-4)
+    assert sum(contracted) == 2 * n + math.ceil(n / engine._CHUNK_STEPS)
+    assert all(count > 1 for counts in sampled for count in counts)
+    full = pt.transport_matrix_over_path(dataclasses.replace(geometry, reads=None), loop, 0.0, 1.0, step=1e-4).value
     assert got.tobytes() == full.tobytes()
 
 
