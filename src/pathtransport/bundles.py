@@ -40,11 +40,12 @@ class BundleGeometry:
 
     ``reads`` lists the base coordinates that ``coeffs3``, ``contract`` and
     ``chart_domain`` read; ``None`` means all of them.  The velocity is always
-    read.  A path that states them and its velocity constant (``Path.steady``),
-    or any path when none is read and ``coeffs3`` is zero, is sampled and
-    checked against the chart at one node per chunk.  Path jets may leave
-    the other coordinates NaN.  A declaration that omits a coordinate the
-    field or the chart depends on therefore gives wrong matrices or verdicts.
+    read.  A path that states them and its velocity constant (``Path.steady``)
+    is sampled and checked against the chart at one node per chunk; when none
+    is read and ``coeffs3`` is zero, no node is sampled and the chart is
+    checked at one node per call.  Path jets may leave the other coordinates
+    NaN.  A declaration that omits a coordinate the field or the chart
+    depends on therefore gives wrong matrices or verdicts.
     """
 
     base_dim: int

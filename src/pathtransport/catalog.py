@@ -36,46 +36,50 @@ def _pade_coefficients(m: int) -> np.ndarray:
     return np.array([b[0::2], b[1::2]])
 
 
-#: (theta_m, coefficients) for m = 3, 5, 7, 9, 13: the approximant of degree m has
+#: theta_m and the coefficients for m = 3, 5, 7, 9, 13: the approximant of degree m has
 #: double-precision accuracy while the 1-norm of A is at most theta_m (Higham 2005, Table 2.3).
-_PADE = [(theta, _pade_coefficients(m)) for m, theta in ((3, 1.495585217958292e-2), (5, 2.539398330063230e-1),
-         (7, 9.504178996162932e-1), (9, 2.097847961257068e0), (13, 5.371920351148152e0))]
+_THETAS = np.array([1.495585217958292e-2, 2.539398330063230e-1, 9.504178996162932e-1, 2.097847961257068e0,
+                    5.371920351148152e0])
+_COEFFS = [_pade_coefficients(m) for m in (3, 5, 7, 9, 13)]
 
 
 def expm(a) -> np.ndarray:
-    """Exponential of a real square matrix by scaling and squaring (Higham
-    2005): the lowest Pade degree whose theta bounds the 1-norm, else degree
-    13 on A / 2^s squared s times.  A zero matrix gives ``np.eye`` exactly."""
+    """Exponential of every real square matrix of a (..., n, n) stack by
+    scaling and squaring (Higham 2005): the lowest Pade degree whose theta
+    bounds the matrix's 1-norm, else degree 13 on A / 2^s squared s times.
+    The matrices that share a degree and an s share every NumPy call.  A
+    zero matrix gives ``np.eye`` exactly."""
     a = np.asarray(a, dtype=float)
-    n = len(a)
-    # Few, small NumPy calls: on 2 x 2 inputs each call costs more than its flops.
-    cols = np.add.reduce(abs(a)).tolist()
-    if not math.isfinite(sum(cols)):
+    n = a.shape[-1]
+    stack = a.reshape(-1, n, n)
+    cols = np.add.reduce(abs(stack), axis=1)
+    if not np.isfinite(cols.sum(axis=-1)).all():
         raise ValueError("matrix exponential of a non-finite matrix")
-    norm = max(cols, default=0.0)
-    if norm == 0.0:
-        return np.eye(n)
-    for theta, coeffs in _PADE:
-        if norm <= theta:
-            break
-    squarings = max(0, math.ceil(math.log2(norm / theta)))
-    if squarings:
-        a = a * 2.0**-squarings
-    # The even powers I, A^2, A^4, ... times the coefficient rows give V and U / A.
-    powers = np.zeros((len(coeffs[0]), n, n))
-    eye = powers[0]
-    eye.flat[:: n + 1] = 1.0
-    p = powers[1] = a.dot(a)
-    for row in powers[2:]:
-        row[...] = p = p.dot(powers[1])
-    v, u = coeffs.dot(powers.reshape(len(powers), -1)).reshape(2, n, n)
-    u = a.dot(u)
-    # (V - U)^-1 (V + U) = I + 2 (V - U)^-1 U: the correction to I is solved for on its
-    # own, so it keeps its relative accuracy when A is small.
-    r = eye + 2.0 * np.linalg.solve(v - u, u)
-    for _ in range(squarings):
-        r = r.dot(r)
-    return r
+    norms = cols.max(axis=-1, initial=0.0)
+    degree = np.minimum(np.searchsorted(_THETAS, norms), len(_THETAS) - 1)
+    squarings = np.zeros(len(stack), dtype=int)
+    big = np.flatnonzero(norms > _THETAS[-1])
+    # math.log2, whose rounding the squaring count has always had.
+    squarings[big] = [math.ceil(math.log2(norm / _THETAS[-1])) for norm in norms[big].tolist()]
+    out = np.empty_like(stack)
+    for d, s in set(zip(degree.tolist(), squarings.tolist())):
+        idx = np.flatnonzero((degree == d) & (squarings == s))
+        x = stack[idx] * 2.0**-s
+        # The even powers I, A^2, A^4, ... of every matrix times the coefficient rows give V and U / A.
+        powers = np.empty((_COEFFS[d].shape[1], len(idx), n, n))
+        powers[0] = np.eye(n)
+        p = powers[1] = x @ x
+        for row in powers[2:]:
+            row[...] = p = p @ powers[1]
+        v, u = _COEFFS[d].dot(powers.reshape(len(powers), -1)).reshape(2, len(idx), n, n)
+        u = x @ u
+        # (V - U)^-1 (V + U) = I + 2 (V - U)^-1 U: the correction to I is solved for on its own, so it
+        # keeps its relative accuracy when A is small; on A = 0 it is a signed zero, and r is I exactly.
+        r = np.eye(n) + 2.0 * np.linalg.solve(v - u, u)
+        for _ in range(s):
+            r = r @ r
+        out[idx] = r
+    return out.reshape(a.shape)
 
 
 @dataclass(frozen=True)
@@ -231,7 +235,8 @@ def evolution_transport(hamiltonian: np.ndarray | None = None, hbar: float = 1.0
     def matrices_fn(requests, step_) -> list[TransportMatrix]:
         for path, s, t in requests:
             check_parameters(path, s, t)
-        return TransportMatrix._batch([(expm(-(t - s) * generator), path.label, s, t, 0.0) for path, s, t in requests])
+        mats = expm(-np.array([t - s for _, s, t in requests], dtype=float)[:, None, None] * generator)
+        return TransportMatrix._batch([(m, path.label, s, t, 0.0) for m, (path, s, t) in zip(mats, requests)])
 
     transport = TransportAlongPaths(
         kind=KIND_LINEAR_CUSTOM,

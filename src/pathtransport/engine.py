@@ -20,9 +20,9 @@ are reduced pairwise in turn.  Memory therefore grows with the chunk size,
 not with the step count.  The chunks of many requests are integrated
 together, in passes that hold at most one chunk's worth of samples
 (``transport_matrices``); chunks over a path piece whose field is constant
-(its factor's ``Path.steady``, through maps with a slope), and every chunk on
-a geometry whose field is zero, skip the passes: one node each, one kernel
-call for them all.
+(its factor's ``Path.steady``, through maps with a slope) skip the passes:
+one node each, one kernel call for them all.  On a geometry whose field is
+zero no chunk is built: every matrix is the identity, which RK4 gives there.
 
 Matrix orientation: ``L(t, s)`` maps the fibre at parameter s to the fibre at
 parameter t.  The coefficient matrix recovered from a transport is the
@@ -88,9 +88,9 @@ class _Chunk(NamedTuple):
 class _Source(NamedTuple):
     """The field along one smooth piece of a path: ``jet`` evaluates it;
     pieces with equal keys have the same jet.  ``steady`` says that the
-    field is constant along the piece, because the geometry's field is zero
-    or because the velocity and every coordinate the geometry reads are
-    constant: ``transport_matrices`` samples its chunks at one node each."""
+    field is constant along the piece, because the velocity and every
+    coordinate the geometry reads are constant: ``transport_matrices``
+    samples its chunks at one node each."""
 
     key: tuple
     jet: Callable
@@ -414,7 +414,7 @@ def integrate_transport_matrix(coeff_field: Callable, s: float, t: float, step: 
     return TransportMatrix(_chain(mats), s=s, t=t, step=abs(t - s) / n_steps)
 
 
-def _piece_jet(path: Path, piece: tuple[float, float] | None, reads: tuple[int, ...] | None, zero=False) -> _Source:
+def _piece_jet(path: Path, piece: tuple[float, float] | None, reads: tuple[int, ...] | None) -> _Source:
     """The source of one smooth piece of a path: its ``jet(ts)`` gives the
     positions and velocities at parameters of the piece, evaluated through
     the ``jet`` of the smooth factor that the piece runs on
@@ -422,9 +422,8 @@ def _piece_jet(path: Path, piece: tuple[float, float] | None, reads: tuple[int, 
     first, and velocities are scaled back innermost first, as the path's
     own evaluators nest, so the velocities and the ``reads`` coordinates
     equal the path's own evaluation bit for bit.  The source is steady when
-    the geometry's field is zero on every path (``zero``), or when every map
-    has a ``slope`` and the factor states that its velocity and every
-    coordinate in ``reads`` (all of them for None) are constant."""
+    every map has a ``slope`` and the factor states that its velocity and
+    every coordinate in ``reads`` (all of them for None) are constant."""
     factor, maps = (path, ()) if piece is None else smooth_part(path, *piece)
 
     def jet(u):
@@ -439,7 +438,7 @@ def _piece_jet(path: Path, piece: tuple[float, float] | None, reads: tuple[int, 
     read = range(path.dim) if reads is None else reads
     affine = all(chi.slope is not None for chi in maps)
     constant = affine and factor.steady is not None and set(read) <= set(factor.steady)
-    return _Source(key, jet, path, zero or constant)
+    return _Source(key, jet, path, constant)
 
 
 def _check_chart(geometry: BundleGeometry, xs: np.ndarray, path: Path):
@@ -556,7 +555,10 @@ def transport_matrices(
     checked for singularity in one batch.  A geometry that reads no base
     coordinate (``reads == ()``) has constant coefficients; when one
     ``coeffs3`` sample is zero (a non-finite one is not), G = coeffs3 . v is
-    zero on every path, and every chunk is steady.
+    zero on every path: no chunk is built, each request keeps its step and
+    gets the identity, which RK4 gives on G = 0, and the chart, which reads
+    no coordinate either, is checked once, at the first node of the first
+    request with s != t.
     """
     requests = [(path, float(s), float(t)) for path, s, t in requests]
     zero = geometry.reads == () and not coeffs3_batch(geometry, np.zeros((1, geometry.base_dim))).any()
@@ -572,9 +574,13 @@ def transport_matrices(
             for a, b in zip(nodes[:-1], nodes[1:]):
                 n_steps = _step_count(abs(b - a), step, (abs(a - s) / abs(t - s), abs(b - s) / abs(t - s)))
                 used = max(used, abs(b - a) / n_steps)
-                source = _piece_jet(path, (min(a, b), max(a, b)), geometry.reads, zero)
-                chunks += _split(a, b, n_steps, (a in bps, b in bps), source)
+                if not zero:
+                    source = _piece_jet(path, (min(a, b), max(a, b)), geometry.reads)
+                    chunks += _split(a, b, n_steps, (a in bps, b in bps), source)
         plans[id(path), s, t] = (path, s, t, chunks, used)
+    first = next(((path, s) for path, s, t, *_ in plans.values() if s != t), None) if zero else None
+    if first:
+        _check_chart(geometry, np.atleast_2d(position_at(*first)), first[0])
     chunks = [c for *_, request_chunks, _ in plans.values() for c in request_chunks]
     # Chunks with one jet run side by side, so a pass evaluates each jet once.
     rank = {key: k for k, key in enumerate(dict.fromkeys(c.source.key for c in chunks))}

@@ -209,11 +209,52 @@ def test_expm_of_zero_is_identity_bit_for_bit(n, zero):
 
 
 def test_expm_rejects_non_finite_matrices():
-    # A column of zeros must not hide a NaN in another column.
+    # A column of zeros must not hide a NaN in another column, nor a finite
+    # matrix one in another matrix of the stack.
     for bad in (np.nan, np.inf, -np.inf):
         for m in ([[bad, 0.0], [0.0, 1.0]], [[0.0, 0.0], [0.0, bad]]):
             with pytest.raises(ValueError):
                 catalog_module.expm(np.array(m))
+        for k in range(3):
+            stack = np.tile(0.3 * pt.complex_structure(1), (3, 1, 1))
+            stack[k, 1, 0] = bad
+            with pytest.raises(ValueError):
+                catalog_module.expm(stack)
+
+
+def pade_choice(m) -> tuple[int, int]:
+    """The Pade degree index and squaring count that the 1-norm of m picks."""
+    norm = one_norm(m)
+    for k, theta in enumerate(catalog_module._THETAS.tolist()):
+        if norm <= theta:
+            return k, 0
+    return k, math.ceil(math.log2(norm / theta))
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_a_stack_is_exponentiated_as_each_matrix_alone(n):
+    # Every Pade degree, 0 to 6 squarings, zero and -0.0 entries, shuffled
+    # into one stack.  (Not 1 x 1: a stack of them forms V and U in one matrix
+    # product, where one alone takes a matrix-vector product, which rounds
+    # otherwise.)
+    rng = np.random.default_rng(n)
+    thetas = catalog_module._THETAS.tolist()
+    norms = [f * theta for theta in thetas for f in (0.6, 0.9)]
+    norms += [f * thetas[-1] * 2.0**s for s in range(1, 7) for f in (0.6, 0.9)]
+    mats = [np.zeros((n, n)), np.full((n, n), -0.0)]
+    for norm in norms:
+        for _ in range(3):
+            m = rng.standard_normal((n, n))
+            m[rng.random((n, n)) < 0.3] = 0.0
+            m *= norm / one_norm(m)
+            m[rng.random((n, n)) < 0.2] = -0.0
+            mats.append(m)
+    stack = np.array(mats)[rng.permutation(len(mats))]
+    assert {pade_choice(m) for m in stack if one_norm(m)} == {(k, 0) for k in range(5)} | {(4, s) for s in range(1, 7)}
+    got = catalog_module.expm(stack)
+    assert got.shape == stack.shape
+    assert [m.tobytes() for m in got] == [catalog_module.expm(m).tobytes() for m in stack]
+    assert catalog_module.expm(stack[None]).tobytes() == got.tobytes()
 
 
 def test_expm_is_the_in_house_catalog_function(monkeypatch):
@@ -221,9 +262,9 @@ def test_expm_is_the_in_house_catalog_function(monkeypatch):
     # evolution transport must look it up there on every call.
     assert catalog_module.expm.__module__ == "pathtransport.catalog"
     calls = []
-    monkeypatch.setattr(catalog_module, "expm", lambda a: calls.append(a) or np.eye(len(a)))
+    monkeypatch.setattr(catalog_module, "expm", lambda a: calls.append(a) or np.broadcast_to(np.eye(2), a.shape))
     pt.evolution_transport().transport.matrix(pt.segment([0.0], [1.0]), 0.0, 0.5)
-    assert len(calls) == 1
+    assert len(calls) == 1 and calls[0].shape == (1, 2, 2)
 
 
 # --- evolution transport -----------------------------------------------------------

@@ -141,10 +141,10 @@ def heap_probe_module():
 
 def test_heap_probe_summary_per_job_kind():
     records = [
-        ("triangle:sphere", 0.050, 0, 600_000),
-        ("latitude:sphere", 0.100, 3, 450_000),
-        ("triangle:sphere", 0.070, 10, 0),
-        ("triangle:sphere", 0.060, 2, 650_000),
+        ("triangle:sphere", 0.050, 0, 600_000, (40_000, 41_000)),
+        ("latitude:sphere", 0.100, 3, 450_000, (41_000, 41_000)),
+        ("triangle:sphere", 0.070, 10, 0, (41_000, 41_500)),
+        ("triangle:sphere", 0.060, 2, 650_000, (41_500, 41_984)),
     ]
     rows = heap_probe_module().summarize(records)
     assert [row["kind"] for row in rows] == ["triangle:sphere", "latitude:sphere"]
@@ -152,10 +152,34 @@ def test_heap_probe_summary_per_job_kind():
     assert tri["jobs"] == 3 and abs(tri["wall_ms"] - 60.0) < 1e-9
     assert tri["faults_median"] == 2 and tri["faults_total"] == 12
     assert tri["pass_peak_kb"] == 650.0
+    assert tri["rss_mb"] == 41.0 and tri["rss_rise_kb"] == 1984
     assert lat == {
         "kind": "latitude:sphere", "jobs": 1, "wall_ms": 100.0, "faults_median": 3, "faults_total": 3,
-        "pass_peak_kb": 450.0,
+        "rss_mb": 41_000 / 1024, "rss_rise_kb": 0, "pass_peak_kb": 450.0,
     }
+
+
+def test_heap_probe_takes_the_workload_to_probe():
+    tool = heap_probe_module()
+    assert tool.parse_args([]).workload == "holonomy-fine"
+    assert tool.parse_args(["--workload", "laws-suite"]).workload == "laws-suite"
+    with pytest.raises(SystemExit):
+        tool.parse_args(["--workload", "nope"])
+
+    class Job:
+        kind, params = "check-laws:flat", {}
+
+        def run(self):
+            return {}
+
+        def check(self, out):
+            return types.SimpleNamespace(ok=True, detail="")
+
+    asked = []
+    wl = types.SimpleNamespace(cycle=lambda workload, seed, index, outdir: asked.append(workload) or [Job()])
+    [(kind, wall, faults, peak, (before, after))] = tool.run_cycle(wl, "laws-suite", 4, 0, None)
+    assert asked == ["laws-suite"] and kind == "check-laws:flat" and peak == 0
+    assert wall >= 0 and faults >= 0 and 0 < before <= after
 
 
 def test_pass_split_summary_per_job_kind():

@@ -6,7 +6,8 @@ each chunk.  ``transport_matrices`` samples every such chunk of a call at its
 first node, in one sampler call, and hands the kernel one sample per chunk;
 the kernel forms one transition per chunk and reduces its n equal copies by
 ``engine._uniform_product``.  A geometry that reads no coordinate and whose
-``coeffs3`` is zero makes every chunk steady, whatever the path.  The kernel
+``coeffs3`` is zero builds no chunk at all: every matrix is the identity,
+whatever the path.  The kernel
 tests here compare bit for bit against the general kernel formulas, built
 from ``_matmul`` and ``_ordered_product``; the integration tests compare
 against the same run on a geometry that declares nothing, where every pass
@@ -434,7 +435,7 @@ def test_the_reads_aware_jet_changes_no_bit_of_a_great_circle_loop(entry_id, cat
     assert any(np.isnan(phi).all() for phi in azimuths)
     azimuths.clear()
     piece_jet = engine._piece_jet
-    monkeypatch.setattr(engine, "_piece_jet", lambda path, piece, reads, zero: piece_jet(path, piece, None, zero))
+    monkeypatch.setattr(engine, "_piece_jet", lambda path, piece, reads: piece_jet(path, piece, None))
     every = pt.transport_matrix_over_path(geometry, loop, 0.0, 1.0, step=1e-4).value
     assert not any(np.isnan(phi).any() for phi in azimuths)
     assert aware.tobytes() == every.tobytes()
@@ -506,7 +507,7 @@ def recorded_transport_matrices(monkeypatch) -> tuple:
 
 def test_check_laws_on_flat_runs_no_pass_and_changes_no_bit(tmp_path, monkeypatch):
     # flat reads no coordinate and its one coeffs3 sample is zero, so its
-    # field is zero on every path: every chunk is steady, whatever the path.
+    # field is zero on every path: no chunk is built, whatever the path.
     from pathtransport.cli import main
 
     passes = counted_passes(monkeypatch)
@@ -522,22 +523,45 @@ def test_check_laws_on_flat_runs_no_pass_and_changes_no_bit(tmp_path, monkeypatc
     assert len(passes) > 100
 
 
-def test_check_laws_on_flat_makes_one_steady_kernel_call_per_call(tmp_path, monkeypatch):
-    # Every chunk is steady, and the steady chunks of a call, whatever their
-    # step counts, are powered in one kernel call.
+def test_check_laws_on_flat_makes_no_kernel_call_and_no_jet_call(tmp_path, monkeypatch):
+    # The zero field builds no chunk: no node is sampled and no transition is
+    # formed; the previous test pins the bits and the reported steps.
     from pathtransport.cli import main
 
-    kernel, rk4 = [], engine._rk4_transitions
-
-    def counting(g, h, lengths, n_steps):
-        kernel.append(len(set(lengths.tolist())))  # the distinct step counts of the call
-        return rk4(g, h, lengths, n_steps)
-
-    monkeypatch.setattr(engine, "_rk4_transitions", counting)
+    kernel, jets, rk4, piece_jet = [], [], engine._rk4_transitions, engine._piece_jet
+    monkeypatch.setattr(engine, "_rk4_transitions", lambda *args: kernel.append(args) or rk4(*args))
+    monkeypatch.setattr(engine, "_piece_jet", lambda *args: jets.append(args) or piece_jet(*args))
     calls, _ = recorded_transport_matrices(monkeypatch)
     assert main(["check-laws", "--geometry", "flat", "--seed", "4", "--out", str(tmp_path)]) == 0
-    assert len(kernel) == len(calls) == 7
-    assert max(kernel) > 1  # a call whose steady chunks have several step counts
+    assert len(calls) == 7 and kernel == [] and jets == []
+
+
+def zero_geometry(chart_domain):
+    """flat's geometry on R^2 with the given chart."""
+    return dataclasses.replace(pt.flat_bundle().geometry, chart_domain=chart_domain)
+
+
+def test_a_zero_field_checks_its_chart_once_and_names_the_first_moving_request(rng):
+    seen = []
+    geometry = zero_geometry(lambda xs: seen.append(np.shape(xs)) or False)
+    a, b = pt.random_paths(rng, 2, dim=2, box=((-1.0, 1.0), (-1.0, 1.0)))
+    # A request with s == t has no node, so the error names the next path.
+    requests = [(b, 0.5, 0.5), (a, 0.0, 1.0), (b, 1.0, 0.0)]
+    with pytest.raises(ChartDomainError, match=a.label):
+        pt.transport_matrices(geometry, requests, step=1e-3)
+    assert seen == [(1, 2)]
+
+
+def test_a_zero_field_on_an_accepting_chart_gives_the_identity(rng):
+    seen = []
+    geometry = zero_geometry(lambda xs: seen.append(np.shape(xs)) or True)
+    paths = pt.random_paths(rng, 3, dim=2, box=((-1.0, 1.0), (-1.0, 1.0)))
+    requests = [(p, s, t) for p in paths for s, t in ((0.0, 1.0), (0.9, 0.2))]
+    got = pt.transport_matrices(geometry, requests, step=1e-3)
+    assert seen == [(1, 2)]
+    assert all(m.value.tobytes() == np.eye(2).tobytes() for m in got)
+    back = abs(0.2 - 0.9)
+    assert [m.step for m in got] == [1e-3, back / math.ceil(back / 1e-3)] * 3
 
 
 def constant_geometry(gamma, reads=()):
