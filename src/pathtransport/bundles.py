@@ -83,14 +83,45 @@ class FibreVector:
         object.__setattr__(self, "base_point", bp)
         object.__setattr__(self, "components", comps)
 
+    @classmethod
+    def _batch(cls, base_points, components) -> list[FibreVector]:
+        """One vector per base point and row of components, as built directly
+        but with one finiteness check over the batch; the rows are views of
+        two read-only arrays.  When the check fails, the vectors are built
+        directly up to the first that raises."""
+        bps, comps = np.array(base_points, dtype=float), np.array(components, dtype=float)
+        if not (np.isfinite(bps).all() and np.isfinite(comps).all()):
+            for x, c in zip(bps, comps):
+                cls(x, c)
+        bps.setflags(write=False)
+        comps.setflags(write=False)
+        rows = list(zip(bps, comps))
+        vectors = [object.__new__(cls) for _ in rows]
+        for u, (x, c) in zip(vectors, rows):
+            u.__dict__.update(base_point=x, components=c)
+        return vectors
 
-def require_attached(u: FibreVector, x: np.ndarray, fibre_dim: int) -> None:
-    """The attachment rule: u sits within ``BASE_POINT_TOL`` of the chart point
-    x in every coordinate, and has ``fibre_dim`` components."""
-    if u.base_point.shape != x.shape or float(np.max(np.abs(u.base_point - x))) > BASE_POINT_TOL:
-        raise ChartDomainError(f"fibre vector at {u.base_point.tolist()} is not attached to the path point {x.tolist()}")
-    if u.components.shape != (fibre_dim,):
-        raise ChartDomainError(f"components of shape {u.components.shape} do not match fibre dimension {fibre_dim}")
+
+def require_attached(vectors: Sequence[FibreVector], points: Sequence[np.ndarray], fibre_dim: int) -> None:
+    """The attachment rule, for each fibre vector and its chart point: the
+    vector sits within ``BASE_POINT_TOL`` of the point in every coordinate
+    and has ``fibre_dim`` components.  One stacked comparison decides the
+    batch; only when it fails are the pairs checked one by one, so that the
+    first pair that breaks the rule raises its error."""
+    try:
+        bps, xs = np.stack([u.base_point for u in vectors]), np.stack(points)
+        comps = np.stack([u.components for u in vectors])
+        if bps.shape == xs.shape and comps.shape[1:] == (fibre_dim,) and (abs(bps - xs) <= BASE_POINT_TOL).all():
+            return
+    except ValueError:  # an empty batch, or shapes that do not stack
+        pass
+    for u, x in zip(vectors, points):
+        if u.base_point.shape != x.shape or float(np.max(np.abs(u.base_point - x))) > BASE_POINT_TOL:
+            raise ChartDomainError(
+                f"fibre vector at {u.base_point.tolist()} is not attached to the path point {x.tolist()}"
+            )
+        if u.components.shape != (fibre_dim,):
+            raise ChartDomainError(f"components of shape {u.components.shape} do not match fibre dimension {fibre_dim}")
 
 
 def require_in_chart(geometry: BundleGeometry, x) -> np.ndarray:

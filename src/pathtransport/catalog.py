@@ -275,8 +275,8 @@ def nonlinear_fixture(alpha: float = 0.1) -> GeometryCatalogEntry:
             denom = 1.0 - a * float(c @ (x_t - x_s)) * np.asarray(u.components)
             if np.any(denom <= 0.05):
                 raise SingularCoefficientError("nonlinear flow diverges for this weight/vector combination")
-            out.append(FibreVector(x_t, np.asarray(u.components) / denom))
-        return out
+            out.append(np.asarray(u.components) / denom)
+        return FibreVector._batch(ends[1::2], out)
 
     transport = TransportAlongPaths(
         kind=KIND_GENERIC,

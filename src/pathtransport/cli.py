@@ -38,7 +38,7 @@ from .laws import (
     law_reports_table,
     make_parallel_fixtures,
 )
-from .paths import parse_key_values, parse_path_spec, parse_scalar, parse_vector, position_at
+from .paths import parse_key_values, parse_path_spec, parse_scalar, parse_vector, position_at, positions_at
 from .transports import KIND_GENERIC, parallel_from_transport, transport_from_parallel
 
 OUTDIR_ENV = "PATHTRANSPORT_OUTDIR"
@@ -252,13 +252,15 @@ def _cmd_roundtrip(args) -> int:
     rng = np.random.default_rng(args.seed)
     back = transport_from_parallel(parallel_from_transport(transport, step=args.step))
     paths = sample_paths(entry, rng, args.samples)
-    requests = []
+    draws = []
     for p in paths:
         lo, hi = p.domain
         s, t = rng.uniform(lo, hi, size=2)
         if not transport.is_linear and t < s:
             s, t = t, s
-        requests.append((p, s, t, FibreVector(position_at(p, s), rng.standard_normal(transport.fibre_dim))))
+        draws.append((p, s, t, rng.standard_normal(transport.fibre_dim)))
+    us = FibreVector._batch(positions_at([(p, s) for p, s, *_ in draws]), [comps for *_, comps in draws])
+    requests = [(p, s, t, u) for (p, s, t, _), u in zip(draws, us)]
     residual = 0.0
     direct = transport.apply_many(requests, step=args.step)
     for a, b in zip(direct, back.apply_many(requests, step=args.step)):

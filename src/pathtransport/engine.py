@@ -640,7 +640,7 @@ def horizontal_lift(
     s0 = float(s0)
     check_parameters(path, s0, s0)
     x0 = position_at(path, s0)
-    require_attached(u, x0, geometry.fibre_dim)
+    require_attached([u], [x0], geometry.fibre_dim)
     ts = np.sort(np.asarray(grid, dtype=float))
     comps = np.empty((ts.size, geometry.fibre_dim))
     # March outward from s0 in both directions, reusing partial products.
@@ -670,6 +670,9 @@ def coefficients_from_transport(
     carrying the fibre at a to the fibre at b.  The coefficients are the
     central difference of the inverse-oriented matrices,
     ``G(s) = [L(s+h, s)^(-1) - L(s-h, s)^(-1)] / (2h)``, accurate to O(h^2).
+    The evaluator may also return ``(..., r, r)`` stacks of matrices; all of
+    them are inverted in one stacked call, and the coefficients form the
+    same stack.
     """
 
     def value(a, b):
@@ -677,8 +680,7 @@ def coefficients_from_transport(
         return out.value if isinstance(out, TransportMatrix) else np.asarray(out, dtype=float)
 
     try:
-        plus = np.linalg.inv(value(s, s + h))
-        minus = np.linalg.inv(value(s, s - h))
+        plus, minus = np.linalg.inv(np.stack([value(s, s + h), value(s, s - h)]))
     except np.linalg.LinAlgError as exc:
         raise NonInvertibleError(f"transport matrix near s={s} is not invertible") from exc
     return TransportCoefficients((plus - minus) / (2 * h), path_id=path_id, s=float(s))
@@ -686,15 +688,13 @@ def coefficients_from_transport(
 
 def _probe_coefficients(transport, probes, step: float | None) -> list[np.ndarray]:
     """Coefficient matrices of a transport at x along the straight probe
-    ``line_through(x, v)``, for each ``(x, v)`` of ``probes``; one batch of transports."""
+    ``line_through(x, v)``, for each ``(x, v)`` of ``probes``: one batch of
+    transports, differenced as one stack."""
     lines = [line_through(x, v) for x, v in probes]
-    mats = iter(transport.matrices([(p, 0.0, 0.0 + h) for p in lines for h in (FD_STEP, -FD_STEP)], step=step))
-    out = []
-    for p in lines:
-        plus, minus = next(mats), next(mats)
-        coeff = coefficients_from_transport(lambda a, b: plus if b > a else minus, 0.0, path_id=p.label)
-        out.append(coeff.value)
-    return out
+    mats = transport.matrices([(p, 0.0, 0.0 + h) for p in lines for h in (FD_STEP, -FD_STEP)], step=step)
+    r = transport.fibre_dim
+    values = np.reshape([m.value for m in mats], (-1, r, r))
+    return list(coefficients_from_transport(lambda a, b: values[0::2] if b > a else values[1::2], 0.0).value)
 
 
 def factorization_test(

@@ -26,6 +26,7 @@ from .paths import (
     line_through,
     point_path,
     position_at,
+    positions_at,
     product_canonical,
     reparametrize,
     restrict,
@@ -250,10 +251,8 @@ def _groupoid_steps(transport, path, triples, u_samples, samples, seed, toleranc
     triples = np.asarray(triples, dtype=float)
     if u_samples is None:
         u_samples = random_components(rng, len(triples), transport.fibre_dim)
-    rows = [
-        (r_, s_, t_, FibreVector(position_at(path, r_), comps))
-        for (r_, s_, t_), comps in zip(triples, np.asarray(u_samples, dtype=float))
-    ]
+    starts = FibreVector._batch(positions_at([(path, r_) for r_, _, _ in triples]), u_samples)
+    rows = [(r_, s_, t_, u) for (r_, s_, t_), u in zip(triples, starts)]
     # v = L(s, r) u and L(t, r) u; then w = L(t, s) v and L(s, s) v; then L(s, t) w.
     out = yield [(path, r_, s_, u) for r_, s_, _, u in rows] + [(path, r_, t_, u) for r_, _, t_, u in rows]
     vs, directs = _runs(out, len(rows), len(rows))
@@ -305,20 +304,28 @@ def _parametrization_steps(transport, path, subintervals, reparams, pairs_per_fi
         subintervals = list(zip(starts, ends))
     if reparams is None:
         reparams = default_reparams(path.domain)
-    # Pairs of requests whose results must agree.
-    requests = []
+    # Pairs of requests whose results must agree, each with the start of its
+    # fibre vector and that vector's components.
+    pairs = []
     for sub in subintervals:
         piece = restrict(path, (float(sub[0]), float(sub[1])))
         for _ in range(pairs_per_fixture):
             s_, t_ = rng.uniform(piece.domain[0], piece.domain[1], size=2)
-            u = FibreVector(position_at(path, s_), rng.standard_normal(transport.fibre_dim))
-            requests += [(piece, s_, t_, u), (path, s_, t_, u)]
+            pairs.append(((piece, s_, t_), (path, s_, t_), (path, s_), rng.standard_normal(transport.fibre_dim)))
     for chi in reparams:
         composed = reparametrize(path, chi)
         for _ in range(pairs_per_fixture):
             s_, t_ = rng.uniform(chi.source[0], chi.source[1], size=2)
-            u = FibreVector(position_at(composed, s_), rng.standard_normal(transport.fibre_dim))
-            requests += [(composed, s_, t_, u), (path, float(chi.map(s_)), float(chi.map(t_)), u)]
+            pairs.append(
+                (
+                    (composed, s_, t_),
+                    (path, float(chi.map(s_)), float(chi.map(t_))),
+                    (composed, s_),
+                    rng.standard_normal(transport.fibre_dim),
+                )
+            )
+    starts = FibreVector._batch(positions_at([start for *_, start, _ in pairs]), [comps for *_, comps in pairs])
+    requests = [(*request, u) for (*both, _, _), u in zip(pairs, starts) for request in both]
     out = yield requests
     return LawReport("parametrization", len(requests) // 2, _worst(zip(out[0::2], out[1::2])), tolerance, seed=seed)
 
@@ -408,22 +415,24 @@ def check_parallel_axioms(
     path, and point-path identity.  Respects only orientation-preserving
     reparametrizations, per the invariance axiom."""
     rng = np.random.default_rng(seed)
-    r = psi.fibre_dim
-
-    def u_at(path: Path) -> FibreVector:
-        return FibreVector(position_at(path, path.domain[0]), rng.standard_normal(r))
-
-    # The fibre vectors are drawn axiom by axiom, as the checks read them;
-    # the transports run in two batches.
+    canonical, pairs, points = fixtures.canonical_paths, fixtures.composable_pairs, fixtures.point_paths
     rep = [
-        (reparametrize(path, chi), path, u_at(path))
-        for path in fixtures.canonical_paths
+        (reparametrize(path, chi), path)
+        for path in canonical
         for chi in fixtures.reparams
         if chi.orientation == "preserving"
     ]
-    inv = [(path, u_at(path)) for path in fixtures.canonical_paths]
-    prod = [(p1, p2, u_at(p1)) for p1, p2 in fixtures.composable_pairs]
-    pts = [(pp, u_at(pp)) for pp in fixtures.point_paths]
+    # Each fibre vector sits at the start of the path it leaves from.  They are
+    # drawn axiom by axiom, as the checks read them; the transports run in two batches.
+    starts = [path for _, path in rep] + list(canonical) + [p1 for p1, _ in pairs] + list(points)
+    us = FibreVector._batch(
+        positions_at([(path, path.domain[0]) for path in starts]), rng.standard_normal((len(starts), psi.fibre_dim))
+    )
+    u_rep, u_inv, u_prod, u_pts = _runs(us, len(rep), len(canonical), len(pairs), len(points))
+    rep = [(composed, path, u) for (composed, path), u in zip(rep, u_rep)]
+    inv = list(zip(canonical, u_inv))
+    prod = [(p1, p2, u) for (p1, p2), u in zip(pairs, u_prod)]
+    pts = list(zip(points, u_pts))
     out = psi.apply_many(
         [(composed, u) for composed, _, u in rep]
         + [(path, u) for _, path, u in rep]

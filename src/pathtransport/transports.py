@@ -82,15 +82,22 @@ class TransportAlongPaths:
     ) -> tuple[list[FibreVector], Optional[list[TransportMatrix]]]:
         """``apply_many``'s results and the matrices that carried them: a
         linear transport applies each request's matrix to its u, a generic
-        one has no matrices (None)."""
+        one has no matrices (None).  One ``positions_at`` call places the
+        start of every request, and for a linear transport its end; the
+        attachment rule runs once over the batch (``require_attached``), and
+        the results are built in one batch (``FibreVector._batch``)."""
         requests = [(path, float(s), float(t), u) for path, s, t, u in requests]
-        for (*_, u), x_s in zip(requests, positions_at([(path, s) for path, s, _, _ in requests])):
-            require_attached(u, x_s, self.fibre_dim)
+        at = [(path, s) for path, s, _, _ in requests]
+        if self._apply_many_fn is None:
+            # The results' base points, in the same call; a generic realization places its own.
+            at += [(path, t) for path, _, t, _ in requests]
+        points = positions_at(at)
+        require_attached([u for *_, u in requests], points[: len(requests)], self.fibre_dim)
         if self._apply_many_fn is not None:
             return self._apply_many_fn(requests, step), None
         mats = self.matrices([request[:3] for request in requests], step=step)
-        ends = positions_at([(path, t) for path, _, t, _ in requests])
-        return [FibreVector(x_t, m.value @ u.components) for (*_, u), m, x_t in zip(requests, mats, ends)], mats
+        comps = [m.value @ u.components for (*_, u), m in zip(requests, mats)]
+        return FibreVector._batch(points[len(requests) :], comps), mats
 
     def apply(self, path: Path, s: float, t: float, u: FibreVector, *, step: float | None = None) -> FibreVector:
         """Carry the fibre vector u from path(s) to path(t)."""
@@ -157,17 +164,20 @@ def transport_from_parallel(psi: ParallelTransport) -> TransportAlongPaths:
         return forward, backward
 
     def matrices_fn(requests, step_):
-        inner = {}
-        for side in split(requests):
-            inner.update(zip([i for i, _ in side], psi.matrices([piece for _, piece in side])))
+        forward, backward = split(requests)
+        ahead = psi.matrices([piece for _, piece in forward])
+        done = {i: (m.value, m.step) for (i, _), m in zip(forward, ahead)}
+        behind = psi.matrices([piece for _, piece in backward])
+        if behind:
+            # The backward matrices are inverted in one stacked call.
+            try:
+                inverses = np.linalg.inv(np.stack([m.value for m in behind]))
+            except np.linalg.LinAlgError as exc:
+                raise InverseUnavailableError("parallel transport matrix is singular") from exc
+            done.update((i, (value, m.step)) for (i, _), value, m in zip(backward, inverses, behind))
         rows = []
         for i, (path, s, t) in enumerate(requests):
-            value, step = (np.eye(psi.fibre_dim), 0.0) if s == t else (inner[i].value, inner[i].step)
-            if s > t:
-                try:
-                    value = np.linalg.inv(value)
-                except np.linalg.LinAlgError as exc:
-                    raise InverseUnavailableError("parallel transport matrix is singular") from exc
+            value, step = done.get(i, (np.eye(psi.fibre_dim), 0.0))
             rows.append((value, path.label, s, t, step))
         return TransportMatrix._batch(rows)
 

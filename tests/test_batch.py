@@ -8,7 +8,14 @@ import pytest
 
 import pathtransport as pt
 from pathtransport import engine
-from pathtransport.errors import ChartDomainError, IntervalError, SpecFormatError
+from pathtransport.errors import (
+    ChartDomainError,
+    IntervalError,
+    InverseUnavailableError,
+    NonInvertibleError,
+    SingularCoefficientError,
+    SpecFormatError,
+)
 from pathtransport.laws import merge_reports
 
 CHUNK = engine._CHUNK_STEPS
@@ -230,21 +237,174 @@ def test_apply_many_through_a_parallel_transport_equals_the_loop(catalog, entry)
 
 def test_positions_at_batches_per_evaluator_and_equals_position_at():
     rng = np.random.default_rng(8)
-    bezier, other = pt.random_paths(rng, 2, dim=2, box=BOX)
-    prod = pt.product_canonical(bezier, pt.segment(bezier.at(1.0), [1.0, -0.5]))
-    lat = pt.latitude(1.2)
     calls = []
 
     def counted(path):
         return dataclasses.replace(path, position=lambda s, f=path.position: calls.append(np.ndim(s)) or f(s))
 
-    bezier, prod, lat, other = counted(bezier), counted(prod), counted(lat), counted(other)
+    bezier, other = (counted(p) for p in pt.random_paths(rng, 2, dim=2, box=BOX))
+    prod = pt.product_canonical(bezier, counted(pt.segment(bezier.at(1.0), [1.0, -0.5])))
+    lat = counted(pt.latitude(1.2))
+    calls.clear()
     pairs = [(bezier, 0.3), (pt.restrict(bezier, (0.2, 0.8)), 0.7), (prod, 0.5), (lat, 5.0), (bezier, 1.0)]
     pairs += [(prod, 0.9), (pt.restrict(lat, (1.0, 2.0)), 1.5), (other, 0.0)]
     got = pt.paths.positions_at(pairs)
-    assert calls == [1, 1, 1, 0]  # one batched call per shared evaluator, a scalar call for ``other``
+    # One batched call per shared evaluator: the product's junction parameter
+    # joins the Bezier's batch; a scalar call for the segment half and ``other``.
+    assert calls == [1, 1, 0, 0]
     calls.clear()
     assert all(np.array_equal(x, pt.paths.position_at(path, s)) for x, (path, s) in zip(got, pairs))
+
+
+def test_positions_at_reaches_every_composed_path_through_one_bezier_call():
+    # Restrictions, the four default reparametrizations, the canonical
+    # inverse and product halves of one Bezier all end on its evaluator:
+    # one batched call, each point equal to ``position_at`` byte for byte,
+    # also on the junctions.
+    calls = []
+    base = pt.random_paths(np.random.default_rng(21), 1, dim=2, box=BOX)[0]
+    bezier = dataclasses.replace(base, position=lambda s: calls.append(np.ndim(s)) or base.position(s))
+    left, right = pt.split_canonical(bezier)
+    inverse = pt.invert_canonical(bezier)
+    halves = pt.product_canonical(left, right)
+    there_and_back = pt.product_canonical(pt.product_canonical(left, right), inverse)
+    pairs = [(pt.restrict(bezier, (0.2, 0.7)), s) for s in (0.2, 0.45, 0.7)]
+    pairs += [(pt.restrict(halves, (0.25, 0.9)), s) for s in (0.25, 0.5, 0.9)]
+    for chi in pt.laws.default_reparams(bezier.domain):
+        composed = pt.reparametrize(bezier, chi)
+        pairs += [(composed, s) for s in (*chi.source, 0.5 * sum(chi.source))]
+    pairs += [(inverse, s) for s in (0.0, 0.3, 1.0)]
+    pairs += [(halves, s) for s in (0.0, 0.25, 0.5, 0.5000000001, 1.0)]
+    pairs += [(there_and_back, s) for s in (0.25, 0.5, 0.6, 0.75, 1.0)] + [(left, 1.0), (right, 0.0)]
+    calls.clear()  # the products' junction checks
+    got = pt.paths.positions_at(pairs)
+    assert calls == [1]
+    for x, (path, s) in zip(got, pairs):
+        assert x.tobytes() == pt.paths.position_at(path, s).tobytes()
+
+
+def test_check_laws_on_flat_makes_few_bezier_position_calls(tmp_path, monkeypatch):
+    # Each law fixture places its fibre vectors in one positions_at call,
+    # and each apply batch places its starts and ends in one: 1207 calls
+    # (991 of them scalar) when every vector was placed on its own.
+    from pathtransport.cli import main
+
+    calls, bezier = [], pt.laws._bezier_path
+
+    def counted(*args, **kwargs):
+        path = bezier(*args, **kwargs)
+        return dataclasses.replace(path, position=lambda s, f=path.position: calls.append(np.ndim(s)) or f(s))
+
+    monkeypatch.setattr(pt.laws, "_bezier_path", counted)
+    assert main(["check-laws", "--geometry", "flat", "--seed", "4", "--out", str(tmp_path)]) == 0
+    assert (len(calls), calls.count(0)) == (286, 75)
+
+
+def batch_requests(entry, count=5):
+    """Forward and backward requests on sampled paths, each vector attached to its start."""
+    rng = np.random.default_rng(31)
+    paths = pt.sample_paths(entry, rng, count)
+    requests = []
+    for path, (s, t) in zip(paths, rng.uniform(0.0, 1.0, size=(count, 2))):
+        requests.append((path, s, t, pt.FibreVector(path.at(s), rng.standard_normal(entry.transport.fibre_dim))))
+    return requests
+
+
+def test_apply_many_places_and_checks_a_batch_at_once(catalog, monkeypatch):
+    # One positions_at call for the starts and ends, one attachment check and
+    # no vector built one by one.
+    from pathtransport import transports
+
+    transport = catalog["sphere"].transport
+    requests = batch_requests(catalog["sphere"])
+    expected = transport.apply_many(requests, step=1e-2)
+    seen = {"positions_at": [], "require_attached": [], "__post_init__": []}
+    for module, name in ((transports, "positions_at"), (transports, "require_attached"), (pt.FibreVector, "__post_init__")):
+        original = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args, _f=original, _n=name: seen[_n].append(args) or _f(*args))
+    got = transport.apply_many(requests, step=1e-2)
+    assert [len(args[0]) for args in seen["positions_at"]] == [2 * len(requests)]
+    assert len(seen["require_attached"]) == 1 and seen["__post_init__"] == []
+    assert_same_vectors(got, expected)
+    assert all(not (u.base_point.flags.writeable or u.components.flags.writeable) for u in got)
+
+
+def error_of(call):
+    with pytest.raises(ChartDomainError) as info:
+        call()
+    return str(info.value)
+
+
+@pytest.mark.parametrize("entry", ["flat", "nonlinear"])
+@pytest.mark.parametrize("k", [0, 3])
+def test_a_batch_raises_the_error_of_its_first_detached_or_misshapen_request(catalog, entry, k):
+    transport = catalog[entry].transport
+    requests = batch_requests(catalog[entry])
+    path, s, t, u = requests[k]
+    detached = pt.FibreVector(u.base_point + 1e-6, u.components)
+    misshapen = pt.FibreVector(u.base_point, np.append(u.components, 1.0))
+    later = pt.FibreVector(requests[4][3].base_point - 1e-6, requests[4][3].components)
+    for bad in (detached, misshapen):
+        batch = requests[:k] + [(path, s, t, bad)] + requests[k + 1 : 4] + [(*requests[4][:3], later)]
+        message = error_of(lambda: transport.apply_many(batch))
+        assert message == error_of(lambda: transport.apply(path, s, t, bad))
+        assert message.startswith("fibre vector at" if bad is detached else "components of shape (3,)")
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered in det:RuntimeWarning")
+@pytest.mark.parametrize("k", [0, 3])
+def test_a_batch_raises_the_error_of_its_first_non_finite_result(catalog, k):
+    flat = catalog["flat"].transport
+    requests = batch_requests(catalog["flat"])
+    blown = {k: np.array([[np.inf, 0.0], [0.0, 1.0]]), 4: np.array([[1.0, 0.0], [0.0, np.nan]])}
+
+    def matrices_fn(batch, step):
+        mats = flat.matrices(batch, step=step)
+        return [pt.TransportMatrix(blown.get(i, m.value)) for i, m in enumerate(mats)]
+
+    transport = pt.TransportAlongPaths(kind="linear-custom", base_dim=2, fibre_dim=2, matrices_fn=matrices_fn)
+    message = error_of(lambda: transport.apply_many(requests))
+    path, s, t, u = requests[k]
+    x_t, comps = path.at(t), blown[k] @ u.components
+    assert message == error_of(lambda: pt.FibreVector(x_t, comps))
+    assert message.startswith("components [inf, ") or message.startswith("components [-inf, ")
+
+
+def test_probe_and_backward_inverses_take_one_stacked_call(sphere_entry, monkeypatch):
+    inverses, inv = [], np.linalg.inv
+    monkeypatch.setattr(np.linalg, "inv", lambda a: inverses.append(np.shape(a)) or inv(a))
+    # Two coordinate probes, 8 drawn velocities and the zero velocity, each at +-FD_STEP.
+    assert pt.factorization_test(sphere_entry.transport, [1.1, 0.3], step=1e-3).factorizable
+    assert inverses == [(2, 11, 2, 2)]
+    inverses.clear()
+    psi = pt.parallel_from_transport(sphere_entry.transport, step=1e-2)
+    back = pt.transport_from_parallel(psi)
+    path = pt.sample_paths(sphere_entry, np.random.default_rng(3), 1)[0]
+    requests = [(path, 0.9, 0.1), (path, 0.2, 0.6), (path, 0.5, 0.5), (path, 0.7, 0.3)]
+    got = back.matrices(requests)
+    assert inverses == [(2, 2, 2)]
+    for m, (_, s, t) in zip(got, requests):
+        lo, hi = sorted((s, t))
+        value = psi.matrix(pt.restrict(path, (lo, hi))).value if s != t else np.eye(2)
+        assert m.value.tobytes() == (inv(value) if s > t else value).tobytes()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("fill", [0.0, np.nan])
+def test_stacked_inverses_keep_their_errors(fill):
+    def matrices_fn(requests, step):
+        return [pt.TransportMatrix(np.full((2, 2), fill)) for _ in requests]
+
+    broken = pt.TransportAlongPaths(kind="linear-custom", base_dim=2, fibre_dim=2, matrices_fn=matrices_fn)
+    if fill == 0.0:
+        with pytest.raises(NonInvertibleError, match=r"^transport matrix near s=0.0 is not invertible$"):
+            pt.factorization_test(broken, [0.0, 0.0])
+        back = pt.transport_from_parallel(pt.parallel_from_transport(broken))
+        with pytest.raises(InverseUnavailableError, match="^parallel transport matrix is singular$"):
+            back.matrices([(pt.segment([0.0, 0.0], [1.0, 0.0]), 0.8, 0.2)])
+    else:
+        with pytest.raises(SingularCoefficientError, match=r"^non-finite transport coefficients at s=0.0$"):
+            pt.factorization_test(broken, [0.0, 0.0])
 
 
 def test_transport_laws_over_paths_equal_the_merged_per_path_checks(sphere_entry):
