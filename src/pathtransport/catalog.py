@@ -19,7 +19,7 @@ import numpy as np
 
 from .bundles import BundleGeometry, FibreVector, complex_structure, grid_geometry_from_csv
 from .engine import TransportMatrix
-from .errors import SingularCoefficientError, SpecFormatError
+from .errors import SpecFormatError
 from .paths import SPHERE_POLE_MARGIN, check_parameters, parse_key_values, positions_at
 from .transports import (
     KIND_GENERIC,
@@ -258,25 +258,26 @@ def evolution_transport(hamiltonian: np.ndarray | None = None, hbar: float = 1.0
 def nonlinear_fixture(alpha: float = 0.1) -> GeometryCatalogEntry:
     """Generic (nonlinear) transport used as the negative control for linearity.
 
-    On a 2-d base with a 2-d fibre, the fibre flows along du/dw = alpha * u * u
-    (componentwise) where the flow weight is a fixed linear functional of the
-    chart displacement, w = c . (x(t) - x(s)) with c = (1, 1/2).  The flow has
-    the closed form u -> u / (1 - alpha w u); weights add along compositions
-    and depend only on endpoint positions, so all groupoid and parametrization
-    laws hold exactly while the map is plainly nonlinear in u.
+    On a 2-d base with a 2-d fibre, the fibre flows along du/dw = alpha |u|^2 J u,
+    J the quarter turn, where the flow weight is a fixed linear functional of
+    the chart displacement, w = c . (x(t) - x(s)) with c = (1, 1/2).  The flow
+    keeps |u|, so it has the closed form u -> R(alpha w |u|^2) u, a rotation by
+    an angle that grows with |u|^2: defined on the whole fibre, plainly
+    nonlinear in u, and fixing u = 0.  Weights add along compositions and
+    depend only on endpoint positions, so all groupoid and parametrization
+    laws hold up to roundoff; w = 0 or alpha = 0 turns by the angle 0, which
+    keeps every non-zero component bit for bit.
     """
     c = np.array([1.0, 0.5])
     a = float(alpha)
 
     def apply_many_fn(requests, step_) -> list[FibreVector]:
         ends = positions_at([(path, at) for path, s, t, _ in requests for at in (s, t)])
-        out = []
-        for (*_, u), x_s, x_t in zip(requests, ends[::2], ends[1::2]):
-            denom = 1.0 - a * float(c @ (x_t - x_s)) * np.asarray(u.components)
-            if np.any(denom <= 0.05):
-                raise SingularCoefficientError("nonlinear flow diverges for this weight/vector combination")
-            out.append(np.asarray(u.components) / denom)
-        return FibreVector._batch(ends[1::2], out)
+        u = np.array([v.components for *_, v in requests]).reshape(-1, 2)
+        angle = a * ((np.array(ends[1::2]) - np.array(ends[0::2])).reshape(-1, 2) @ c) * (u * u).sum(axis=1)
+        cos, sin = np.cos(angle), np.sin(angle)
+        turned = np.stack([cos * u[:, 0] - sin * u[:, 1], sin * u[:, 0] + cos * u[:, 1]], axis=1)
+        return FibreVector._batch(ends[1::2], turned)
 
     transport = TransportAlongPaths(
         kind=KIND_GENERIC,
@@ -291,7 +292,7 @@ def nonlinear_fixture(alpha: float = 0.1) -> GeometryCatalogEntry:
         transport=transport,
         traits=Traits(factorizable=False, linear=False, flat=False, parallel=True),
         chart_box=((-2.0, 2.0), (-2.0, 2.0)),
-        description=f"componentwise quadratic flow, alpha={a:g}",
+        description=f"norm-preserving twist, alpha={a:g}",
     )
 
 

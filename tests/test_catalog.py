@@ -335,12 +335,25 @@ def test_zero_alpha_gives_flat_behavior():
 
 
 def test_nonlinear_flow_matches_closed_form(nonlinear_entry):
-    # weights c = (1, 1/2): w = c . displacement
+    # weights c = (1, 1/2): w = c . displacement; u turns by alpha w |u|^2
     seg = pt.segment([0.0, 0.0], [1.0, 0.5])
     u = np.array([1.0, 1.0])
     out = nonlinear_entry.transport.apply(seg, 0.0, 1.0, pt.FibreVector([0.0, 0.0], u))
-    w = 1.0 + 0.5 * 0.5
-    assert np.allclose(out.components, u / (1 - 0.1 * w * u))
+    angle = 0.1 * (1.0 + 0.5 * 0.5) * 2.0
+    assert np.allclose(out.components, [[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]] @ u)
+
+
+def test_nonlinear_flow_is_total(tmp_path):
+    # At seed 2713 the parallel axioms send u = (3.10, 0.88) along a weight
+    # w = 3.96, where the former map u / (1 - alpha w u) had no value; the
+    # twist is defined on the whole fibre and keeps |u|.
+    from pathtransport.cli import main
+
+    assert main(["check-laws", "--geometry", "nonlinear", "--seed", "2713", "--out", str(tmp_path)]) == 0
+    seg = pt.segment([-2.0, -2.0], [2.0, 2.0])
+    u = pt.FibreVector(seg.at(0.0), [30.0, -40.0])
+    out = pt.nonlinear_fixture().transport.apply(seg, 0.0, 1.0, u)
+    assert abs(np.hypot(*out.components) - 50.0) < 1e-12
 
 
 # --- declared traits match measured verdicts --------------------------------------------
