@@ -86,31 +86,26 @@ class FibreVector:
     @classmethod
     def _batch(cls, base_points, components) -> list[FibreVector]:
         """One vector per base point and row of components, as built directly
-        but with one finiteness check over the batch; the rows are views of
-        two read-only arrays.  When the check fails, the vectors are built
-        directly up to the first that raises."""
+        but with one finiteness check over the batch; rows of two read-only
+        arrays.  If the check fails, the first non-finite vector raises."""
         bps, comps = np.array(base_points, dtype=float), np.array(components, dtype=float)
         if not (np.isfinite(bps).all() and np.isfinite(comps).all()):
-            for x, c in zip(bps, comps):
-                cls(x, c)
-        bps.setflags(write=False)
-        comps.setflags(write=False)
-        rows = list(zip(bps, comps))
-        vectors = [object.__new__(cls) for _ in rows]
-        for u, (x, c) in zip(vectors, rows):
+            return [cls(x, c) for x, c in zip(bps, comps)]
+        for values in (bps, comps):
+            values.setflags(write=False)
+        vectors = [object.__new__(cls) for _ in zip(bps, comps)]
+        for u, x, c in zip(vectors, bps, comps):
             u.__dict__.update(base_point=x, components=c)
         return vectors
 
 
 def require_attached(vectors: Sequence[FibreVector], points: Sequence[np.ndarray], fibre_dim: int) -> None:
-    """The attachment rule, for each fibre vector and its chart point: the
-    vector sits within ``BASE_POINT_TOL`` of the point in every coordinate
-    and has ``fibre_dim`` components.  One stacked comparison decides the
-    batch; only when it fails are the pairs checked one by one, so that the
-    first pair that breaks the rule raises its error."""
+    """The attachment rule: each fibre vector sits within ``BASE_POINT_TOL``
+    of its chart point in every coordinate and has ``fibre_dim`` components.
+    One stacked comparison judges the batch; only if it fails are the pairs
+    judged one by one, and the first that breaks the rule raises."""
     try:
-        bps, xs = np.stack([u.base_point for u in vectors]), np.stack(points)
-        comps = np.stack([u.components for u in vectors])
+        bps, xs, comps = map(np.stack, ([u.base_point for u in vectors], points, [u.components for u in vectors]))
         if bps.shape == xs.shape and comps.shape[1:] == (fibre_dim,) and (abs(bps - xs) <= BASE_POINT_TOL).all():
             return
     except ValueError:  # an empty batch, or shapes that do not stack

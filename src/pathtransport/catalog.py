@@ -272,12 +272,12 @@ def nonlinear_fixture(alpha: float = 0.1) -> GeometryCatalogEntry:
     a = float(alpha)
 
     def apply_many_fn(requests, step_) -> list[FibreVector]:
-        ends = positions_at([(path, at) for path, s, t, _ in requests for at in (s, t)])
-        u = np.array([v.components for *_, v in requests]).reshape(-1, 2)
-        angle = a * ((np.array(ends[1::2]) - np.array(ends[0::2])).reshape(-1, 2) @ c) * (u * u).sum(axis=1)
+        ends = np.reshape(positions_at([(path, at) for path, s, t, _ in requests for at in (s, t)]), (-1, 2, 2))
+        u = np.reshape([v.components for *_, v in requests], (-1, 2))
+        angle = a * ((ends[:, 1] - ends[:, 0]) @ c) * (u * u).sum(axis=1)
         cos, sin = np.cos(angle), np.sin(angle)
         turned = np.stack([cos * u[:, 0] - sin * u[:, 1], sin * u[:, 0] + cos * u[:, 1]], axis=1)
-        return FibreVector._batch(ends[1::2], turned)
+        return FibreVector._batch(ends[:, 1], turned)
 
     transport = TransportAlongPaths(
         kind=KIND_GENERIC,

@@ -304,30 +304,23 @@ def _parametrization_steps(transport, path, subintervals, reparams, pairs_per_fi
         subintervals = list(zip(starts, ends))
     if reparams is None:
         reparams = default_reparams(path.domain)
-    # Pairs of requests whose results must agree, each with the start of its
-    # fibre vector and that vector's components.
-    pairs = []
+    # Pairs of requests whose results must agree, with the start of their
+    # fibre vector and its components.
+    r, pairs = transport.fibre_dim, []
     for sub in subintervals:
         piece = restrict(path, (float(sub[0]), float(sub[1])))
         for _ in range(pairs_per_fixture):
             s_, t_ = rng.uniform(piece.domain[0], piece.domain[1], size=2)
-            pairs.append(((piece, s_, t_), (path, s_, t_), (path, s_), rng.standard_normal(transport.fibre_dim)))
+            pairs.append(((piece, s_, t_), (path, s_, t_), (path, s_), rng.standard_normal(r)))
     for chi in reparams:
         composed = reparametrize(path, chi)
         for _ in range(pairs_per_fixture):
             s_, t_ = rng.uniform(chi.source[0], chi.source[1], size=2)
-            pairs.append(
-                (
-                    (composed, s_, t_),
-                    (path, float(chi.map(s_)), float(chi.map(t_))),
-                    (composed, s_),
-                    rng.standard_normal(transport.fibre_dim),
-                )
-            )
-    starts = FibreVector._batch(positions_at([start for *_, start, _ in pairs]), [comps for *_, comps in pairs])
-    requests = [(*request, u) for (*both, _, _), u in zip(pairs, starts) for request in both]
-    out = yield requests
-    return LawReport("parametrization", len(requests) // 2, _worst(zip(out[0::2], out[1::2])), tolerance, seed=seed)
+            plain = (path, float(chi.map(s_)), float(chi.map(t_)))
+            pairs.append(((composed, s_, t_), plain, (composed, s_), rng.standard_normal(r)))
+    us = FibreVector._batch(positions_at([start for *_, start, _ in pairs]), [comps for *_, comps in pairs])
+    out = yield [(*request, u) for (*both, _, _), u in zip(pairs, us) for request in both]
+    return LawReport("parametrization", len(pairs), _worst(zip(out[0::2], out[1::2])), tolerance, seed=seed)
 
 
 def check_transport_laws(
@@ -416,18 +409,12 @@ def check_parallel_axioms(
     reparametrizations, per the invariance axiom."""
     rng = np.random.default_rng(seed)
     canonical, pairs, points = fixtures.canonical_paths, fixtures.composable_pairs, fixtures.point_paths
-    rep = [
-        (reparametrize(path, chi), path)
-        for path in canonical
-        for chi in fixtures.reparams
-        if chi.orientation == "preserving"
-    ]
+    rep = [(reparametrize(p, chi), p) for p in canonical for chi in fixtures.reparams if chi.orientation == "preserving"]
     # Each fibre vector sits at the start of the path it leaves from.  They are
     # drawn axiom by axiom, as the checks read them; the transports run in two batches.
     starts = [path for _, path in rep] + list(canonical) + [p1 for p1, _ in pairs] + list(points)
-    us = FibreVector._batch(
-        positions_at([(path, path.domain[0]) for path in starts]), rng.standard_normal((len(starts), psi.fibre_dim))
-    )
+    draws = rng.standard_normal((len(starts), psi.fibre_dim))
+    us = FibreVector._batch(positions_at([(path, path.domain[0]) for path in starts]), draws)
     u_rep, u_inv, u_prod, u_pts = _runs(us, len(rep), len(canonical), len(pairs), len(points))
     rep = [(composed, path, u) for (composed, path), u in zip(rep, u_rep)]
     inv = list(zip(canonical, u_inv))
@@ -587,14 +574,8 @@ def check_linearity(
             )
         ]
     # The same transport, three vectors a pair: integrated once.
-    out = transport.apply_many(
-        [
-            (path, s, t, FibreVector(x_s, c))
-            for lam, mu, cu, cv in sample_pairs
-            for c in (lam * cu + mu * cv, cu, cv)
-        ],
-        step=step,
-    )
+    comps = [c for lam, mu, cu, cv in sample_pairs for c in (lam * cu + mu * cv, cu, cv)]
+    out = transport.apply_many([(path, s, t, u) for u in FibreVector._batch([x_s] * len(comps), comps)], step=step)
     residual = 0.0
     for (lam, mu, _, _), combined, tu, tv in zip(sample_pairs, out[0::3], out[1::3], out[2::3]):
         residual = max(

@@ -175,25 +175,20 @@ def position_at(path: Path, s):
 
 
 def positions_at(pairs) -> list[np.ndarray]:
-    """``position_at(path, s)`` for many ``(path, s)`` pairs, bit for bit.
-
-    Each pair follows its path's ``parts`` down to the factor, as the
-    composed evaluators do: the part with the first ``hi >= s`` (else the
-    last), at ``float(chi.map(s))``.  Then one batched call per position
-    evaluator that several pairs reach (restrictions share their path's, and
-    every composed path its factors'), and the scalar call for a pair alone,
-    which costs less."""
-    groups: dict[int, tuple[Path, list[int], list[float]]] = {}
+    """``position_at(path, s)`` for many ``(path, s)`` pairs, bit for bit: each
+    pair follows ``parts`` down to a factor as the composed evaluators do, then
+    one batched call per evaluator that several pairs reach (restrictions and
+    composed paths reach their factors'), and the scalar call for a pair alone."""
+    groups: dict[int, tuple[Path, list[tuple[int, float]]]] = {}
     for i, (path, s) in enumerate(pairs):
         s = float(s)
         while path.parts:
             _, _, path, chi = next((part for part in path.parts if s <= part[1]), path.parts[-1])
             s = float(chi.map(s))
-        _, idx, params = groups.setdefault(id(path.position), (path, [], []))
-        idx.append(i)
-        params.append(s)
+        groups.setdefault(id(path.position), (path, []))[1].append((i, s))
     out = [None] * len(pairs)
-    for path, idx, params in groups.values():
+    for path, items in groups.values():
+        idx, params = zip(*items)
         xs = position_at(path, params[0] if len(idx) == 1 else np.array(params))
         for i, x in zip(idx, np.reshape(xs, (len(idx), path.dim))):
             out[i] = x

@@ -87,17 +87,14 @@ class TransportAlongPaths:
         attachment rule runs once over the batch (``require_attached``), and
         the results are built in one batch (``FibreVector._batch``)."""
         requests = [(path, float(s), float(t), u) for path, s, t, u in requests]
-        at = [(path, s) for path, s, _, _ in requests]
-        if self._apply_many_fn is None:
-            # The results' base points, in the same call; a generic realization places its own.
-            at += [(path, t) for path, _, t, _ in requests]
-        points = positions_at(at)
-        require_attached([u for *_, u in requests], points[: len(requests)], self.fibre_dim)
-        if self._apply_many_fn is not None:
+        # The starts, and the ends where they are the results' base points (a generic realization places its own).
+        at = (1, 2) if self.is_linear else (1,)
+        points = positions_at([(request[0], request[k]) for request in requests for k in at])
+        require_attached([u for *_, u in requests], points[:: len(at)], self.fibre_dim)
+        if not self.is_linear:
             return self._apply_many_fn(requests, step), None
         mats = self.matrices([request[:3] for request in requests], step=step)
-        comps = [m.value @ u.components for (*_, u), m in zip(requests, mats)]
-        return FibreVector._batch(points[len(requests) :], comps), mats
+        return FibreVector._batch(points[1::2], [m.value @ u.components for (*_, u), m in zip(requests, mats)]), mats
 
     def apply(self, path: Path, s: float, t: float, u: FibreVector, *, step: float | None = None) -> FibreVector:
         """Carry the fibre vector u from path(s) to path(t)."""
@@ -165,16 +162,14 @@ def transport_from_parallel(psi: ParallelTransport) -> TransportAlongPaths:
 
     def matrices_fn(requests, step_):
         forward, backward = split(requests)
-        ahead = psi.matrices([piece for _, piece in forward])
-        done = {i: (m.value, m.step) for (i, _), m in zip(forward, ahead)}
-        behind = psi.matrices([piece for _, piece in backward])
-        if behind:
+        ahead, behind = (psi.matrices([piece for _, piece in side]) for side in (forward, backward))
+        try:
             # The backward matrices are inverted in one stacked call.
-            try:
-                inverses = np.linalg.inv(np.stack([m.value for m in behind]))
-            except np.linalg.LinAlgError as exc:
-                raise InverseUnavailableError("parallel transport matrix is singular") from exc
-            done.update((i, (value, m.step)) for (i, _), value, m in zip(backward, inverses, behind))
+            inverses = np.linalg.inv(np.stack([m.value for m in behind])) if behind else []
+        except np.linalg.LinAlgError as exc:
+            raise InverseUnavailableError("parallel transport matrix is singular") from exc
+        done = {i: (m.value, m.step) for (i, _), m in zip(forward, ahead)}
+        done.update((i, (value, m.step)) for (i, _), value, m in zip(backward, inverses, behind))
         rows = []
         for i, (path, s, t) in enumerate(requests):
             value, step = done.get(i, (np.eye(psi.fibre_dim), 0.0))

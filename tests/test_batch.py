@@ -319,7 +319,8 @@ def test_apply_many_places_and_checks_a_batch_at_once(catalog, monkeypatch):
     requests = batch_requests(catalog["sphere"])
     expected = transport.apply_many(requests, step=1e-2)
     seen = {"positions_at": [], "require_attached": [], "__post_init__": []}
-    for module, name in ((transports, "positions_at"), (transports, "require_attached"), (pt.FibreVector, "__post_init__")):
+    patched = ((transports, "positions_at"), (transports, "require_attached"), (pt.FibreVector, "__post_init__"))
+    for module, name in patched:
         original = getattr(module, name)
         monkeypatch.setattr(module, name, lambda *args, _f=original, _n=name: seen[_n].append(args) or _f(*args))
     got = transport.apply_many(requests, step=1e-2)

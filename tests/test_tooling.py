@@ -187,10 +187,10 @@ def test_pass_split_summary_per_job_kind():
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
 
-    def seconds(contract, chart, kernel, jet, whole, entry=0.0, integrate=0.0):
+    def seconds(contract, chart, kernel, jet, whole, entry=0.0, integrate=0.0, apply=0.0, apply_matrices=0.0):
         return {
             "_contract": contract, "_check_chart": chart, "_rk4_transitions": kernel, "jet": jet, "_pass": whole,
-            "transport_matrices": entry, "_integrate": integrate,
+            "transport_matrices": entry, "_integrate": integrate, "apply": apply, "apply_matrices": apply_matrices,
         }
 
     records = [
@@ -198,8 +198,8 @@ def test_pass_split_summary_per_job_kind():
         ("triangle:sphere", 3, 0, 0, seconds(0.0003, 0.00003, 0.0003, 0.00015, 0.0009, 0.0012, 0.001)),
         ("latitude:sphere", 100, 0, 0, seconds(0.001, 0.002, 0.0008, 0.0012, 0.006, 0.0065, 0.006)),
         # Steady chunks run in no pass: every per-pass column reads 0.
-        ("latitude:steady", 0, 343, 1, seconds(0.0, 0.0, 0.0, 0.0, 0.0, 0.004, 0.0)),
-        ("latitude:steady", 0, 341, 3, seconds(0.0, 0.0, 0.0, 0.0, 0.0, 0.002, 0.0)),
+        ("latitude:steady", 0, 343, 1, seconds(0.0, 0.0, 0.0, 0.0, 0.0, 0.004, 0.0, 0.010, 0.004)),
+        ("latitude:steady", 0, 341, 3, seconds(0.0, 0.0, 0.0, 0.0, 0.0, 0.002, 0.0, 0.005, 0.003)),
     ]
     lat, tri, steady = tool.summarize(records)
     assert lat["kind"] == "latitude:sphere" and lat["jobs"] == 2 and lat["passes"] == 200 and lat["steady"] == 0
@@ -214,6 +214,8 @@ def test_pass_split_summary_per_job_kind():
     assert abs(tri["outside_us"] - 200) < 1e-9
     assert steady["passes"] == 0 and steady["steady"] == 342 and abs(steady["outside_us"] - 3000) < 1e-9
     assert steady["steady_calls"] == 2  # the median over jobs
+    # apply_many_with_matrices outside matrices: (6 + 2) ms over two jobs.
+    assert abs(steady["apply_outside_ms"] - 4.0) < 1e-9 and lat["apply_outside_ms"] == 0.0
     assert all(steady[key] == 0 for key in ("contract_us", "chart_us", "kernel_us", "jet_us", "nodes_us", "pass_us"))
 
 
@@ -264,3 +266,40 @@ def test_pass_split_takes_the_workload_to_split():
     counts = dict.fromkeys(("steady", "steady_calls") + tuple(seconds), 0)
     records = tool.run_cycle(wl, "laws-suite", 4, 0, None, seconds, counts)
     assert asked == ["laws-suite"] and records == [("check-laws:flat", 0, 0, 0, seconds)]
+
+
+def fake_checkout(root):
+    """A checkout whose benchmark run reports job_p50_ms 2 when both malloc
+    thresholds of ``--malloc-fixed`` reach it, else 1."""
+    (root / "benchmarks").mkdir(parents=True)
+    (root / "src").mkdir()
+    (root / "BENCHMARK.json").write_text(
+        '{"end_to_end": [{"name": "job_p50_ms", "better": "lower", "bound": 0.2}]}'
+    )
+    (root / "benchmarks" / "run.py").write_text(
+        "import json, os\n"
+        "fixed = all(os.environ.get(k) == v for k, v in "
+        + repr(bench_pairs_module().MALLOC_FIXED)
+        + ".items())\n"
+        "print(json.dumps({'correct': True, 'metrics': {'job_p50_ms': {'value': 2.0 if fixed else 1.0}}}))\n"
+    )
+    return root
+
+
+@pytest.mark.parametrize("fixed", [False, True])
+def test_bench_pairs_malloc_fixed_reaches_the_children_only(tmp_path, capsys, fixed):
+    import os
+
+    tool = bench_pairs_module()
+    parent, change = fake_checkout(tmp_path / "parent"), fake_checkout(tmp_path / "change")
+    before = dict(os.environ)
+    argv = [str(parent), str(change), "--workload", "laws-suite", "--seeds", "1-2"] + ["--malloc-fixed"] * fixed
+    assert tool.main(argv) == 0
+    assert dict(os.environ) == before
+    out = capsys.readouterr().out
+    value = "2" if fixed else "1"
+    assert f"job_p50_ms {value} -> {value}" in out
+    summary = [line for line in out.splitlines() if "claim" in line]
+    assert len(summary) == 1
+    assert summary[0].startswith("diagnostic (malloc thresholds fixed): laws-suite") == fixed
+    assert ("diagnostic" in out) == fixed

@@ -2,6 +2,7 @@
 
     python3 tools/bench_pairs.py PARENT CHANGE --workload laws-suite --seeds 101-110 [--seconds 45]
     python3 tools/bench_pairs.py PARENT CHANGE --probe setup [--count 12]
+    python3 tools/bench_pairs.py PARENT CHANGE --workload laws-suite --seeds 101-106 --malloc-fixed
 
 For each seed it runs ``benchmarks/run.py`` once in each checkout, the
 parent first for odd pair numbers and the change first for even ones.  For
@@ -16,6 +17,13 @@ pair's values go to ``--json`` when given.
 interpreter ``--count`` times per checkout, in the same alternating order,
 and summarizes the reference seconds the same way.  A start-up figure read
 once per benchmark run is noisy; this resolves a move of a few percent.
+
+``--malloc-fixed`` runs both sides with glibc malloc's mmap and trim
+thresholds fixed (``MALLOC_FIXED``), set in the child processes'
+environment only.  Heap layout left by earlier jobs then cannot move a
+job's speed, so a move that shows in default mode but not here is
+allocator layout, not work.  Its summary lines are labelled
+``diagnostic``: a claim still comes from default-mode pairs.
 
 It refuses to run, with exit status 2, while either checkout's ``src/``
 holds a ``__pycache__``: under ``PYTHONDONTWRITEBYTECODE=1`` the side with
@@ -88,12 +96,23 @@ def bytecode_caches(*checkouts: Path) -> list[Path]:
     return sorted(p for checkout in checkouts for p in (checkout / "src").rglob("__pycache__") if p.is_dir())
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+#: glibc malloc's thresholds under ``--malloc-fixed``: no dynamic mmap or trim threshold.
+MALLOC_FIXED = {"MALLOC_MMAP_THRESHOLD_": "4194304", "MALLOC_TRIM_THRESHOLD_": "134217728"}
+
+
+def child_env(malloc_fixed: bool, **extra: str) -> dict:
+    """The environment of a child process: this one's, with ``extra`` and,
+    when ``malloc_fixed``, the ``MALLOC_FIXED`` thresholds."""
+    return dict(os.environ, **extra, **(MALLOC_FIXED if malloc_fixed else {}))
+
+
+def run_once(checkout: Path, workload: str, seed: int, seconds: float, malloc_fixed: bool = False) -> dict:
     """One ``benchmarks/run.py`` run; its last stdout line as JSON."""
     proc = subprocess.run(
         [sys.executable, "benchmarks/run.py", "--workload", workload, "--seed", str(seed), "--seconds", str(seconds)]
         + ["--trace", "0"],
         cwd=checkout,
+        env=child_env(malloc_fixed),
         stdout=subprocess.PIPE,
         text=True,
         check=True,
@@ -107,12 +126,12 @@ PINNED_THREADS = {
 }
 
 
-def probe_once(checkout: Path, mode: str) -> float:
+def probe_once(checkout: Path, mode: str, malloc_fixed: bool = False) -> float:
     """One fresh ``benchmarks/probe.py`` run: its reference seconds."""
     proc = subprocess.run(
         [sys.executable, "benchmarks/probe.py", mode],
         cwd=checkout,
-        env=dict(os.environ, **PINNED_THREADS),
+        env=child_env(malloc_fixed, **PINNED_THREADS),
         stdout=subprocess.PIPE,
         text=True,
         check=True,
@@ -135,11 +154,16 @@ def run_probes(args) -> int:
     runs = {"parent": [], "change": []}
     for k in range(args.count):
         for side in ("parent", "change") if k % 2 == 0 else ("change", "parent"):
-            runs[side].append(probe_once(getattr(args, side), args.probe))
-    print(probe_summary(args.probe, runs["parent"], runs["change"]))
+            runs[side].append(probe_once(getattr(args, side), args.probe, args.malloc_fixed))
+    print(label(args) + probe_summary(args.probe, runs["parent"], runs["change"]))
     if args.json:
         args.json.write_text(json.dumps(runs, indent=1) + "\n")
     return 0
+
+
+def label(args) -> str:
+    """The prefix of every summary line: ``diagnostic`` under ``--malloc-fixed``."""
+    return "diagnostic (malloc thresholds fixed): " if args.malloc_fixed else ""
 
 
 def main(argv=None) -> int:
@@ -152,6 +176,9 @@ def main(argv=None) -> int:
     parser.add_argument("--probe", choices=("import", "setup"), help="interleave start-up probes instead")
     parser.add_argument("--count", type=int, default=12, help="probe runs per checkout")
     parser.add_argument("--json", type=Path, help="write every pair's results here")
+    parser.add_argument(
+        "--malloc-fixed", action="store_true", help="fix glibc malloc's thresholds in the children (diagnostic)"
+    )
     args = parser.parse_args(argv)
     caches = bytecode_caches(args.parent, args.change)
     if caches:
@@ -170,7 +197,7 @@ def main(argv=None) -> int:
             sides = ("parent", "change") if k % 2 == 0 else ("change", "parent")
             pair = {"seed": seed, "first": sides[0]}
             for side in sides:
-                pair[side] = run_once(getattr(args, side), workload, seed, args.seconds)
+                pair[side] = run_once(getattr(args, side), workload, seed, args.seconds, args.malloc_fixed)
             pairs.append(pair)
             values = {side: pair[side]["metrics"] for side in ("parent", "change")}
             print(
@@ -195,7 +222,8 @@ def main(argv=None) -> int:
             )
             (pm, p1, p3), (cm, c1, c3) = res["parent"], res["change"]
             print(
-                f"{workload:14s} {name:12s} {pm:.6g} [{p1:.6g}, {p3:.6g}] -> {cm:.6g} [{c1:.6g}, {c3:.6g}]"
+                label(args)
+                + f"{workload:14s} {name:12s} {pm:.6g} [{p1:.6g}, {p3:.6g}] -> {cm:.6g} [{c1:.6g}, {c3:.6g}]"
                 f" ({100 * res['relative']:+.1f}%), wins {res['wins']}/{res['pairs']},"
                 f" claim {'holds' if res['holds'] else 'does not hold'},"
                 f" {'WORSE than' if worse_beyond(res, m['better'], m['bound']) else 'within'} bound {m['bound']:g}"

@@ -20,7 +20,12 @@ chunks per job (chunks handed to the kernel with one sample each), the
 kernel calls per job outside passes (``steady_calls``, one per
 ``transport_matrices`` call that has steady chunks) and the microseconds
 per job spent in ``transport_matrices`` outside ``_integrate`` (planning,
-and the sampling and reduction of steady chunks).
+and the sampling and reduction of steady chunks).  The last column gives
+the milliseconds per job spent in ``TransportAlongPaths.apply_many_with_matrices``
+outside its ``matrices`` calls: placing the fibre vectors, the attachment
+check and building the results, the wrapper layer around the matrices (for
+a generic transport, its whole realization).  Nested calls count once, in
+the outermost.
 A job with no pass reads 0 in every per-pass column.  Uses the standard
 library and numpy only.
 """
@@ -48,9 +53,11 @@ def summarize(records: list[tuple[str, int, int, int, dict]]) -> list[dict]:
 
     ``records`` holds ``(kind, passes, steady_chunks, steady_calls, seconds)`` per job,
     where ``seconds`` maps ``_pass`` and each name of ``PARTS`` to the job's
-    total time in it inside passes, and ``transport_matrices`` and
-    ``_integrate`` to its total time in them; ``nodes`` is the pass time the
-    parts do not cover.
+    total time in it inside passes, ``transport_matrices`` and
+    ``_integrate`` to its total time in them, ``apply`` to its time in
+    outermost ``apply_many_with_matrices`` calls and ``apply_matrices`` to
+    the time those spent in their outermost ``matrices`` calls; ``nodes``
+    is the pass time the parts do not cover.
     """
     kinds: dict[str, list] = {}
     for record in records:
@@ -74,6 +81,7 @@ def summarize(records: list[tuple[str, int, int, int, dict]]) -> list[dict]:
                 "nodes_us": per_pass["_pass"] - sum(per_pass[name] for name in PARTS),
                 "pass_us": per_pass["_pass"],
                 "outside_us": 1e6 * outside / len(jobs),
+                "apply_outside_ms": 1e3 * sum(s["apply"] - s["apply_matrices"] for *_, s in jobs) / len(jobs),
             }
         )
     return rows
@@ -86,14 +94,19 @@ def timed(engine, seconds: dict, counts: dict) -> dict:
     adds its wall time to ``seconds[name]`` and one to ``counts[name]``; a
     part counts only inside a pass.  A kernel call with one sample per
     chunk adds its chunks to ``counts["steady"]`` and one to
-    ``counts["steady_calls"]``.  Returns the originals
-    as ``{(module, name): function}``."""
+    ``counts["steady_calls"]``.  ``TransportAlongPaths.apply_many_with_matrices``
+    and ``.matrices`` add to ``seconds["apply"]`` and
+    ``seconds["apply_matrices"]`` as ``summarize`` reads them.  Returns the
+    originals as ``{(owner, name): function}``."""
     entry = engine.transport_matrices
     modules = [m for name, m in sys.modules.items() if name.startswith("pathtransport") and m is not None]
     targets = [(engine, name) for name in ("_pass", "_piece_jet", "_integrate") + PARTS[:-1]]
     targets += [(m, "transport_matrices") for m in modules if getattr(m, "transport_matrices", None) is entry]
+    transport = sys.modules["pathtransport.transports"].TransportAlongPaths
+    targets += [(transport, "apply_many_with_matrices"), (transport, "matrices")]
     originals = {(m, name): getattr(m, name) for m, name in targets}
     running = 0  # passes under way
+    depth = {"apply_many_with_matrices": 0, "matrices": 0}  # calls under way
 
     def wrap(name, original):
         def wrapper(*args, **kwargs):
@@ -114,12 +127,31 @@ def timed(engine, seconds: dict, counts: dict) -> dict:
 
         return wrapper
 
+    def layer(name, original):
+        key = "apply" if name == "apply_many_with_matrices" else "apply_matrices"
+
+        def wrapper(*args, **kwargs):
+            outer = not depth[name] and (key == "apply" or depth["apply_many_with_matrices"])
+            depth[name] += 1
+            t0 = time.perf_counter()
+            try:
+                return original(*args, **kwargs)
+            finally:
+                depth[name] -= 1
+                if outer:
+                    seconds[key] += time.perf_counter() - t0
+
+        return wrapper
+
     def sources(*args, **kwargs):
         source = originals[engine, "_piece_jet"](*args, **kwargs)
         return source._replace(jet=wrap("jet", source.jet))
 
     for (m, name), original in originals.items():
-        setattr(m, name, sources if name == "_piece_jet" else wrap(name, original))
+        if m is transport:
+            setattr(m, name, layer(name, original))
+        else:
+            setattr(m, name, sources if name == "_piece_jet" else wrap(name, original))
     return originals
 
 
@@ -157,7 +189,7 @@ def main(argv=None) -> int:
     import scipy  # noqa: F401  (the benchmark worker's import, which shapes the heap)
     import workloads as wl
 
-    seconds = dict.fromkeys(("_pass", "transport_matrices", "_integrate") + PARTS, 0.0)
+    seconds = dict.fromkeys(("_pass", "transport_matrices", "_integrate", "apply", "apply_matrices") + PARTS, 0.0)
     counts = dict.fromkeys(("steady", "steady_calls") + tuple(seconds), 0)
     with tempfile.TemporaryDirectory() as tmp:
         outdir = Path(tmp)
@@ -172,14 +204,14 @@ def main(argv=None) -> int:
                 setattr(module, name, original)
     print(
         f"{'kind':<30} {'jobs':>4} {'passes':>6} {'steady':>6} {'steady_calls':>12} {'contract_us':>11} {'chart_us':>8}"
-        f" {'kernel_us':>9} {'jet_us':>6} {'nodes_us':>8} {'pass_us':>7} {'outside_us':>10}"
+        f" {'kernel_us':>9} {'jet_us':>6} {'nodes_us':>8} {'pass_us':>7} {'outside_us':>10} {'apply_out_ms':>12}"
     )
     for row in summarize(records):
         print(
             f"{row['kind']:<30} {row['jobs']:>4} {row['passes']:>6g} {row['steady']:>6g} {row['steady_calls']:>12g}"
             f" {row['contract_us']:>11.1f}"
             f" {row['chart_us']:>8.1f} {row['kernel_us']:>9.1f} {row['jet_us']:>6.1f} {row['nodes_us']:>8.1f}"
-            f" {row['pass_us']:>7.1f} {row['outside_us']:>10.1f}"
+            f" {row['pass_us']:>7.1f} {row['outside_us']:>10.1f} {row['apply_outside_ms']:>12.2f}"
         )
     return 0
 
