@@ -150,12 +150,8 @@ def two_index_at(geometry: BundleGeometry, p: FibreVector) -> np.ndarray:
     """2-index coefficients at a fibre element: the contraction
     ``-G[a, b, mu] * u^b`` over b, returned with shape (r, n)."""
     g3 = coeffs3_at(geometry, p.base_point)
-    u = np.asarray(p.components, dtype=float)
-    if u.shape != (geometry.fibre_dim,):
-        raise ChartDomainError(
-            f"components of shape {u.shape} do not match fibre dimension {geometry.fibre_dim}"
-        )
-    return -np.einsum("abm,b->am", g3, u)
+    require_attached([p], [p.base_point], geometry.fibre_dim)
+    return -np.einsum("abm,b->am", g3, p.components)
 
 
 def connection_matrices_at(geometry: BundleGeometry, x) -> list[np.ndarray]:

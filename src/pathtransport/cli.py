@@ -22,7 +22,7 @@ import numpy as np
 
 from .bundles import FibreVector
 from .catalog import GeometryCatalogEntry, get_entry, load_geometry_spec, sample_paths, standard_catalog
-from .engine import FACTORIZATION_THRESHOLD, coefficients_along_path, connection_from_transport, factorization_test
+from .engine import FACTORIZATION_THRESHOLD, _factorization_tests, coefficients_along_path, connection_from_transport
 from .errors import NotFactorizableError, PathTransportError
 from .holonomy import holonomy, latitude_sweep
 from .laws import (
@@ -229,21 +229,17 @@ def _cmd_factorize(args) -> int:
     entry = _resolve_entry(args)
     if not entry.transport.is_linear:
         raise PathTransportError(f"geometry {entry.id!r} has no linear (matrix) realization to factorize")
-    rng = np.random.default_rng(args.seed)
-    lines = []
-    ok = True
-    for x in _interior_points(entry, rng, args.points):
-        v = factorization_test(entry.transport, x, threshold=args.threshold, step=args.step, seed=args.seed)
-        ok = ok and v.factorizable
-        point = "(" + " ".join(format_float(c) for c in v.point) + ")"
-        lines.append(
-            f"point={point} residual={format_float(v.residual)} threshold={format_float(v.threshold)} "
-            f"factorizable={'true' if v.factorizable else 'false'}"
-        )
+    points = _interior_points(entry, np.random.default_rng(args.seed), args.points)
+    verdicts = _factorization_tests(entry.transport, points, threshold=args.threshold, step=args.step, seed=args.seed)
+    lines = [
+        f"point=({' '.join(format_float(c) for c in v.point)}) residual={format_float(v.residual)} "
+        f"threshold={format_float(v.threshold)} factorizable={'true' if v.factorizable else 'false'}"
+        for v in verdicts
+    ]
     text = "\n".join(lines) + "\n"
     _write(_outdir(args), "factorization.txt", text)
     print(text, end="")
-    return 0 if ok else 1
+    return 0 if all(v.factorizable for v in verdicts) else 1
 
 
 def _cmd_roundtrip(args) -> int:

@@ -533,12 +533,8 @@ def _geometry_sampler(geometry: BundleGeometry) -> Callable:
 
 def _segment_nodes(path: Path, s: float, t: float) -> list[float]:
     """Integration nodes from s to t, splitting at path breakpoints."""
-    if t >= s:
-        inner = [b for b in path.breakpoints if s < b < t]
-    else:
-        inner = [b for b in path.breakpoints if t < b < s]
-        inner = sorted(inner, reverse=True)
-    return [s] + list(inner) + [t]
+    # ``Path.breakpoints`` is sorted: read it in the direction of travel.
+    return [s, *(b for b in path.breakpoints[:: 1 if t >= s else -1] if min(s, t) < b < max(s, t)), t]
 
 
 def transport_matrices(
@@ -686,15 +682,16 @@ def coefficients_from_transport(
     return TransportCoefficients((plus - minus) / (2 * h), path_id=path_id, s=float(s))
 
 
-def _probe_coefficients(transport, probes, step: float | None) -> list[np.ndarray]:
-    """Coefficient matrices of a transport at x along the straight probe
-    ``line_through(x, v)``, for each ``(x, v)`` of ``probes``: one batch of
-    transports, differenced as one stack."""
-    lines = [line_through(x, v) for x, v in probes]
+def _probe_coefficients(transport, points, velocities, step: float | None) -> np.ndarray:
+    """Coefficient matrices of a transport at each x of ``points`` along the
+    straight probe ``line_through(x, v)`` for each v of ``velocities``: one
+    batch of transports, differenced as one (points, velocities, r, r) stack."""
+    lines = [line_through(x, v) for x in points for v in velocities]
     mats = transport.matrices([(p, 0.0, 0.0 + h) for p in lines for h in (FD_STEP, -FD_STEP)], step=step)
     r = transport.fibre_dim
     values = np.reshape([m.value for m in mats], (-1, r, r))
-    return list(coefficients_from_transport(lambda a, b: values[0::2] if b > a else values[1::2], 0.0).value)
+    coeffs = coefficients_from_transport(lambda a, b: values[0::2] if b > a else values[1::2], 0.0).value
+    return coeffs.reshape(len(points), len(velocities), r, r)
 
 
 def factorization_test(
@@ -731,18 +728,14 @@ def _factorization_tests(transport, points, probes=None, *, threshold, step, see
     if probes.ndim != 2 or probes.shape[1] != n or np.linalg.matrix_rank(probes) < n:
         raise DegenerateProbeError("probe velocities must span the base tangent space")
     checks = list(np.random.default_rng(seed).standard_normal((8, n))) + [np.zeros(n)]
-    velocities = list(probes) + checks
-    coeffs = iter(_probe_coefficients(transport, [(x, v) for x in points for v in velocities], step))
+    k = len(probes)
     verdicts = []
-    for x in points:
-        measured = np.stack([next(coeffs) for _ in probes])
-        # Solve measured[j] = sum_mu candidate[.., mu] probes[j, mu] for the candidate.
-        flat, *_ = np.linalg.lstsq(probes, measured.reshape(probes.shape[0], r * r), rcond=None)
+    for x, coeffs in zip(points, _probe_coefficients(transport, points, list(probes) + checks, step)):
+        # Solve coeffs[j] = sum_mu candidate[.., mu] probes[j, mu] for the candidate.
+        flat, *_ = np.linalg.lstsq(probes, coeffs[:k].reshape(k, r * r), rcond=None)
         candidate = np.moveaxis(flat.reshape(n, r, r), 0, -1)
-        residual = 0.0
-        for v in checks:
-            predicted = np.einsum("abm,m->ab", candidate, v)
-            residual = max(residual, float(np.max(np.abs(next(coeffs) - predicted))))
+        predicted = [np.einsum("abm,m->ab", candidate, v) for v in checks]
+        residual = float(np.max(np.abs(coeffs[k:] - predicted)))
         verdicts.append(FactorizationVerdict(x, candidate, residual, threshold))
     return verdicts
 
@@ -778,11 +771,7 @@ def connection_from_transport(
 
     def coeffs(x):
         x = np.asarray(x, dtype=float)
-        rows = np.atleast_2d(x)
-        measured = _probe_coefficients(transport, [(row, v) for row in rows for v in probes], step)
-        out = np.stack(
-            [np.moveaxis(np.stack(measured[i : i + n]).reshape(n, r, r), 0, -1) for i in range(0, len(measured), n)]
-        )
+        out = np.moveaxis(_probe_coefficients(transport, np.atleast_2d(x), probes, step), 1, -1)
         return out[0] if x.ndim == 1 else out
 
     chart = transport.geometry.chart_domain if transport.geometry is not None else None

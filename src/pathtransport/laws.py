@@ -516,27 +516,20 @@ def check_smoothness_conditions(
     v2 = np.zeros_like(v1)
     v2[int(np.argmin(np.abs(v1)))] = 1.0
     combos = [(1.0, 0.0), (0.0, 1.0), (0.7, 0.4), (1.0, 1.0), (2.0, -0.5)]
-    # (path, s, vector, count): R(h), ..., R(h / 2**(count - 1)) along the
-    # path, from d(h), ..., d(h / 2**count); the last probe has zero
-    # velocity (equal and opposite combination), a point probe.
-    probes = [(path, s0, u, 2)] + [
-        (line_through(x0, v), 0.0, u0, 1)
+    # (path, s, vector, w): R(w) from the adjacent pair d(w), d(w / 2); the
+    # path at h and h / 2, the straight probes at h.  The last probe has
+    # zero velocity (equal and opposite combination), a point probe.
+    probes = [(path, s0, u, h), (path, s0, u, h / 2)] + [
+        (line_through(x0, v), 0.0, u0, h)
         for v in [v1, v2] + [a1 * v1 + a2 * v2 for a1, a2 in combos] + [0.0 * v1]
     ]
-    d = iter(
-        fibre for _, fibre in _lift_tangents(
-            transport, [(p, s, vec, h / 2**k) for p, s, vec, count in probes for k in range(count + 1)], step
-        )
-    )
-    fib = []
-    for *_, count in probes:
-        diffs = [next(d) for _ in range(count + 1)]
-        fib.append([(4 * fine - coarse) / 3 for coarse, fine in zip(diffs, diffs[1:])])
-    (fib_p, fib_p2), (fib_1,), (fib_2,), *fib_c, (fib_zero,) = fib
+    specs = [(p, s, vec, w / k) for p, s, vec, w in probes for k in (1, 2)]
+    d = [fibre for _, fibre in _lift_tangents(transport, specs, step)]
+    fib_p, fib_p2, fib_1, fib_2, *fib_c, fib_zero = [(4 * fine - coarse) / 3 for coarse, fine in zip(d[0::2], d[1::2])]
     res_a = _maxdiff(fib_p, fib_p2)
     res_b = _maxdiff(fib_p, fib_1)
     res_c = 0.0
-    for (a1, a2), (got,) in zip(combos, fib_c):
+    for (a1, a2), got in zip(combos, fib_c):
         res_c = max(res_c, _maxdiff(got, a1 * fib_1 + a2 * fib_2))
     res_c = max(res_c, float(np.max(np.abs(fib_zero))))
 

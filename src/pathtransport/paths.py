@@ -47,8 +47,9 @@ class Path:
     position coordinates listed in ``reads`` equal ``position`` and
     ``velocity`` bit for bit; a jet may skip the other coordinates, which
     are then NaN (``reads=None`` asks for all).  The integrators always pass
-    ``reads``, so a jet must accept it.  A path built without one, or by
-    ``replace`` with new evaluators, gets one that calls the evaluators.
+    ``reads``, so a jet must accept it.  A jet is bound to the evaluators it
+    was built with: a path built without one, or by ``replace`` with a new
+    ``position`` or ``velocity``, gets one that calls them.
 
     Two more optional fields describe the path's structure; neither changes
     its values.  ``steady``, when not None, states that the velocity is
@@ -61,8 +62,8 @@ class Path:
     evaluated on its factor (see ``smooth_part``).  Reparametrizations,
     canonical inverses and canonical products are all built from ``parts``,
     and state no ``steady`` of their own: the integrators read their
-    factors' through maps with a ``slope``.  Restrictions keep ``parts`` and
-    ``steady``.
+    factors' through maps with a ``slope``.  Restrictions keep ``parts``,
+    ``steady`` and the jet object.
     """
 
     dim: int
@@ -83,9 +84,11 @@ class Path:
             raise TypeError("a path needs an analytic velocity evaluator")
         bps = tuple(sorted(b for b in self.breakpoints if sigma < b < tau))
         object.__setattr__(self, "breakpoints", bps)
-        derived = _EvaluatorJet(self.position, self.velocity, (self.dim,))
-        if self.jet is None or (isinstance(self.jet, _EvaluatorJet) and self.jet != derived):
-            object.__setattr__(self, "jet", derived)
+        evaluators = (self.position, self.velocity, (self.dim,))
+        if not isinstance(self.jet, _Jet):
+            object.__setattr__(self, "jet", _Jet(*evaluators, self.jet))
+        elif self.jet[:3] != evaluators:  # ``replace`` with new evaluators: the old jet is another curve's
+            object.__setattr__(self, "jet", _Jet(*evaluators))
 
     @property
     def is_point(self) -> bool:
@@ -95,15 +98,19 @@ class Path:
         return position_at(self, s)
 
 
-class _EvaluatorJet(NamedTuple):
-    """The jet of a path built without one, through ``batch_eval``; it
-    holds the evaluators, not the path, so no reference cycle forms."""
+class _Jet(NamedTuple):
+    """A path's jet, bound to the evaluators it was built with: ``fn``, or
+    the evaluators through ``batch_eval`` when there is none.  It holds the
+    evaluators, not the path, so no reference cycle forms."""
 
     position: Callable
     velocity: Callable
     shape: tuple
+    fn: Optional[Callable] = None
 
     def __call__(self, ts, reads=None):
+        if self.fn is not None:
+            return self.fn(ts, reads)
         ts = _as_param_array(ts)
         return batch_eval(self.position, ts, self.shape), batch_eval(self.velocity, ts, self.shape)
 

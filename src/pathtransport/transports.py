@@ -18,7 +18,7 @@ import numpy as np
 from .bundles import BundleGeometry, FibreVector, require_attached
 from .engine import TransportMatrix, transport_matrices
 from .errors import InverseUnavailableError, NotApplicableError
-from .paths import Path, positions_at, restrict
+from .paths import Path, check_parameters, positions_at, restrict
 
 KIND_FROM_CONNECTION = "linear-from-connection"
 KIND_LINEAR_CUSTOM = "linear-custom"
@@ -92,6 +92,8 @@ class TransportAlongPaths:
         points = positions_at([(request[0], request[k]) for request in requests for k in at])
         require_attached([u for *_, u in requests], points[:: len(at)], self.fibre_dim)
         if not self.is_linear:
+            for path, s, t, _ in requests:  # the Domain rule; a linear realization checks in its ``matrices``
+                check_parameters(path, s, t)
             return self._apply_many_fn(requests, step), None
         mats = self.matrices([request[:3] for request in requests], step=step)
         return FibreVector._batch(points[1::2], [m.value @ u.components for (*_, u), m in zip(requests, mats)]), mats

@@ -100,6 +100,16 @@ def test_connection_matrices_consistent_with_two_index():
     assert np.array_equal(stacked, pt.two_index_at(g, pt.FibreVector(x, comps)))
 
 
+def test_two_index_at_refuses_components_by_the_attachment_rule():
+    g = sphere_geometry()
+    u = pt.FibreVector([1.0, 0.3], [1.0, 0.0, 2.0])
+    with pytest.raises(ChartDomainError) as got:
+        pt.two_index_at(g, u)
+    with pytest.raises(ChartDomainError) as rule:
+        pt.bundles.require_attached([u], [u.base_point], g.fibre_dim)
+    assert str(got.value) == str(rule.value) == "components of shape (3,) do not match fibre dimension 2"
+
+
 def test_out_of_chart_is_hard_error():
     g = sphere_geometry()
     with pytest.raises(ChartDomainError):

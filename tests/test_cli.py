@@ -284,6 +284,18 @@ def test_transport_integrates_its_request_once(tmp_path, capsys, monkeypatch):
     assert len(calls) == 1 and len(calls[0]) == 1
 
 
+def test_factorize_integrates_all_its_points_in_one_batch(tmp_path, capsys, monkeypatch):
+    from pathtransport import transports
+
+    calls = []
+    original = transports.transport_matrices
+    monkeypatch.setattr(transports, "transport_matrices", lambda *a, **k: calls.append(a[1]) or original(*a, **k))
+    code, out, text = run(["factorize", "--geometry", "sphere", "--points", "5"], tmp_path, capsys)
+    assert code == 0 and text.count("factorizable=true") == 5 and (out / "factorization.txt").exists()
+    # Two coordinate probes, 8 drawn velocities and the zero velocity, each at +-FD_STEP, at 5 points.
+    assert len(calls) == 1 and len(calls[0]) == 5 * 11 * 2
+
+
 @pytest.mark.parametrize("command", ["check-laws", "roundtrip"])
 def test_step_flag_reaches_every_transport(tmp_path, capsys, monkeypatch, command):
     # The parallel-axiom rows, the smoothness row and roundtrip's back

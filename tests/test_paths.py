@@ -269,6 +269,19 @@ def test_a_path_built_without_a_jet_gets_one_from_its_evaluators(rng):
         gc.enable()
 
 
+def test_new_evaluators_drop_a_custom_jet(sphere_entry):
+    # The great circle's own jet used to survive ``replace``, so the moved
+    # path was integrated along the great circle, not along the segment.
+    arc = pt.great_circle((1.2, -0.3), (0.3, 0.6), domain=(0.0, 1.0))
+    seg = pt.segment((1.2, -0.3), (0.3, 0.6))
+    assert pt.restrict(arc, (0.2, 0.7)).jet is arc.jet
+    assert dataclasses.replace(arc, label="renamed").jet is arc.jet
+    moved = dataclasses.replace(arc, position=seg.position, velocity=seg.velocity)
+    matrix = sphere_entry.transport.matrix
+    assert matrix(moved, 0.0, 1.0, step=1e-3).value.tobytes() == matrix(seg, 0.0, 1.0, step=1e-3).value.tobytes()
+    assert not np.allclose(matrix(moved, 0.0, 1.0, step=1e-3).value, matrix(arc, 0.0, 1.0, step=1e-3).value)
+
+
 def _central_difference(path, s, h):
     xm, xp = pt.paths.position_at(path, np.array([s - h, s + h]))
     return (xp - xm) / (2.0 * h)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import pathtransport as pt
-from pathtransport.errors import ChartDomainError, InverseUnavailableError, NotApplicableError
+from pathtransport.errors import ChartDomainError, IntervalError, InverseUnavailableError, NotApplicableError
 from pathtransport.laws import random_paths
 
 
@@ -34,6 +34,18 @@ def test_one_attachment_rule(catalog, call, base_point, components):
     seg = pt.segment([1.0, 0.0], [1.2, 0.3])
     with pytest.raises(ChartDomainError):
         ATTACHED_CALLS[call](catalog, seg, pt.FibreVector(base_point, components))
+
+
+@pytest.mark.parametrize("entry_id", ["sphere", "nonlinear"])
+def test_every_transport_keeps_its_parameters_in_the_path_domain(catalog, entry_id):
+    # A generic realization used to carry u to the point at s = 5 of a path on [0, 1].
+    seg = pt.segment([0.0, 0.0], [1.0, 1.0])
+    u = pt.FibreVector(seg.at(0.0), [1.0, 0.5])
+    transport = catalog[entry_id].transport
+    with pytest.raises(IntervalError, match=r"outside path domain \(0.0, 1.0\)"):
+        transport.apply(seg, 0.0, 5.0, u)
+    with pytest.raises(IntervalError):
+        transport.apply_many([(seg, 0.0, 1.0, u), (seg, 0.0, -0.5, u)])
 
 
 def test_flat_transport_preserves_components(flat_entry):
