@@ -336,7 +336,7 @@ def entry_from_geometry(geometry: BundleGeometry, *, entry_id: str = "") -> Geom
     )
 
 
-def load_geometry_spec(text: str, *, entry_id: str = "") -> GeometryCatalogEntry:
+def load_geometry_spec(text: str) -> GeometryCatalogEntry:
     """Resolve a key-value geometry spec to a catalog entry.
 
     Keys: label, base_dim, fibre_dim, kind (builtin|grid), builtin_id,
@@ -363,7 +363,7 @@ def load_geometry_spec(text: str, *, entry_id: str = "") -> GeometryCatalogEntry
             fibre_dim=r,
             label=fields.get("label", ""),
         )
-        return entry_from_geometry(geometry, entry_id=entry_id or fields.get("label", "grid"))
+        return entry_from_geometry(geometry, entry_id=fields.get("label", "grid"))
     raise SpecFormatError(f"unknown geometry kind {kind!r}")
 
 

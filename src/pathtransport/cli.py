@@ -39,7 +39,7 @@ from .laws import (
     make_parallel_fixtures,
 )
 from .paths import parse_key_values, parse_path_spec, parse_scalar, parse_vector, position_at, positions_at
-from .transports import KIND_GENERIC, parallel_from_transport, transport_from_parallel
+from .transports import parallel_from_transport, transport_from_parallel
 
 OUTDIR_ENV = "PATHTRANSPORT_OUTDIR"
 
@@ -192,12 +192,10 @@ def _suite_reports(entry: GeometryCatalogEntry, args) -> list[LawReport]:
     fixtures = make_parallel_fixtures(sample_paths(entry, rng, args.fixtures))
     psi = parallel_from_transport(transport, step=args.step)
     reports.extend(check_parallel_axioms(psi, fixtures, seed=args.seed, tolerance=args.tolerance))
-    if entry.traits.linear:
-        reports.append(
-            check_linearity(transport, paths[0], paths[0].domain[0], paths[0].domain[1], seed=args.seed, step=args.step)
-        )
-    if transport.kind != KIND_GENERIC:
-        mid = 0.5 * (paths[0].domain[0] + paths[0].domain[1])
+    if transport.is_linear:
+        lo, hi = paths[0].domain
+        reports.append(check_linearity(transport, paths[0], lo, hi, seed=args.seed, step=args.step))
+        mid = 0.5 * (lo + hi)
         reports.append(check_smoothness_conditions(transport, paths[0], mid, seed=args.seed, step=args.step))
     return reports
 

@@ -293,7 +293,7 @@ def _rk4_transitions(g: np.ndarray, h, lengths: np.ndarray, n_steps: int) -> np.
     return out.transpose(2, 0, 1)
 
 
-def _split(a: float, b: float, n_steps: int, nudge=(False, False), source=None) -> list[_Chunk]:
+def _split(a: float, b: float, n_steps: int, nudge: tuple[bool, bool], source: _Source) -> list[_Chunk]:
     """Consecutive chunks of at most _CHUNK_STEPS of the n_steps steps on
     [a, b]; ``nudge`` marks breakpoint ends."""
     h = (b - a) / n_steps
@@ -384,34 +384,26 @@ def _step_count(span: float, step: float | None, share: tuple[float, float] = (0
     return max(1, math.ceil(span / step))
 
 
-def _as_batch_field(coeff_field: Callable, s: float) -> tuple[Callable, int]:
-    """A coefficient field adapted to batched evaluation (m,) -> (m, r, r),
-    and the fibre dimension r read off one sample at ``s``; TransportCoefficients
-    values are unwrapped."""
-
-    def unwrap(v):
-        return v.value if isinstance(v, TransportCoefficients) else v
-
-    r = batch_eval(coeff_field, np.array([s]), unwrap=unwrap).shape[-1]
-    return (lambda ts: batch_eval(coeff_field, np.asarray(ts, dtype=float), (r, r), unwrap)), r
-
-
 def integrate_transport_matrix(coeff_field: Callable, s: float, t: float, step: float | None = None) -> TransportMatrix:
     """RK4 solution L(t, s) of the matrix lift equation for a coefficient field.
 
     ``coeff_field`` maps a parameter (or parameter array) to the coefficient
     matrix (or stack of matrices);  TransportCoefficients values are accepted
-    too.  ``step=None`` takes DEFAULT_STEP_COUNT steps; an explicit ``step``
-    is an absolute bound on the step size (see ``_step_count``).  For t < s
-    the integration runs backward.
+    too.  It is the connection ``coeffs3(x) = coeff_field(x[..., 0])[..., None]``
+    of a 1-d base, integrated along the identity line on [min(s, t), max(s, t)]
+    (position the parameter, velocity 1) as one ``transport_matrices`` request,
+    so ``step`` follows its rule: ``step=None`` takes DEFAULT_STEP_COUNT steps.
+    For t < s the integration runs backward.
     """
     s, t = float(s), float(t)
-    field, r = _as_batch_field(coeff_field, s)
-    if s == t:
-        return TransportMatrix(np.eye(r), s=s, t=t, step=0.0)
-    n_steps = _step_count(abs(t - s), step)
-    mats = _integrate(_split(s, t, n_steps), lambda _, pts: np.ascontiguousarray(field(pts).transpose(1, 2, 0)))
-    return TransportMatrix(_chain(mats), s=s, t=t, step=abs(t - s) / n_steps)
+
+    def coeffs3(x):
+        g = coeff_field(x[..., 0])
+        return np.asarray(g.value if isinstance(g, TransportCoefficients) else g, dtype=float)[..., None]
+
+    r = batch_eval(coeffs3, np.array([[s]])).shape[1]
+    line = Path(1, (min(s, t), max(s, t)), lambda u: np.atleast_2d(u).T, lambda u: np.ones((np.size(u), 1)))
+    return transport_matrices(BundleGeometry(1, r, coeffs3), [(line, s, t)], step=step)[0]
 
 
 def _piece_jet(path: Path, piece: tuple[float, float] | None, reads: tuple[int, ...] | None) -> _Source:
@@ -657,9 +649,7 @@ def horizontal_lift(
     return LiftedPath(ts=ts, base=position_at(path, ts), components=comps)
 
 
-def coefficients_from_transport(
-    transport_matrix_fn: Callable, s: float, *, h: float = FD_STEP, path_id: str = ""
-) -> TransportCoefficients:
+def coefficients_from_transport(transport_matrix_fn: Callable, s: float, *, h: float = FD_STEP) -> TransportCoefficients:
     """Recover the coefficient matrix from a transport-matrix evaluator.
 
     ``transport_matrix_fn(a, b)`` must return the matrix (or TransportMatrix)
@@ -679,7 +669,7 @@ def coefficients_from_transport(
         plus, minus = np.linalg.inv(np.stack([value(s, s + h), value(s, s - h)]))
     except np.linalg.LinAlgError as exc:
         raise NonInvertibleError(f"transport matrix near s={s} is not invertible") from exc
-    return TransportCoefficients((plus - minus) / (2 * h), path_id=path_id, s=float(s))
+    return TransportCoefficients((plus - minus) / (2 * h), s=float(s))
 
 
 def _probe_coefficients(transport, points, velocities, step: float | None) -> np.ndarray:
@@ -699,7 +689,6 @@ def factorization_test(
     x,
     probe_velocities=None,
     *,
-    threshold: float = FACTORIZATION_THRESHOLD,
     step: float | None = None,
     seed: int = 0,
 ) -> FactorizationVerdict:
@@ -710,8 +699,10 @@ def factorization_test(
     base).  The residual is the worst mismatch between the directly measured
     coefficient matrix and the candidate contraction over 8 velocities drawn
     from ``seed`` plus the zero velocity; the zero-velocity probe alone already
-    exposes transports with path-independent coefficients.
+    exposes transports with path-independent coefficients.  The transport is
+    factorizable at x when the residual is at most FACTORIZATION_THRESHOLD.
     """
+    threshold = FACTORIZATION_THRESHOLD
     return _factorization_tests(transport, [x], probe_velocities, threshold=threshold, step=step, seed=seed)[0]
 
 

@@ -32,7 +32,7 @@ from .paths import (
     restrict,
     velocity_at,
 )
-from .transports import KIND_GENERIC, ParallelTransport, TransportAlongPaths
+from .transports import ParallelTransport, TransportAlongPaths
 
 DEFAULT_TOLERANCE = 1e-6
 SMOOTHNESS_TOLERANCE = 1e-5
@@ -501,7 +501,7 @@ def check_smoothness_conditions(
     velocity (a point probe, whose lift tangent must vanish).  These are
     sampled certificates at s0, not global statements.
     """
-    if transport.kind == KIND_GENERIC:
+    if not transport.is_linear:
         raise NotApplicableError("smoothness conditions need a differentiable (linear) realization")
     rng = np.random.default_rng(seed)
     if u is None:
@@ -548,12 +548,11 @@ def check_linearity(
     t: float,
     sample_pairs=None,
     *,
-    samples: int = 10,
     seed: int = 0,
     tolerance: float = 1e-12,
     step: float | None = None,
 ) -> LawReport:
-    """Additivity and homogeneity of the fibre map from s to t along a path."""
+    """Additivity and homogeneity of the fibre map from s to t along a path; 10 seeded pairs by default."""
     rng = np.random.default_rng(seed)
     r = transport.fibre_dim
     x_s = position_at(path, s)
@@ -561,9 +560,9 @@ def check_linearity(
         sample_pairs = [
             (float(lam), float(mu), cu, cv)
             for (lam, mu), cu, cv in zip(
-                rng.uniform(-2, 2, size=(samples, 2)),
-                rng.standard_normal((samples, r)),
-                rng.standard_normal((samples, r)),
+                rng.uniform(-2, 2, size=(10, 2)),
+                rng.standard_normal((10, r)),
+                rng.standard_normal((10, r)),
             )
         ]
     # The same transport, three vectors a pair: integrated once.

@@ -155,14 +155,12 @@ def _as_param_array(s):
     return arr
 
 
-def batch_eval(
-    fn: Callable, items: np.ndarray, shape: tuple | None = None, unwrap: Callable | None = None
-) -> np.ndarray:
+def batch_eval(fn: Callable, items: np.ndarray, shape: tuple | None = None) -> np.ndarray:
     """``fn`` over a batch as one ``(len(items),) + shape`` array (any trailing
     shape when ``shape`` is None): one call on the whole batch, or, when that
     raises or returns another shape, one call per item (a float for a 1-d
-    batch, a row otherwise) with each result unwrapped and reshaped.  A 0-d
-    ``items`` is one scalar call, reshaped to ``shape``."""
+    batch, a row otherwise) with each result reshaped.  A 0-d ``items`` is
+    one scalar call, reshaped to ``shape``."""
     if items.ndim == 0:
         return np.asarray(fn(float(items)), dtype=float).reshape(shape)
     try:
@@ -172,7 +170,7 @@ def batch_eval(
     except (TypeError, ValueError, IndexError, AttributeError):
         pass
     each = items.tolist() if items.ndim == 1 else items
-    outs = [np.asarray(unwrap(fn(x)) if unwrap else fn(x), dtype=float) for x in each]
+    outs = [np.asarray(fn(x), dtype=float) for x in each]
     return np.stack([out if shape is None else out.reshape(shape) for out in outs])
 
 
@@ -596,7 +594,11 @@ def great_circle(
     ``point`` = (theta0, phi0); ``direction`` = chart velocity (dtheta, dphi)
     at the ``anchor`` parameter (default: the domain start).  The arc is
     computed in the ambient embedding and pulled back to the chart, so the
-    chart velocity at the anchor is exactly ``direction``.  Arcs that come
+    chart velocity at the anchor is exactly ``direction``.  The azimuth is
+    continuous, phi0 at the anchor: x y' - y x' = speed c for the constant
+    c = (p3 x q3)_z (p3 the point, q3 the unit tangent), so it turns one way,
+    by 2 pi per revolution, and stays strictly within pi of phi0 +
+    copysign(speed, c) (s - anchor), which picks its branch.  Arcs that come
     within ``SPHERE_POLE_MARGIN`` of a pole are rejected.
     """
     th0, ph0 = float(point[0]), float(point[1])
@@ -626,11 +628,8 @@ def great_circle(
     def embed(s):
         return _arc_embed(s, s_anchor, speed, p3_col, q3_col)
 
-    # Unwrapped azimuth reference, so phi stays continuous across +-pi.
-    ref_s = np.linspace(a, b, 4097)
-    *_, (ref_x, ref_y, _) = embed(ref_s)
-    ref_phi = np.unwrap(np.arctan2(ref_y, ref_x))
-    ref_phi += ph0 - float(np.interp(s_anchor, ref_s, ref_phi))
+    c = p3[0] * q3[1] - p3[1] * q3[0]  # (p3 x q3)_z, which gives the azimuth's branch
+    rate = math.copysign(speed, c) if c else 0.0
     # The height z = cos(u) p3_z + sin(u) q3_z at arc angle u is extreme at
     # u = atan2(q3_z, p3_z) + k pi, so the arc comes closest to each pole
     # there, where that lies inside the arc, or at an end.
@@ -651,7 +650,7 @@ def great_circle(
             out[1] = math.nan  # the azimuth, which nothing reads
             return out.T
         raw = np.arctan2(y, x)
-        guess = np.interp(np.atleast_1d(arr), ref_s, ref_phi)
+        guess = ph0 + rate * (arr - s_anchor)
         np.add(raw, 2 * math.pi * np.round((guess - raw) / (2 * math.pi)), out=out[1])
         return out.T
 

@@ -77,7 +77,8 @@ def test_sphere_paths_reject_exactly_where_the_chart_ends(catalog, entry_id):
 @pytest.mark.parametrize("offset", [-1e-9, 1e-9, -5e-5])
 def test_great_circle_checks_its_closest_approach_to_each_pole(catalog, pole, offset):
     # An arc at unit speed whose closest approach to the pole, at s = 0,
-    # lies halfway between two of its 4097 reference samples.
+    # lies halfway between two nodes of an even 4097-node grid over its
+    # domain, which a check of sampled points alone would miss.
     h = 3 / 4096
     closest = SPHERE_POLE_MARGIN + offset
     th0 = closest if pole == "north" else math.pi - closest

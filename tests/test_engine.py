@@ -80,6 +80,23 @@ def test_non_finite_coefficients_raise():
         pt.integrate_transport_matrix(field, 0.0, 1.0, 1e-2)
 
 
+@pytest.mark.parametrize(("s", "t"), [(0.0, 1.0), (1.0, 0.2), (0.4, 0.4)])
+def test_integrate_transport_matrix_is_one_transport_matrices_call(monkeypatch, s, t):
+    # A coefficient field is a connection on the parameter interval: one
+    # request along the identity line, sampled at the parameters themselves.
+    calls = []
+    original = engine.transport_matrices
+    monkeypatch.setattr(engine, "transport_matrices", lambda *a, **k: calls.append(a) or original(*a, **k))
+    m = pt.integrate_transport_matrix(constant_field(ROTATION_GEN), s, t, 1e-3)
+    assert len(calls) == 1
+    geometry, [(line, s_, t_)] = calls[0]
+    assert (geometry.base_dim, geometry.fibre_dim) == (1, 2) and (s_, t_) == (s, t)
+    assert line.domain == (min(s, t), max(s, t)) and line.breakpoints == ()
+    us = np.linspace(*line.domain, 7)
+    assert np.array_equal(position_at(line, us)[:, 0], us) and np.array_equal(velocity_at(line, us), np.ones((7, 1)))
+    assert (m.s, m.t, m.path_id) == (s, t, "")
+
+
 # --- step policy --------------------------------------------------------------
 
 

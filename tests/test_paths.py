@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import pathtransport as pt
 from pathtransport.errors import ChartDomainError, EndpointMismatchError, IntervalError, SpecFormatError
 from pathtransport.laws import _bezier_path
-from pathtransport.paths import parse_scalar
+from pathtransport.paths import SPHERE_POLE_MARGIN, parse_scalar
 
 
 def grid(n=101):
@@ -456,6 +456,50 @@ def test_great_circle_azimuth_stays_continuous():
     ts = np.linspace(*gc.domain, 400)
     phis = gc.at(ts)[:, 1]
     assert np.max(np.abs(np.diff(phis))) < 0.1  # no 2*pi jumps
+
+
+def unwrapped_azimuth(point, direction, ts, anchor):
+    """The azimuth of a great-circle arc at the dense parameters ``ts``, from
+    its own embedding and ``np.unwrap``, on the branch where it is
+    ``point[1]`` at ``anchor`` (one of ``ts``)."""
+    (th0, ph0), (dth, dph) = point, direction
+    p = np.array([math.sin(th0) * math.cos(ph0), math.sin(th0) * math.sin(ph0), math.cos(th0)])
+    e_th = np.array([math.cos(th0) * math.cos(ph0), math.cos(th0) * math.sin(ph0), -math.sin(th0)])
+    e_ph = np.array([-math.sin(ph0), math.cos(ph0), 0.0]) * math.sin(th0)
+    v = dth * e_th + dph * e_ph
+    speed = float(np.linalg.norm(v))
+    ang = speed * (ts - anchor)
+    pts = np.cos(ang)[:, None] * p + np.sin(ang)[:, None] * (v / speed)
+    phi = np.unwrap(np.arctan2(pts[:, 1], pts[:, 0]))
+    at = phi[np.flatnonzero(ts == anchor)[0]]
+    return phi + 2 * math.pi * round((ph0 - at) / (2 * math.pi))
+
+
+# The collar-grazing arcs of test_catalog.py::test_great_circle_checks_its_closest_approach_to_each_pole.
+GRAZING_TH0, GRAZING_SHIFT = SPHERE_POLE_MARGIN + 1e-9, 3 / 4096 / 2
+
+
+@pytest.mark.parametrize(
+    ("point", "direction", "domain", "anchor"),
+    [
+        ((1.0, 2.5), (1.0, 1e-9), (-0.6, 1.9), 0.3),  # near-meridian, turning east
+        ((2.0, -4.0), (-1.0, -1e-12), (0.0, 1.5), 0.7),  # near-meridian, turning west
+        ((1.2, 0.0), (1.0, 0.0), (0.0, 1.5), 0.0),  # a meridian: (p x q)_z == 0
+        ((1.3, 0.4), (0.2, 1.5), (0.0, 20.0), 7.0),  # multi-revolution
+        ((1.7, 9.0), (-0.1, -0.8), (-3.0, 17.0), 4.0),  # multi-revolution, westward, phi0 beyond 2 pi
+        *(
+            ((th0, 0.0), (0.0, 1 / math.sin(GRAZING_TH0)), (-1.5 - GRAZING_SHIFT, 1.5 - GRAZING_SHIFT), 0.0)
+            for th0 in (GRAZING_TH0, math.pi - GRAZING_TH0)
+        ),
+    ],
+)
+def test_great_circle_azimuth_follows_the_unwrapped_arc(point, direction, domain, anchor):
+    gc = pt.great_circle(point, direction, domain=domain, anchor=anchor)
+    ts = np.union1d(np.linspace(*domain, 400_001), [anchor])
+    phis = gc.at(ts)[:, 1]
+    assert np.max(np.abs(phis - unwrapped_azimuth(point, direction, ts, anchor))) <= 1e-9
+    assert abs(float(gc.at(anchor)[1]) - point[1]) <= 1e-12
+    assert np.array_equal(gc.jet(ts, (0, 1))[0], gc.at(ts))
 
 
 def test_spline_path_roundtrip(tmp_path):

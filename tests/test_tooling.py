@@ -82,6 +82,46 @@ def test_knob_count_is_well_formed():
     assert total == f"total {sum(counts.values())}"
 
 
+def unpassed_settings(root):
+    """``name(param=)`` for each optional parameter of an exported callable
+    (as ``tools/knob_count.py`` lists them) that no call under ``src``,
+    ``tests``, ``tools`` or ``benchmarks`` passes.  A call is matched by the
+    callee's name or attribute; positional arguments map through the
+    signature, up to the first starred one; names bound to one object
+    (aliases) share their calls."""
+    import ast
+
+    import pathtransport
+
+    spec = importlib.util.spec_from_file_location("knob_count", root / "tools" / "knob_count.py")
+    knob_count = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(knob_count)
+    knobs = knob_count.optional_parameters(pathtransport)
+    objects = {name: getattr(pathtransport, name) for name in knobs}
+    passed = {id(obj): set() for obj in objects.values()}
+    for file in sorted(f for part in ("src", "tests", "tools", "benchmarks") for f in (root / part).rglob("*.py")):
+        for node in ast.walk(ast.parse(file.read_text(), str(file))):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            if name not in objects:
+                continue
+            params = inspect.signature(objects[name]).parameters.values()
+            positional = [p.name for p in params if p.kind in (p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD)]
+            for param, arg in zip(positional, node.args):
+                if isinstance(arg, ast.Starred):
+                    break
+                passed[id(objects[name])].add(param)
+            passed[id(objects[name])].update(kw.arg for kw in node.keywords)
+    unpassed = [(name, param) for name, params in knobs.items() for param in params if param not in passed[id(objects[name])]]
+    return sorted(f"{name}({param}=)" for name, param in unpassed)
+
+
+def test_every_setting_of_an_exported_callable_has_a_caller():
+    # A value that no caller changes is a constant, not a setting.
+    assert unpassed_settings(Path(__file__).resolve().parent.parent) == []
+
+
 def test_tracer_records_the_coefficient_dump_as_field_calls(tmp_path):
     # The transport command's coefficient dump samples the integrators'
     # field, so the tracer's engine.field span sees it.
